@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .codes import (
     LinearCode,
+    check_budget,
     comp_table,
     composition,
     jacobi_composition,
@@ -82,11 +83,15 @@ def _zero_positions(w) -> list[int]:
     return [i for i, m in enumerate(w) if m == 0]
 
 
-def _require_brute(n: int) -> None:
+def _require_brute(*codes: LinearCode) -> None:
+    """Gate a walk over every permutation and every word tuple of codes."""
+    n = codes[0].n
     if n > BRUTE_MAX_N:
         raise ValueError(
             f"exhaustive averaging is limited to length {BRUTE_MAX_N}, got {n}"
         )
+    steps = math.factorial(n) * math.prod(code.size for code in codes)
+    check_budget(steps, f"steps over {n}! permutations")
 
 
 def _check_pair(code_c: LinearCode, code_d: LinearCode, w) -> None:
@@ -136,7 +141,7 @@ def brute_avg_jacobi(code: LinearCode, w) -> SparsePolynomial:
     n = code.n
     if len(w) != n:
         raise ValueError("mask length mismatch")
-    _require_brute(n)
+    _require_brute(code)
     ring = code.ring
     counts: Counter = Counter()
     total = 0
@@ -154,7 +159,7 @@ def brute_avg_joint_jacobi(
     """Average joint Jacobi polynomial over every permutation of C."""
     _check_pair(code_c, code_d, w)
     n = code_c.n
-    _require_brute(n)
+    _require_brute(code_c, code_d)
     ring = code_c.ring
     counts: Counter = Counter()
     total = 0
@@ -172,7 +177,7 @@ def brute_delta(code_c: LinearCode, code_d: LinearCode, w) -> Fraction:
     """Average intersection number by running over every permutation."""
     _check_pair(code_c, code_d, w)
     n = code_c.n
-    _require_brute(n)
+    _require_brute(code_c)
     keep = _zero_positions(w)
     cnt_d = Counter(tuple(v[i] for i in keep) for v in code_d.words)
     total = 0
@@ -221,17 +226,13 @@ def avg_jacobi(code: LinearCode, w) -> SparsePolynomial:
     return SparsePolynomial(ring, 2, out)
 
 
-def _split_plans(ring: RingSpec, point=None):
+def _split_plans(ring: RingSpec, point):
     """Per-variable admissible first-slot symbols for the joint average.
 
-    With no point every symbol is admissible.  With a point, splits
-    that would place mass on a zero variable are pruned.
+    Splits that would place mass on a variable where the point is zero
+    are pruned.
     """
     q = ring.order
-    if point is None:
-        return {
-            (a1, a2): list(range(q)) for a1 in range(q) for a2 in range(q)
-        }
     plans = {}
     for a1 in range(q):
         for a2 in range(q):

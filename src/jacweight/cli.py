@@ -11,6 +11,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -129,35 +130,35 @@ def _mask_weight(w) -> int:
 
 
 def cmd_cwe(args) -> int:
-    _emit_poly(cwe(load_code(args.code)), args)
+    _emit_poly(cwe(args.load(args.code)), args)
     return 0
 
 
 def cmd_cwe_g(args) -> int:
-    _emit_poly(cwe_genus(load_code(args.code), args.genus), args)
+    _emit_poly(cwe_genus(args.load(args.code), args.genus), args)
     return 0
 
 
 def cmd_jacobi(args) -> int:
-    code = load_code(args.code)
+    code = args.load(args.code)
     _emit_poly(jacobi(code, _mask_for(args, code)), args)
     return 0
 
 
 def cmd_joint_cwe(args) -> int:
-    _emit_poly(joint_cwe(load_code(args.code_c), load_code(args.code_d)), args)
+    _emit_poly(joint_cwe(args.load(args.code_c), args.load(args.code_d)), args)
     return 0
 
 
 def cmd_joint_jacobi(args) -> int:
-    code_c = load_code(args.code_c)
-    code_d = load_code(args.code_d)
+    code_c = args.load(args.code_c)
+    code_d = args.load(args.code_d)
     _emit_poly(joint_jacobi(code_c, code_d, _mask_for(args, code_c)), args)
     return 0
 
 
 def cmd_macwilliams(args) -> int:
-    code_c = load_code(args.code_c)
+    code_c = args.load(args.code_c)
     w = _mask_for(args, code_c)
     side = args.side
     if side == "single":
@@ -169,7 +170,7 @@ def cmd_macwilliams(args) -> int:
     else:
         if args.code_d is None:
             raise CliError(f"--side {side} needs two codes")
-        code_d = load_code(args.code_d)
+        code_d = args.load(args.code_d)
         base = joint_jacobi(code_c, code_d, w)
         if side == "second":
             transformed = macwilliams_second(base, code_d.size)
@@ -211,7 +212,7 @@ def _try_direct(thunk):
 
 
 def cmd_avg_jacobi(args) -> int:
-    code = load_code(args.code)
+    code = args.load(args.code)
     _emit_poly(avg_jacobi(code, _mask_for(args, code)), args)
     return 0
 
@@ -234,8 +235,8 @@ def _parse_point(text: str, ring):
 
 
 def cmd_avg_joint_jacobi(args) -> int:
-    code_c = load_code(args.code_c)
-    code_d = load_code(args.code_d)
+    code_c = args.load(args.code_c)
+    code_d = args.load(args.code_d)
     w = _mask_for(args, code_c)
     if args.value_at is not None:
         point = _parse_point(args.value_at, code_c.ring)
@@ -257,8 +258,8 @@ def cmd_avg_joint_jacobi(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    code_c = load_code(args.code_c)
-    code_d = load_code(args.code_d)
+    code_c = args.load(args.code_c)
+    code_d = args.load(args.code_d)
     w = _mask_for(args, code_c)
     result = delta(
         code_c, code_d, w, method=args.method, samples=args.samples, seed=args.seed
@@ -299,14 +300,14 @@ def cmd_delta(args) -> int:
 
 
 def cmd_design_check(args) -> int:
-    code = load_code(args.code)
+    code = args.load(args.code)
     report = is_t_design(supports(code, args.weight), args.t)
     print(json.dumps(report.to_json_obj()))
     return 0
 
 
 def cmd_homogeneous(args) -> int:
-    code = load_code(args.code)
+    code = args.load(args.code)
     verdict, reports = is_t_homogeneous(code, args.t)
     obj = {
         "t": args.t,
@@ -329,19 +330,12 @@ def _spot_masks(n: int, k: int, rng: random.Random):
 
 
 def cmd_repro_paper(args) -> int:
-    cache: dict[str, LinearCode] = {}
-
-    def get(name: str) -> LinearCode:
-        if name not in cache:
-            cache[name] = load_code(name)
-        return cache[name]
-
     rng = random.Random(SPOT_CHECK_SEED)
     rows = []
     all_ok = True
     for name_c, name_d, k, printed in REFERENCE_ROWS:
-        code_c = get(name_c)
-        code_d = get(name_d)
+        code_c = args.load(name_c)
+        code_d = args.load(name_d)
         w = (1,) * k + (0,) * (code_c.n - k)
         value = delta_closed(code_c, code_d, w)
         if args.conjecture:
@@ -526,6 +520,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one load per code name for this command: a code named twice is
+    # enumerated once, and nothing outlives the call
+    args.load = functools.cache(load_code)
     try:
         return args.func(args)
     except (

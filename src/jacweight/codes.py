@@ -24,6 +24,7 @@ __all__ = [
     "BudgetExceeded",
     "CodeFormatError",
     "LinearCode",
+    "check_budget",
     "enumeration_budget",
     "load_code",
     "code_from_json",
@@ -63,6 +64,13 @@ def enumeration_budget() -> int:
     if value < 1:
         raise ValueError("JF_BUDGET must be positive")
     return value
+
+
+def check_budget(count: int, what: str) -> None:
+    """Raise BudgetExceeded when an operation would enumerate count items."""
+    budget = enumeration_budget()
+    if count > budget:
+        raise BudgetExceeded(f"{count} {what} exceed the budget {budget}")
 
 
 def weight(u) -> int:
@@ -136,13 +144,9 @@ class LinearCode:
     @cached_property
     def words(self) -> tuple[tuple[int, ...], ...]:
         """All codewords, first occurrence in coefficient-lex order."""
-        budget = enumeration_budget()
         q = self.ring.order
         g = len(self.generators)
-        if q**g > budget:
-            raise BudgetExceeded(
-                f"enumerating {q}^{g} coefficient vectors exceeds budget {budget}"
-            )
+        check_budget(q**g, "coefficient vectors")
         add = self.ring.add_table
         mul = self.ring.mul_table
         zero = (0,) * self.n
@@ -158,10 +162,6 @@ class LinearCode:
             if word not in seen:
                 seen.add(word)
                 out.append(word)
-                if len(out) > budget:
-                    raise BudgetExceeded(
-                        f"code size exceeds enumeration budget {budget}"
-                    )
         return tuple(out)
 
     @cached_property
@@ -241,13 +241,7 @@ def _nullspace_basis(ring: RingSpec, n: int, rows):
 
 def _modring_dual_generators(ring: RingSpec, n: int, rows):
     """Dual of a Z_k code by scanning the ambient space, budget gated."""
-    budget = enumeration_budget()
-    total = ring.order**n
-    if total > budget:
-        raise BudgetExceeded(
-            f"dual over {ring.label()} needs a scan of {ring.order}^{n} words, "
-            f"budget is {budget}"
-        )
+    check_budget(ring.order**n, f"words scanned for a dual over {ring.label()}")
     dual_words = []
     for cand in itertools.product(range(ring.order), repeat=n):
         if all(ring.dot(g, cand) == 0 for g in rows):
@@ -302,11 +296,7 @@ def joint_jacobi_table(
         raise ValueError("codes must share ring and length")
     if len(w) != code_c.n:
         raise ValueError("mask length mismatch")
-    budget = enumeration_budget()
-    if code_c.size * code_d.size > budget:
-        raise BudgetExceeded(
-            f"pair enumeration {code_c.size} x {code_d.size} exceeds budget {budget}"
-        )
+    check_budget(code_c.size * code_d.size, "pairs of codewords")
     q = code_c.ring.order
     qq = q * q
     nvars = qq * q

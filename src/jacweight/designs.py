@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .codes import BudgetExceeded, LinearCode, enumeration_budget, weight
+from .codes import LinearCode, check_budget, weight
 
 __all__ = [
     "BlockMultiset",
@@ -88,10 +88,7 @@ def is_t_design(bm: BlockMultiset, t: int) -> DesignReport:
     if t > bm.k:
         raise ValueError(f"t={t} exceeds block size {bm.k}")
     n_subsets = math.comb(bm.n, t)
-    if n_subsets > enumeration_budget():
-        raise BudgetExceeded(
-            f"scanning {n_subsets} subsets exceeds the enumeration budget"
-        )
+    check_budget(n_subsets, f"{t}-subsets of {bm.n} points")
     cover: Counter = Counter()
     for block in bm.blocks:
         for sub in itertools.combinations(block, t):

@@ -3,22 +3,24 @@
 Enumerator polynomials carry one variable per symbol tuple: complete
 weight enumerators use tuples of length one, Jacobi and joint complete
 weight enumerators length two, joint Jacobi polynomials length three.
-The duality transforms substitute character sums for variables and
-rescale by the size of the code being dualized, so applying one to the
-enumerator of (C, D, w) yields the enumerator with C or D replaced by
-its dual.
+The duality transforms are one slot-wise transform: in a chosen code
+slot, each variable x_(.., a, ..) becomes the character sum
+sum_b chi(ab) x_(.., b, ..), and the result is scaled by 1/|code|.
+Applied to the enumerator of (C, D, w) it yields the enumerator with
+C or D replaced by its dual; transforming both slots is the first slot
+followed by the second.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 
 from .codes import (
-    BudgetExceeded,
     LinearCode,
+    check_budget,
     comp_table,
-    enumeration_budget,
     jacobi_table,
     joint_jacobi_table,
 )
@@ -54,12 +56,7 @@ def cwe_genus(code: LinearCode, genus: int) -> SparsePolynomial:
     """Genus-g enumerator over g-tuples of codewords."""
     if genus < 1:
         raise ValueError("genus must be at least 1")
-    budget = enumeration_budget()
-    if code.size**genus > budget:
-        raise BudgetExceeded(
-            f"genus-{genus} enumeration of {code.size}^{genus} tuples "
-            f"exceeds budget {budget}"
-        )
+    check_budget(code.size**genus, f"genus-{genus} tuples")
     q = code.ring.order
     nvars = q**genus
     counts: dict[tuple[int, ...], int] = {}
@@ -84,11 +81,7 @@ def joint_cwe(code_c: LinearCode, code_d: LinearCode) -> SparsePolynomial:
     """Joint complete weight enumerator over pairs in C x D."""
     if code_c.ring != code_d.ring or code_c.n != code_d.n:
         raise ValueError("codes must share ring and length")
-    budget = enumeration_budget()
-    if code_c.size * code_d.size > budget:
-        raise BudgetExceeded(
-            f"pair enumeration {code_c.size} x {code_d.size} exceeds budget {budget}"
-        )
+    check_budget(code_c.size * code_d.size, "pairs of codewords")
     q = code_c.ring.order
     nvars = q * q
     counts: dict[tuple[int, ...], int] = {}
@@ -136,68 +129,83 @@ def collapse(poly: SparsePolynomial, keep_slots) -> SparsePolynomial:
 # ---- duality transforms ----------------------------------------------------
 
 
-def _pairing(ring: RingSpec, a: int, b: int):
-    return ring.chi(ring.mul(a, b))
+def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
+    """Map each x_(.., a, ..) to sum_b chi(ab) x_(.., b, ..) in one slot; scale 1/size.
 
-
-def _rule_poly(ring: RingSpec, arity: int, entries) -> SparsePolynomial:
-    nvars = ring.order**arity
-    terms: dict[tuple[int, ...], object] = {}
-    for symbols, coeff in entries:
-        idx = 0
-        for s in symbols:
-            idx = idx * ring.order + s
-        exps = [0] * nvars
-        exps[idx] = 1
-        key = tuple(exps)
-        if key in terms:
-            terms[key] = terms[key] + coeff
-        else:
-            terms[key] = coeff
-    return SparsePolynomial(ring, arity, terms)
-
-
-def _scaled(poly: SparsePolynomial, size) -> SparsePolynomial:
-    return poly.scale(Fraction(1, size))
+    The q variables that differ only in that slot form a group, and
+    groups map to disjoint variables, so a monomial's image is the
+    product of its group images.  A group image depends only on the
+    group's exponents and is computed once per call.  Image terms are
+    keyed by their nonzero groups until the end.
+    """
+    scale = Fraction(1, size)
+    ring = poly.ring
+    q = ring.order
+    nvars = poly.nvars
+    stride = q ** (poly.arity - 1 - slot)
+    groups = [
+        tuple(base + a * stride for a in range(q))
+        for base in range(nvars)
+        if (base // stride) % q == 0
+    ]
+    getters = [itemgetter(*members) for members in groups]
+    # the image of x_a as a polynomial in the group's own q variables
+    unit = [tuple(int(b == c) for c in range(q)) for b in range(q)]
+    forms = [
+        SparsePolynomial(ring, 1, {unit[b]: ring.chi(ring.mul(a, b)) for b in range(q)})
+        for a in range(q)
+    ]
+    images: dict = {}
+    out: dict = {}
+    for key, coeff in poly.terms.items():
+        partial = [((), coeff)]
+        for g, get in enumerate(getters):
+            exps = get(key)
+            if not any(exps):
+                continue
+            image = images.get(exps)
+            if image is None:
+                prod = SparsePolynomial.constant(ring, 1, 1)
+                for form, e in zip(forms, exps):
+                    for _ in range(e):
+                        prod = prod * form
+                image = images[exps] = list(prod.terms.items())
+            partial = [
+                (k + ((g, ik),), c * ic) for k, c in partial for ik, ic in image
+            ]
+        for k, c in partial:
+            total = out.pop(k, 0) + c
+            if total:
+                out[k] = total
+    terms = {}
+    for k, c in out.items():
+        vec = [0] * nvars
+        for g, ik in k:
+            for v, e in zip(groups[g], ik):
+                vec[v] = e
+        terms[tuple(vec)] = c * scale
+    return SparsePolynomial(ring, poly.arity, terms)
 
 
 def macwilliams_single(poly: SparsePolynomial, size: int) -> SparsePolynomial:
     """Duality transform on the code slot of a Jacobi polynomial."""
     if poly.arity != 2:
         raise ValueError("single transform expects a two-slot polynomial")
-    ring = poly.ring
-    rules = {}
-    for idx in range(poly.nvars):
-        a1, a2 = poly.var_tuple(idx)
-        entries = [((b, a2), _pairing(ring, a1, b)) for b in ring.elements]
-        rules[idx] = _rule_poly(ring, 2, entries)
-    return _scaled(poly.substitute(rules), size)
+    return _macwilliams(poly, 0, size)
 
 
 def macwilliams_first(poly: SparsePolynomial, size: int) -> SparsePolynomial:
     """Duality transform on the first code slot of a joint polynomial."""
     if poly.arity != 3:
         raise ValueError("first transform expects a three-slot polynomial")
-    ring = poly.ring
-    rules = {}
-    for idx in range(poly.nvars):
-        a1, a2, a3 = poly.var_tuple(idx)
-        entries = [((b, a2, a3), _pairing(ring, a1, b)) for b in ring.elements]
-        rules[idx] = _rule_poly(ring, 3, entries)
-    return _scaled(poly.substitute(rules), size)
+    return _macwilliams(poly, 0, size)
 
 
 def macwilliams_second(poly: SparsePolynomial, size: int) -> SparsePolynomial:
     """Duality transform on the second code slot of a joint polynomial."""
     if poly.arity != 3:
         raise ValueError("second transform expects a three-slot polynomial")
-    ring = poly.ring
-    rules = {}
-    for idx in range(poly.nvars):
-        a1, a2, a3 = poly.var_tuple(idx)
-        entries = [((a1, b, a3), _pairing(ring, a2, b)) for b in ring.elements]
-        rules[idx] = _rule_poly(ring, 3, entries)
-    return _scaled(poly.substitute(rules), size)
+    return _macwilliams(poly, 1, size)
 
 
 def macwilliams_both(

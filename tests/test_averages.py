@@ -22,7 +22,7 @@ from jacweight.averages import (
     multinomial,
     _mc_delta_python,
 )
-from jacweight.codes import LinearCode
+from jacweight.codes import BudgetExceeded, LinearCode
 from jacweight.enumerators import collapse, macwilliams_second, macwilliams_single
 from jacweight.refvalues import REFERENCE_ROWS, matches_reference
 from jacweight.rings import field_ring, modular_ring
@@ -128,6 +128,18 @@ def test_brute_is_gated_by_length():
         brute_avg_jacobi(big, (0,) * 9)
     with pytest.raises(ValueError):
         brute_delta(big, big, (0,) * 9)
+
+
+def test_brute_averages_charge_the_budget(monkeypatch):
+    e8 = get_code("e8")
+    w = front_mask(8, 1)
+    monkeypatch.setenv("JF_BUDGET", "1000")
+    with pytest.raises(BudgetExceeded):
+        brute_avg_jacobi(e8, w)
+    with pytest.raises(BudgetExceeded):
+        brute_avg_joint_jacobi(e8, e8, w)
+    with pytest.raises(BudgetExceeded):
+        brute_delta(e8, e8, w)
 
 
 def test_pair_validation():

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 
+from jacweight import cli
 from jacweight.cli import decimal_string, main
+from jacweight.codes import load_code
 from fractions import Fraction
 
 
@@ -149,7 +151,7 @@ def test_macwilliams_single_rejects_second_code():
     assert json.loads(err)["error"] == "--side single transforms one code; drop the second"
 
 
-def test_error_reports_are_json_on_stderr():
+def test_error_reports_are_json_on_stderr(monkeypatch):
     rc, out, err = run("delta", "nosuchcode", "e8", "--w-weight", "1")
     assert rc == 2
     assert out == ""
@@ -167,6 +169,29 @@ def test_error_reports_are_json_on_stderr():
                        "--w-weight", "1")
     assert rc == 2
     assert json.loads(err)["error"] == "codes must share ring and length"
+
+    monkeypatch.setenv("JF_BUDGET", "1000")
+    rc, out, err = run("delta", "e8", "e8", "--w-weight", "1", "--method", "brute")
+    assert rc == 2
+    assert out == ""
+    assert "exceed the budget 1000" in json.loads(err)["error"]
+
+
+def test_a_code_named_twice_is_loaded_once_per_command(monkeypatch):
+    calls = []
+
+    def counting_load(spec):
+        calls.append(spec)
+        return load_code(spec)
+
+    monkeypatch.setattr(cli, "load_code", counting_load)
+    rc, out, _ = run("delta", "e8", "e8", "--w-weight", "1")
+    assert rc == 0
+    assert out.startswith("24/5")
+    assert calls == ["e8"]
+    # the next command loads its codes afresh
+    run("delta", "e8", "e8", "--w-weight", "1")
+    assert calls == ["e8", "e8"]
 
 
 def test_argparse_errors_are_json_too():

@@ -23,7 +23,15 @@ from jacweight.rings import field_ring, modular_ring
 F2 = field_ring(2)
 F3 = field_ring(3)
 F4 = field_ring(2, 2)
+F8 = field_ring(2, 3)
+F9 = field_ring(3, 2)
 Z4 = modular_ring(4)
+Z6 = modular_ring(6)
+
+
+def ring_cases(*cases):
+    """Test parameters led by a ring and named by its label."""
+    return [pytest.param(*case, id=case[0].label()) for case in cases]
 
 
 def test_cwe_e8_golden():
@@ -135,22 +143,34 @@ def test_macwilliams_single_on_self_dual_code():
     assert macwilliams_single(p, e8.size) == p
 
 
-@pytest.mark.parametrize("ring", [F2, F3, F4, Z4], ids=lambda r: r.label())
-def test_macwilliams_single_matches_dual_enumeration(ring):
+@pytest.mark.parametrize(
+    "ring, n, rows",
+    ring_cases(
+        (F2, 4, 2), (F3, 4, 2), (F4, 4, 2), (Z4, 4, 2),
+        (F8, 3, 2), (F9, 3, 1), (Z6, 3, 2),
+    ),
+)
+def test_macwilliams_single_matches_dual_enumeration(ring, n, rows):
     rng = random.Random(ring.order)
-    code = random_code(ring, 4, rows=2, rng=rng)
-    w = random_mask(ring, 4, rng)
+    code = random_code(ring, n, rows=rows, rng=rng)
+    w = random_mask(ring, n, rng)
     lhs = macwilliams_single(jacobi(code, w), code.size)
     assert lhs == jacobi(code.dual(), w)
     assert all(isinstance(c, Fraction) for c in lhs.terms.values())
 
 
-@pytest.mark.parametrize("ring", [F2, F3, F4, Z4], ids=lambda r: r.label())
-def test_macwilliams_joint_three_sides(ring):
+@pytest.mark.parametrize(
+    "ring, n, rows_d",
+    ring_cases(
+        (F2, 3, 2), (F3, 3, 2), (F4, 3, 2), (Z4, 3, 2),
+        (F8, 3, 1), (F9, 2, 1), (Z6, 3, 1),
+    ),
+)
+def test_macwilliams_joint_three_sides(ring, n, rows_d):
     rng = random.Random(100 + ring.order)
-    code_c = random_code(ring, 3, rows=1, rng=rng)
-    code_d = random_code(ring, 3, rows=2, rng=rng)
-    w = random_mask(ring, 3, rng)
+    code_c = random_code(ring, n, rows=1, rng=rng)
+    code_d = random_code(ring, n, rows=rows_d, rng=rng)
+    w = random_mask(ring, n, rng)
     base = joint_jacobi(code_c, code_d, w)
     assert macwilliams_first(base, code_c.size) == joint_jacobi(
         code_c.dual(), code_d, w
