@@ -23,12 +23,11 @@ from fractions import Fraction
 
 from .codes import (
     LinearCode,
+    _tuple_counts,
     check_budget,
     comp_table,
     composition,
-    jacobi_composition,
     jacobi_table,
-    joint_jacobi_composition,
     permute_word,
 )
 from .polynomials import SparsePolynomial
@@ -147,8 +146,8 @@ def brute_avg_jacobi(code: LinearCode, w) -> SparsePolynomial:
     total = 0
     for sigma in itertools.permutations(range(n)):
         total += 1
-        for u in code.words:
-            counts[jacobi_composition(ring, permute_word(u, sigma), w)] += 1
+        permuted = [permute_word(u, sigma) for u in code.words]
+        counts.update(_tuple_counts(ring, [permuted], (w,)))
     terms = {key: Fraction(mult, total) for key, mult in counts.items()}
     return SparsePolynomial(ring, 2, terms)
 
@@ -165,10 +164,8 @@ def brute_avg_joint_jacobi(
     total = 0
     for sigma in itertools.permutations(range(n)):
         total += 1
-        for u in code_c.words:
-            us = permute_word(u, sigma)
-            for v in code_d.words:
-                counts[joint_jacobi_composition(ring, us, v, w)] += 1
+        permuted = [permute_word(u, sigma) for u in code_c.words]
+        counts.update(_tuple_counts(ring, [permuted, code_d.words], (w,)))
     terms = {key: Fraction(mult, total) for key, mult in counts.items()}
     return SparsePolynomial(ring, 3, terms)
 

@@ -4,16 +4,18 @@ A code is stored by its generator list and enumerated on demand by
 walking coefficient vectors over the generators in lexicographic
 order, keeping the first occurrence of each word.  Fields get duals
 by Gaussian elimination; modular rings fall back to a budget-gated
-scan of the full ambient space.  Compositions of words, of
-word/mask pairs, and of word/word/mask triples live here too, as do
-their distribution tables.
+scan of the full ambient space.  One kernel counts every composition:
+the column symbol tuples of each word tuple in a product of word lists,
+with fixed words such as a mask; each distribution table is one call.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -34,8 +36,6 @@ __all__ = [
     "weight",
     "mask_word",
     "composition",
-    "jacobi_composition",
-    "joint_jacobi_composition",
     "comp_table",
     "jacobi_table",
     "joint_jacobi_table",
@@ -92,34 +92,14 @@ def mask_word(u, w):
     return tuple(x if m == 0 else 0 for x, m in zip(u, w))
 
 
-def composition(ring: RingSpec, u) -> tuple[int, ...]:
-    """Counts of each ring element in u, in omega-order."""
-    counts = [0] * ring.order
-    for x in u:
-        counts[x] += 1
-    return tuple(counts)
+def composition(ring: RingSpec, *words) -> tuple[int, ...]:
+    """Counts of the column tuples (u_i, v_i, ...) of one or more words.
 
-
-def jacobi_composition(ring: RingSpec, u, w) -> tuple[int, ...]:
-    """Counts of pairs (u_i, w_i), flattened in omega-order."""
-    if len(u) != len(w):
-        raise ValueError("length mismatch")
-    q = ring.order
-    counts = [0] * (q * q)
-    for x, m in zip(u, w):
-        counts[x * q + m] += 1
-    return tuple(counts)
-
-
-def joint_jacobi_composition(ring: RingSpec, u, v, w) -> tuple[int, ...]:
-    """Counts of triples (u_i, v_i, w_i), flattened in omega-order."""
-    if not (len(u) == len(v) == len(w)):
-        raise ValueError("length mismatch")
-    q = ring.order
-    counts = [0] * (q * q * q)
-    for x, y, m in zip(u, v, w):
-        counts[(x * q + y) * q + m] += 1
-    return tuple(counts)
+    The tuple (a, b, ...) is counted at its omega-order index
+    (a * q + b) * q + ...; one word gives the count of each symbol.
+    """
+    ((key, _),) = _tuple_counts(ring, [words[:1]], words[1:]).items()
+    return key
 
 
 @dataclass(frozen=True)
@@ -163,6 +143,10 @@ class LinearCode:
                 seen.add(word)
                 out.append(word)
         return tuple(out)
+
+    @cached_property
+    def _comp_table(self) -> dict[tuple[int, ...], int]:
+        return _tuple_counts(self.ring, [self.words])
 
     @cached_property
     def word_set(self) -> frozenset:
@@ -268,24 +252,62 @@ def _modring_dual_generators(ring: RingSpec, n: int, rows):
 # ---- distribution tables -------------------------------------------------
 
 
-def comp_table(code: LinearCode) -> dict[tuple[int, ...], int]:
-    """Composition distribution A_L: count of codewords per composition."""
+def _tuple_counts(ring: RingSpec, word_lists, fixed=()) -> dict[tuple[int, ...], int]:
+    """{composition: multiplicity} over word_lists[0] x ... x word_lists[k-1].
+
+    Position i of a word tuple (u_1, ..., u_k) counts at the column index
+    ((u_1[i] * q + u_2[i]) * q + ...) * q + f_m[i], f_1 ... f_m being the
+    fixed words.  Each tuple from the first k - 1 lists is summed with the
+    fixed words into a prefix once.  A composition is held as one integer
+    in base n + 1, a digit per column index in use, so that for each prefix
+    a place-value table per position makes a word of the last list one sum.
+    """
+    q = ring.order
+    n = len(word_lists[0][0])
+    base = (0,) * n
+    for f in fixed:
+        if len(f) != n:
+            raise ValueError("mask length mismatch")
+        for s in f:
+            if not 0 <= s < q:
+                raise ValueError(f"symbol {s} out of range for {ring.label()}")
+        base = tuple(b * q + s for b, s in zip(base, f))
+    if len(word_lists) > 1:
+        check_budget(math.prod(map(len, word_lists)), "tuples of codewords")
+    nvars = q ** (len(word_lists) + len(fixed))
+    place = nvars
+    scaled = []
+    for words in word_lists[:-1]:
+        place //= q
+        lookup = [s * place for s in range(q)].__getitem__
+        scaled.append([tuple(map(lookup, u)) for u in words])
+    steps = [s * place // q for s in range(q)]
+    radix = n + 1
+    # the r-th column index looked up gets the place value radix ** r
+    power = defaultdict(lambda: radix ** len(power))
+    column = list.__getitem__
+    sums: Counter = Counter()
+    for rows in itertools.product(*scaled):
+        prefix = map(sum, zip(base, *rows))
+        cols = [[power[x + step] for step in steps] for x in prefix]
+        sums.update(sum(map(column, cols, u)) for u in word_lists[-1])
     table: dict[tuple[int, ...], int] = {}
-    for u in code.words:
-        key = composition(code.ring, u)
-        table[key] = table.get(key, 0) + 1
+    for total, mult in sums.items():
+        counts = [0] * nvars
+        for idx in power:
+            total, counts[idx] = divmod(total, radix)
+        table[tuple(counts)] = mult
     return table
+
+
+def comp_table(code: LinearCode) -> dict[tuple[int, ...], int]:
+    """Composition distribution A_L, counted once per code: do not mutate it."""
+    return code._comp_table
 
 
 def jacobi_table(code: LinearCode, w) -> dict[tuple[int, ...], int]:
     """Jacobi composition distribution B_R of a code against mask w."""
-    if len(w) != code.n:
-        raise ValueError("mask length mismatch")
-    table: dict[tuple[int, ...], int] = {}
-    for u in code.words:
-        key = jacobi_composition(code.ring, u, w)
-        table[key] = table.get(key, 0) + 1
-    return table
+    return _tuple_counts(code.ring, [code.words], (w,))
 
 
 def joint_jacobi_table(
@@ -294,26 +316,7 @@ def joint_jacobi_table(
     """Joint composition distribution B_H over all pairs in C x D."""
     if code_c.ring != code_d.ring or code_c.n != code_d.n:
         raise ValueError("codes must share ring and length")
-    if len(w) != code_c.n:
-        raise ValueError("mask length mismatch")
-    check_budget(code_c.size * code_d.size, "pairs of codewords")
-    q = code_c.ring.order
-    qq = q * q
-    nvars = qq * q
-    table: dict[tuple[int, ...], int] = {}
-    # inner loop over D with the (v, w) part of the index precomputed
-    vw_rows = [
-        tuple(y * q + m for y, m in zip(v, w)) for v in code_d.words
-    ]
-    for u in code_c.words:
-        u_scaled = tuple(x * qq for x in u)
-        for vw in vw_rows:
-            counts = [0] * nvars
-            for xs, tail in zip(u_scaled, vw):
-                counts[xs + tail] += 1
-            key = tuple(counts)
-            table[key] = table.get(key, 0) + 1
-    return table
+    return _tuple_counts(code_c.ring, [code_c.words, code_d.words], (w,))
 
 
 # ---- code files ------------------------------------------------------------

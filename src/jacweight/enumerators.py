@@ -2,7 +2,10 @@
 
 Enumerator polynomials carry one variable per symbol tuple: complete
 weight enumerators use tuples of length one, Jacobi and joint complete
-weight enumerators length two, joint Jacobi polynomials length three.
+weight enumerators length two, joint Jacobi polynomials length three,
+and genus-g enumerators length g.  Every enumerator's coefficients come
+from the one column-tuple counting kernel in codes.py, over the word
+lists of its codes with the mask as a fixed word.
 The duality transforms are one slot-wise transform: in a chosen code
 slot, each variable x_(.., a, ..) becomes the character sum
 sum_b chi(ab) x_(.., b, ..), and the result is scaled by 1/|code|.
@@ -13,13 +16,12 @@ followed by the second.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from operator import itemgetter
 
 from .codes import (
     LinearCode,
-    check_budget,
+    _tuple_counts,
     comp_table,
     jacobi_table,
     joint_jacobi_table,
@@ -56,19 +58,7 @@ def cwe_genus(code: LinearCode, genus: int) -> SparsePolynomial:
     """Genus-g enumerator over g-tuples of codewords."""
     if genus < 1:
         raise ValueError("genus must be at least 1")
-    check_budget(code.size**genus, f"genus-{genus} tuples")
-    q = code.ring.order
-    nvars = q**genus
-    counts: dict[tuple[int, ...], int] = {}
-    for words in itertools.product(code.words, repeat=genus):
-        vec = [0] * nvars
-        for col in zip(*words):
-            idx = 0
-            for s in col:
-                idx = idx * q + s
-            vec[idx] += 1
-        key = tuple(vec)
-        counts[key] = counts.get(key, 0) + 1
+    counts = _tuple_counts(code.ring, [code.words] * genus)
     return _from_counts(code.ring, genus, counts)
 
 
@@ -81,17 +71,7 @@ def joint_cwe(code_c: LinearCode, code_d: LinearCode) -> SparsePolynomial:
     """Joint complete weight enumerator over pairs in C x D."""
     if code_c.ring != code_d.ring or code_c.n != code_d.n:
         raise ValueError("codes must share ring and length")
-    check_budget(code_c.size * code_d.size, "pairs of codewords")
-    q = code_c.ring.order
-    nvars = q * q
-    counts: dict[tuple[int, ...], int] = {}
-    for u in code_c.words:
-        for v in code_d.words:
-            vec = [0] * nvars
-            for x, y in zip(u, v):
-                vec[x * q + y] += 1
-            key = tuple(vec)
-            counts[key] = counts.get(key, 0) + 1
+    counts = _tuple_counts(code_c.ring, [code_c.words, code_d.words])
     return _from_counts(code_c.ring, 2, counts)
 
 
@@ -114,16 +94,23 @@ def collapse(poly: SparsePolynomial, keep_slots) -> SparsePolynomial:
     for s in slots:
         if not 0 <= s < poly.arity:
             raise ValueError(f"slot {s} out of range for arity {poly.arity}")
-    target_arity = len(slots)
-    rules = {}
+    q = poly.ring.order
+    target = []
     for idx in range(poly.nvars):
         symbols = poly.var_tuple(idx)
-        kept = tuple(symbols[s] for s in slots)
         new_idx = 0
-        for s in kept:
-            new_idx = new_idx * poly.ring.order + s
-        rules[idx] = SparsePolynomial.variable(poly.ring, target_arity, new_idx)
-    return poly.substitute(rules)
+        for s in slots:
+            new_idx = new_idx * q + symbols[s]
+        target.append(new_idx)
+    nvars = q ** len(slots)
+    out: dict = {}
+    for key, coeff in poly.terms.items():
+        vec = [0] * nvars
+        for t, e in zip(target, key):
+            vec[t] += e
+        merged = tuple(vec)
+        out[merged] = out.get(merged, 0) + coeff
+    return SparsePolynomial(poly.ring, len(slots), out)
 
 
 # ---- duality transforms ----------------------------------------------------

@@ -14,9 +14,7 @@ from jacweight.codes import (
     comp_table,
     composition,
     enumeration_budget,
-    jacobi_composition,
     jacobi_table,
-    joint_jacobi_composition,
     joint_jacobi_table,
     load_code,
     mask_word,
@@ -43,9 +41,9 @@ def test_composition_counts():
     assert composition(F3, (0, 1, 1, 2)) == (1, 2, 1)
     assert sum(composition(Z4, (3, 3, 0, 1, 2))) == 5
     # index a*q + b counts positions with u_i = a, w_i = b
-    jc = jacobi_composition(F2, (1, 1, 0), (0, 1, 0))
+    jc = composition(F2, (1, 1, 0), (0, 1, 0))
     assert jc == (1, 0, 1, 1)
-    jj = joint_jacobi_composition(F2, (1,), (0,), (1,))
+    jj = composition(F2, (1,), (0,), (1,))
     expected = [0] * 8
     expected[(1 * 2 + 0) * 2 + 1] = 1
     assert jj == tuple(expected)
