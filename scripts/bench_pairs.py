@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, and the BENCH file they make.
+
+``run`` runs ``perfbench/run.py`` in a parent checkout and a change
+checkout, one pair per seed, the parent first on even pair indices and
+the change first on odd ones, each for the ``run_seconds`` of the change
+checkout's BENCHMARK.json, and appends one JSON line per run to the
+runs file: side, workload, seed and the benchmark's result.  A run that
+exits nonzero or prints no result stops it, and nothing is written for
+that run.
+
+``summarize`` reads a runs file and writes a BENCH JSON file: for each
+workload and end-to-end metric of BENCHMARK.json, each side's median and
+quartiles, the pairs the change won, and the parent's quartile spread;
+with the seeds, the core count, the Python and numpy versions, and the
+line count of ``src/`` in both checkouts.
+
+    python3 scripts/bench_pairs.py run --parent P --change C \\
+        --workload enumeration --seeds 501-510 --runs runs.jsonl
+    python3 scripts/bench_pairs.py summarize --parent P --change C \\
+        --runs runs.jsonl --out BENCH_5.json
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def seed_range(text):
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def run(args):
+    bench = json.loads(Path(args.change, "BENCHMARK.json").read_text())
+    for i, seed in enumerate(seed_range(args.seeds)):
+        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in sides:
+            proc = subprocess.run(
+                [sys.executable, "perfbench/run.py", "--workload", args.workload,
+                 "--seed", str(seed), "--seconds", str(bench["run_seconds"])],
+                cwd=getattr(args, side), capture_output=True, text=True,
+            )
+            lines = proc.stdout.strip().splitlines()
+            if proc.returncode or not lines:
+                raise SystemExit(f"{side} seed {seed} exited {proc.returncode}:\n"
+                                 + proc.stderr[-500:])
+            record = {"side": side, "workload": args.workload, "seed": seed,
+                      "result": json.loads(lines[-1])}
+            with open(args.runs, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record) + "\n")
+
+
+def src_lines(checkout):
+    return sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for path in sorted(Path(checkout, "src").rglob("*.py"))
+    )
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(args):
+    bench = json.loads(Path(args.change, "BENCHMARK.json").read_text())
+    records = [json.loads(line) for line in open(args.runs, encoding="utf-8")]
+    workloads = {}
+    for name in dict.fromkeys(r["workload"] for r in records):
+        runs = {side: {r["seed"]: r["result"] for r in records
+                       if r["workload"] == name and r["side"] == side}
+                for side in ("parent", "change")}
+        seeds = sorted(runs["parent"].keys() & runs["change"].keys())
+        entry = {
+            "seeds": seeds,
+            "correct": {side: all(runs[side][s].get("correct") for s in seeds)
+                        for side in runs},
+            "failed_of_attempted": {
+                side: [sum(runs[side][s].get(key, 0) for s in seeds)
+                       for key in ("failed", "attempted")]
+                for side in runs},
+            "metrics": {},
+        }
+        for metric in bench["end_to_end"]:
+            key, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            values = {side: [runs[side][s]["metrics"][key]["value"] for s in seeds]
+                      for side in runs}
+            wins = sum(sign * (c - p) > 0
+                       for p, c in zip(values["parent"], values["change"]))
+            parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            entry["metrics"][key] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "bound": metric["bound"],
+                "parent": parent,
+                "change": change,
+                "change_over_parent": change["median"] / parent["median"],
+                "change_won_pairs": wins,
+                "parent_quartile_spread": parent["q3"] - parent["q1"],
+            }
+        workloads[name] = entry
+    try:
+        import numpy
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    out = {
+        "command": bench["command"] + ["--seconds", str(bench["run_seconds"])],
+        "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": numpy_version},
+        "src_lines": {"parent": src_lines(args.parent), "change": src_lines(args.change)},
+        "workloads": workloads,
+    }
+    Path(args.out).write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    p = sub.add_parser("run")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", required=True, help="N or N-M")
+    p.set_defaults(func=run)
+    p = sub.add_parser("summarize")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=summarize)
+    for p in sub.choices.values():
+        p.add_argument("--parent", required=True, help="parent checkout")
+        p.add_argument("--change", required=True, help="change checkout")
+        p.add_argument("--runs", required=True, help="JSON lines, one per run")
+    args = ap.parse_args()
+    args.func(args)
+
+
+if __name__ == "__main__":
+    main()

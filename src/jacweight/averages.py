@@ -25,6 +25,7 @@ from .codes import (
     LinearCode,
     _tuple_counts,
     check_budget,
+    check_mask,
     comp_table,
     composition,
     jacobi_table,
@@ -96,8 +97,7 @@ def _require_brute(*codes: LinearCode) -> None:
 def _check_pair(code_c: LinearCode, code_d: LinearCode, w) -> None:
     if code_c.ring != code_d.ring or code_c.n != code_d.n:
         raise ValueError("codes must share ring and length")
-    if len(w) != code_c.n:
-        raise ValueError("mask length mismatch")
+    check_mask(code_c.ring, code_c.n, w)
 
 
 # ---- evaluation points -----------------------------------------------------
@@ -138,8 +138,7 @@ def intersection_size(code_c: LinearCode, code_d: LinearCode, w) -> int:
 def brute_avg_jacobi(code: LinearCode, w) -> SparsePolynomial:
     """Average Jacobi polynomial by running over every permutation."""
     n = code.n
-    if len(w) != n:
-        raise ValueError("mask length mismatch")
+    check_mask(code.ring, n, w)
     _require_brute(code)
     ring = code.ring
     counts: Counter = Counter()
@@ -197,8 +196,7 @@ def avg_jacobi(code: LinearCode, w) -> SparsePolynomial:
     composition over the number of arrangements of that composition.
     """
     n = code.n
-    if len(w) != n:
-        raise ValueError("mask length mismatch")
+    check_mask(code.ring, n, w)
     ring = code.ring
     q = ring.order
     ell = composition(ring, w)

@@ -1,8 +1,8 @@
 """Linear codes over a finite alphabet.
 
-A code is stored by its generator list and enumerated on demand by
-walking coefficient vectors over the generators in lexicographic
-order, keeping the first occurrence of each word.  Fields get duals
+A code is stored by its generator list and enumerated on demand, one
+generator at a time, in the first-occurrence order of a walk over
+coefficient vectors in lexicographic order.  Fields get duals
 by Gaussian elimination; modular rings fall back to a budget-gated
 scan of the full ambient space.  One kernel counts every composition:
 the column symbol tuples of each word tuple in a product of word lists,
@@ -18,6 +18,7 @@ import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import getitem
 from pathlib import Path
 
 from .rings import RingSpec, ring_from_json, ring_to_json
@@ -27,6 +28,7 @@ __all__ = [
     "CodeFormatError",
     "LinearCode",
     "check_budget",
+    "check_mask",
     "enumeration_budget",
     "load_code",
     "code_from_json",
@@ -71,6 +73,15 @@ def check_budget(count: int, what: str) -> None:
     budget = enumeration_budget()
     if count > budget:
         raise BudgetExceeded(f"{count} {what} exceed the budget {budget}")
+
+
+def check_mask(ring: RingSpec, n: int, w) -> None:
+    """Raise ValueError unless w has length n and symbols 0 <= s < q."""
+    if len(w) != n:
+        raise ValueError("mask length mismatch")
+    for s in w:
+        if not 0 <= s < ring.order:
+            raise ValueError(f"symbol {s} out of range for {ring.label()}")
 
 
 def weight(u) -> int:
@@ -123,26 +134,27 @@ class LinearCode:
 
     @cached_property
     def words(self) -> tuple[tuple[int, ...], ...]:
-        """All codewords, first occurrence in coefficient-lex order."""
+        """All codewords, first occurrence in coefficient-lex order.
+
+        The words of generators 1..j are extended by the q multiples of
+        generator j + 1, repeats dropped at each stage.  A word kept at a
+        stage comes from the lex-least coefficients that give it, so
+        every stage keeps the first-occurrence order of the full walk.
+        """
         q = self.ring.order
-        g = len(self.generators)
-        check_budget(q**g, "coefficient vectors")
+        check_budget(q ** len(self.generators), "coefficient vectors")
         add = self.ring.add_table
         mul = self.ring.mul_table
-        zero = (0,) * self.n
-        seen = {zero}
-        out = [zero]
-        for coeffs in itertools.product(range(q), repeat=g):
-            word = zero
-            for c, gen in zip(coeffs, self.generators):
-                if c:
-                    word = tuple(
-                        add[x][mul[c][y]] for x, y in zip(word, gen)
-                    )
-            if word not in seen:
-                seen.add(word)
-                out.append(word)
-        return tuple(out)
+        words = [(0,) * self.n]
+        for gen in self.generators:
+            # adding c * gen maps symbol x at position i to add[c * gen[i]][x]
+            shifts = [[add[mul[c][y]] for y in gen] for c in range(1, q)]
+            grown = []
+            for u in words:
+                grown.append(u)
+                grown.extend(tuple(map(getitem, rows, u)) for rows in shifts)
+            words = list(dict.fromkeys(grown))
+        return tuple(words)
 
     @cached_property
     def _comp_table(self) -> dict[tuple[int, ...], int]:
@@ -266,11 +278,7 @@ def _tuple_counts(ring: RingSpec, word_lists, fixed=()) -> dict[tuple[int, ...],
     n = len(word_lists[0][0])
     base = (0,) * n
     for f in fixed:
-        if len(f) != n:
-            raise ValueError("mask length mismatch")
-        for s in f:
-            if not 0 <= s < q:
-                raise ValueError(f"symbol {s} out of range for {ring.label()}")
+        check_mask(ring, n, f)
         base = tuple(b * q + s for b, s in zip(base, f))
     if len(word_lists) > 1:
         check_budget(math.prod(map(len, word_lists)), "tuples of codewords")

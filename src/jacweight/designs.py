@@ -3,15 +3,19 @@
 The supports of the words of one weight form a multiset of blocks.
 The checks here are exhaustive: coverage of every t-subset of the
 coordinate set is counted with block multiplicity, and a design means
-that count is the same everywhere.
+that count is the same everywhere.  Each point is a bitset of the
+blocks holding it, so a t-subset's coverage is the bit count of the
+AND of its points' bitsets, and the work does not grow with the number
+of blocks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .codes import LinearCode, check_budget, weight
 
@@ -74,30 +78,36 @@ class DesignReport:
 
 def supports(code: LinearCode, target_weight: int) -> BlockMultiset:
     """Blocks of coordinate supports of the words of one weight."""
-    blocks = []
-    for u in code.words:
-        if weight(u) == target_weight:
-            blocks.append(tuple(i for i, x in enumerate(u) if x != 0))
-    return BlockMultiset(code.n, target_weight, tuple(blocks))
+    points = range(code.n)
+    blocks = tuple(
+        tuple(itertools.compress(points, u)) for u in code.words if weight(u) == target_weight
+    )
+    return BlockMultiset(code.n, target_weight, blocks)
 
 
 def is_t_design(bm: BlockMultiset, t: int) -> DesignReport:
-    """Exhaustive coverage scan of all t-subsets of the point set."""
+    """Exhaustive coverage scan of all t-subsets of the point set.
+
+    The C(n, t) t-subsets are charged to the budget; each block sets
+    its bit in the bitsets of its points, and each t-subset ANDs the
+    bitsets of its t points.
+    """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t > bm.k:
         raise ValueError(f"t={t} exceeds block size {bm.k}")
-    n_subsets = math.comb(bm.n, t)
-    check_budget(n_subsets, f"{t}-subsets of {bm.n} points")
-    cover: Counter = Counter()
-    for block in bm.blocks:
-        for sub in itertools.combinations(block, t):
-            cover[sub] += 1
-    if len(cover) < n_subsets:
-        min_cov = 0
-    else:
-        min_cov = min(cover.values())
-    max_cov = max(cover.values(), default=0)
+    if t > bm.n:
+        raise ValueError(f"t={t} exceeds the {bm.n} points")
+    check_budget(math.comb(bm.n, t), f"{t}-subsets of {bm.n} points")
+    columns = [0] * bm.n
+    for r, block in enumerate(bm.blocks):
+        for point in block:
+            columns[point] |= 1 << r
+    full = (1 << len(bm.blocks)) - 1
+    counts = [
+        reduce(and_, sub, full).bit_count() for sub in itertools.combinations(columns, t)
+    ]
+    min_cov, max_cov = min(counts), max(counts)
     lam = min_cov if min_cov == max_cov else None
     return DesignReport(
         n=bm.n,
@@ -115,15 +125,17 @@ def is_t_homogeneous(code: LinearCode, t: int):
 
     Returns the overall verdict and one report per nonzero weight
     with words present; the full-support class counts, the zero word
-    does not.
+    does not.  The words are grouped by weight in one pass.
     """
-    dist = code.weight_distribution()
+    classes: dict[int, list[tuple[int, ...]]] = {}
+    points = range(code.n)
+    for u in code.words:
+        block = tuple(itertools.compress(points, u))
+        classes.setdefault(len(block), []).append(block)
     reports = []
-    verdict = True
-    for w in sorted(dist):
+    for w, blocks in sorted(classes.items()):
         if w == 0:
             continue
-        bm = supports(code, w)
         if t > w:
             reports.append(
                 DesignReport(
@@ -133,16 +145,12 @@ def is_t_homogeneous(code: LinearCode, t: int):
                     lam=None,
                     min_coverage=0,
                     max_coverage=0,
-                    block_count=len(bm.blocks),
+                    block_count=len(blocks),
                 )
             )
-            verdict = False
-            continue
-        report = is_t_design(bm, t)
-        reports.append(report)
-        if not report.is_design:
-            verdict = False
-    return verdict, reports
+        else:
+            reports.append(is_t_design(BlockMultiset(code.n, w, tuple(blocks)), t))
+    return all(r.is_design for r in reports), reports
 
 
 def lambda_identity_holds(report: DesignReport) -> bool:

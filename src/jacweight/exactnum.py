@@ -83,7 +83,7 @@ class Cyclotomic:
     def __init__(self, m: int, coeffs) -> None:
         phi = cyclotomic_poly(m)
         deg = len(phi) - 1
-        work = [Fraction(c) for c in coeffs]
+        work = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(work) > deg:
             work = _reduce_mod(work, phi)
         work.extend([Fraction(0)] * (deg - len(work)))

@@ -372,3 +372,20 @@ def test_delta_dispatcher():
     assert mc.samples == 200
     with pytest.raises(ValueError):
         delta(e8, e8, w, method="guess")
+
+
+@pytest.mark.parametrize("mask", [(0, -1), (0, 2), (2, 0)])
+def test_averages_reject_mask_symbols_out_of_range(mask):
+    code = LinearCode(F2, 2, ((1, 0),))
+    calls = [
+        lambda: avg_jacobi(code, mask),
+        lambda: avg_joint_jacobi(code, code, mask),
+        lambda: avg_joint_jacobi_value(code, code, mask, intersection_point(F2)),
+        lambda: delta_closed(code, code, mask),
+        lambda: brute_delta(code, code, mask),
+        lambda: brute_avg_jacobi(code, mask),
+        lambda: intersection_size(code, code, mask),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="out of range"):
+            call()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -28,6 +29,16 @@ F2 = field_ring(2)
 F3 = field_ring(3)
 F4 = field_ring(2, 2)
 Z4 = modular_ring(4)
+
+WORD_ORDER_RINGS = {
+    "F2": F2,
+    "F3": F3,
+    "F4": F4,
+    "F8": field_ring(2, 3),
+    "F9": field_ring(3, 2),
+    "Z4": Z4,
+    "Z6": modular_ring(6),
+}
 
 
 def test_word_helpers():
@@ -260,3 +271,39 @@ def test_size_matches_rank():
     code = get_code("g24")
     assert code.size == 2**12
     assert math.prod([2] * 12) == 4096
+
+
+def literal_words(code):
+    """Every coefficient vector in lex order, keeping first occurrences."""
+    ring = code.ring
+    words = []
+    for coeffs in itertools.product(range(ring.order), repeat=len(code.generators)):
+        word = (0,) * code.n
+        for c, gen in zip(coeffs, code.generators):
+            word = tuple(ring.add(x, ring.mul(c, y)) for x, y in zip(word, gen))
+        if word not in words:
+            words.append(word)
+    return tuple(words)
+
+
+@pytest.mark.parametrize("name", sorted(WORD_ORDER_RINGS))
+def test_words_keep_coefficient_lex_order(name):
+    ring = WORD_ORDER_RINGS[name]
+    rng = random.Random(name)
+    rows = 3 if ring.order < 8 else 2
+    for _ in range(6):
+        code = random_code(ring, rng.randint(1, 4), rows, rng)
+        gens = code.generators
+        multiple = tuple(ring.mul(rng.randrange(ring.order), y) for y in gens[0])
+        # the random rows, with one repeated, and with a multiple put first
+        for rows_used in (gens, gens + gens[:1], (multiple,) + gens):
+            variant = LinearCode(ring, code.n, rows_used)
+            assert variant.words == literal_words(variant)
+
+
+def test_words_of_dependent_z4_rows():
+    g = (1, 3, 2, 1)
+    double = tuple(Z4.mul(2, y) for y in g)
+    for rows in ((double, g), (g, g), (double, double, g), ()):
+        code = LinearCode(Z4, 4, rows)
+        assert code.words == literal_words(code)

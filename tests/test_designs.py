@@ -1,9 +1,11 @@
 import itertools
 import math
+import random
+from collections import Counter
 
 import pytest
 
-from conftest import get_code
+from conftest import get_code, random_code
 from jacweight.codes import BudgetExceeded, LinearCode
 from jacweight.designs import (
     BlockMultiset,
@@ -14,7 +16,7 @@ from jacweight.designs import (
     supports,
 )
 from jacweight.enumerators import cwe
-from jacweight.rings import field_ring
+from jacweight.rings import field_ring, modular_ring
 
 F2 = field_ring(2)
 F3 = field_ring(3)
@@ -180,3 +182,83 @@ def test_zero_weight_class_is_skipped():
     verdict, reports = is_t_homogeneous(code, 1)
     assert verdict
     assert [r.weight for r in reports] == [3]
+
+
+def literal_report(bm, t):
+    """Coverage of every t-subset, counted block by block."""
+    cover = Counter()
+    for block in bm.blocks:
+        cover.update(itertools.combinations(block, t))
+    counts = [cover[sub] for sub in itertools.combinations(range(bm.n), t)]
+    low, high = min(counts), max(counts)
+    return DesignReport(
+        n=bm.n,
+        weight=bm.k,
+        t=t,
+        lam=low if low == high else None,
+        min_coverage=low,
+        max_coverage=high,
+        block_count=len(bm.blocks),
+    )
+
+
+def random_blocks(rng):
+    n = rng.randint(1, 9)
+    k = rng.randint(0, n)
+    pool = [tuple(sorted(rng.sample(range(n), k))) for _ in range(rng.randint(1, 4))]
+    # draws from a small pool repeat blocks; a zero draw leaves none
+    blocks = tuple(rng.choice(pool) for _ in range(rng.choice([0, 1, 2, 5, 12])))
+    return BlockMultiset(n, k, blocks)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_coverage_scan_matches_literal_count(seed):
+    rng = random.Random(seed)
+    seen = Counter()
+    for _ in range(60):
+        bm = random_blocks(rng)
+        for t in range(bm.k + 1):
+            report = is_t_design(bm, t)
+            assert report == literal_report(bm, t), (bm, t)
+            seen["t=0" if t == 0 else "t=k" if t == bm.k else "inner"] += 1
+            seen["no blocks" if not bm.blocks else "blocks"] += 1
+            seen["uncovered" if report.min_coverage == 0 else "covered"] += 1
+            seen["t>n/2" if 2 * t > bm.n else "t<=n/2"] += 1
+            if len(set(bm.blocks)) < len(bm.blocks):
+                seen["repeats"] += 1
+    # every kind of case came up, each side of every split
+    assert set(seen) == {
+        "t=0", "t=k", "inner", "no blocks", "blocks", "uncovered", "covered",
+        "t>n/2", "t<=n/2", "repeats",
+    }
+
+
+RANDOM_CODE_RINGS = [field_ring(3), field_ring(2, 2), modular_ring(4)]
+
+
+@pytest.mark.parametrize("ring", RANDOM_CODE_RINGS, ids=["F3", "F4", "Z4"])
+def test_weight_classes_of_random_codes(ring):
+    rng = random.Random(ring.order)
+    for _ in range(12):
+        code = random_code(ring, rng.randint(2, 6), rng.randint(1, 3), rng)
+        for w in range(code.n + 1):
+            blocks = tuple(
+                tuple(i for i, x in enumerate(u) if x)
+                for u in code.words
+                if sum(1 for x in u if x) == w
+            )
+            assert supports(code, w).blocks == blocks
+        for t in range(4):
+            expected = []
+            for w in sorted(code.weight_distribution()):
+                if w == 0:
+                    continue
+                bm = supports(code, w)
+                if t > w:
+                    expected.append(DesignReport(code.n, w, t, None, 0, 0, len(bm.blocks)))
+                else:
+                    report = is_t_design(bm, t)
+                    assert report == literal_report(bm, t)
+                    expected.append(report)
+            verdict = all(r.is_design for r in expected)
+            assert is_t_homogeneous(code, t) == (verdict, expected)
