@@ -2,11 +2,12 @@
 
 A code is stored by its generator list and enumerated on demand, one
 generator at a time, in the first-occurrence order of a walk over
-coefficient vectors in lexicographic order.  Fields get duals
-by Gaussian elimination; modular rings fall back to a budget-gated
-scan of the full ambient space.  One kernel counts every composition:
-the column symbol tuples of each word tuple in a product of word lists,
-with fixed words such as a mask; each distribution table is one call.
+coefficient vectors in lexicographic order.  One echelon form, read
+from the ring's tables alone, gives every dual and every code size over
+fields and Z_k alike, with no word enumerated.  One kernel counts every
+composition: the column symbol tuples of each word tuple in a product of
+word lists, with fixed words such as a mask; each distribution table is
+one call.
 """
 
 from __future__ import annotations
@@ -164,9 +165,13 @@ class LinearCode:
     def word_set(self) -> frozenset:
         return frozenset(self.words)
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return len(self.words)
+        """|C|: the product of |R p| over the pivot entries p of the
+        generators' echelon form, found without enumerating a word."""
+        pivots, _ = _echelon(self.ring, self.generators, self.n)
+        mul = self.ring.mul_table
+        return math.prod(len(set(mul[next(filter(None, row))])) for row in pivots)
 
     def __contains__(self, u) -> bool:
         return tuple(u) in self.word_set
@@ -183,82 +188,58 @@ class LinearCode:
         return LinearCode(self.ring, self.n, gens, name=self.name)
 
     def dual(self) -> "LinearCode":
-        if self.ring.kind == "field":
-            gens = _nullspace_basis(self.ring, self.n, self.generators)
-        else:
-            gens = _modring_dual_generators(self.ring, self.n, self.generators)
+        """C-perp: v is in it just when (G v, v), a row combination of
+        [G^T | I_n], is zero in its first k entries, and the echelon rows
+        zero there span every such vector."""
+        k = len(self.generators)
+        identity = [tuple(int(i == j) for i in range(self.n)) for j in range(self.n)]
+        rows = [
+            tuple(g[j] for g in self.generators) + identity[j] for j in range(self.n)
+        ]
+        _, rest = _echelon(self.ring, rows, k)
+        gens = tuple(tuple(row[k:]) for row in rest if any(row))
         return LinearCode(
             self.ring, self.n, gens, name=f"{self.name}_dual" if self.name else ""
         )
 
 
-def _field_inverse(ring: RingSpec, a: int) -> int:
-    for b in range(ring.order):
-        if ring.mul_table[a][b] == 1:
-            return b
-    raise ArithmeticError(f"no inverse for {a}")
+def _echelon(ring: RingSpec, rows, ncols: int):
+    """Echelon form (pivot rows, other rows) of rows over columns < ncols.
 
-
-def _nullspace_basis(ring: RingSpec, n: int, rows):
-    """Basis of the right nullspace of the generator matrix over a field."""
-    mat = [list(r) for r in rows]
+    Every step is an invertible row operation, so the span is kept.  Each
+    pivot row, once final, also adds its least nonzero annihilator multiple
+    to the rows still to reduce, so that (Howell's property) the other rows,
+    zero in every column < ncols, span every vector of the span that is
+    zero there.  Over a field no annihilator exists and this is plain row
+    reduction.
+    """
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+    elements = range(ring.order)
+    units = [u for u in elements if 1 in mul[u]]
     pivots = []
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
+    rest = [list(row) for row in rows]
+    for col in range(ncols):
+        live = [row for row in rest if row[col]]
+        if not live:
+            continue
+        rest = [row for row in rest if not row[col]]
+        pivot = live[0]
+        for row in live[1:]:
+            a, b = pivot[col], row[col]
+            # fold: pivot + x row, x making the new entry generate a and b
+            x = next(x for x in elements if {a, b} <= set(mul[add[a][mul[x][b]]]))
+            pivot = [add[p][mul[x][y]] for p, y in zip(pivot, row)]
+            # clear: row - y pivot, with y times the new entry equal to b
+            y = next(y for y in elements if mul[y][pivot[col]] == b)
+            rest.append([add[r][neg[mul[y][p]]] for r, p in zip(row, pivot)])
+        u = min(units, key=lambda u: mul[u][pivot[col]])
+        pivot = [mul[u][p] for p in pivot]
+        pivots.append(pivot)
+        for s in elements[1:]:
+            if mul[s][pivot[col]] == 0:
+                rest.append([mul[s][p] for p in pivot])
                 break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = _field_inverse(ring, mat[r][col])
-        mat[r] = [mul[inv][x] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                c = mat[i][col]
-                mat[i] = [
-                    add[x][neg[mul[c][y]]] for x, y in zip(mat[i], mat[r])
-                ]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = neg[mat[i][fc]]
-        basis.append(tuple(vec))
-    return tuple(basis)
-
-
-def _modring_dual_generators(ring: RingSpec, n: int, rows):
-    """Dual of a Z_k code by scanning the ambient space, budget gated."""
-    check_budget(ring.order**n, f"words scanned for a dual over {ring.label()}")
-    dual_words = []
-    for cand in itertools.product(range(ring.order), repeat=n):
-        if all(ring.dot(g, cand) == 0 for g in rows):
-            dual_words.append(cand)
-    # greedy generating set: add words that enlarge the running span
-    gens: list[tuple[int, ...]] = []
-    span = {(0,) * n}
-    for wrd in dual_words:
-        if wrd in span:
-            continue
-        gens.append(wrd)
-        new_span = set()
-        for base in span:
-            shifted = base
-            for _ in range(ring.order):
-                new_span.add(shifted)
-                shifted = tuple(
-                    ring.add_table[x][y] for x, y in zip(shifted, wrd)
-                )
-        span = new_span
-    return tuple(gens)
+    return pivots, rest
 
 
 # ---- distribution tables -------------------------------------------------

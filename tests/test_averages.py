@@ -140,6 +140,13 @@ def test_brute_averages_charge_the_budget(monkeypatch):
         brute_avg_joint_jacobi(e8, e8, w)
     with pytest.raises(BudgetExceeded):
         brute_delta(e8, e8, w)
+    # the charge n! |C| |D| is known from the sizes before any word exists
+    f4 = field_ring(2, 2)
+    rows = tuple(tuple(int(i == j) for i in range(8)) for j in range(4))
+    code = LinearCode(f4, 8, rows)
+    with pytest.raises(BudgetExceeded, match=r"steps over 8! permutations"):
+        brute_avg_joint_jacobi(code, code, w)
+    assert "words" not in code.__dict__
 
 
 def test_pair_validation():

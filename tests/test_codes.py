@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import get_code, random_code
 from jacweight.codes import (
@@ -39,6 +41,7 @@ WORD_ORDER_RINGS = {
     "Z4": Z4,
     "Z6": modular_ring(6),
 }
+DUAL_RINGS = {**WORD_ORDER_RINGS, "Z8": modular_ring(8), "Z12": modular_ring(12)}
 
 
 def test_word_helpers():
@@ -192,11 +195,16 @@ def test_word_budget_gate(monkeypatch):
         _ = code.words
 
 
-def test_modring_dual_budget_gate(monkeypatch):
-    code = LinearCode(Z4, 3, ((1, 0, 0),))
+@pytest.mark.parametrize("n", [16, 24])
+def test_z4_dual_scans_no_ambient_space(monkeypatch, n):
+    rng = random.Random(n)
     monkeypatch.setenv("JF_BUDGET", "16")
-    with pytest.raises(BudgetExceeded):
-        code.dual()
+    code = random_code(Z4, n, rows=2, rng=rng)
+    dual = code.dual()
+    for g in code.generators:
+        for h in dual.generators:
+            assert Z4.dot(g, h) == 0
+    assert code.size * dual.size == 4**n
 
 
 def test_joint_table_budget_gate(monkeypatch):
@@ -307,3 +315,39 @@ def test_words_of_dependent_z4_rows():
     for rows in ((double, g), (g, g), (double, double, g), ()):
         code = LinearCode(Z4, 4, rows)
         assert code.words == literal_words(code)
+
+
+@st.composite
+def codes_with_dependent_rows(draw):
+    """A code over one of DUAL_RINGS with q^n <= 5000 whose generators may
+    be empty or hold zero rows, repeated rows and multiples of a row."""
+    ring = DUAL_RINGS[draw(st.sampled_from(sorted(DUAL_RINGS)))]
+    q = ring.order
+    n = draw(st.integers(1, int(math.log(5000, q))))
+    row = st.tuples(*[st.integers(0, q - 1)] * n)
+    rows = draw(st.lists(row, max_size=3))
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    if rows and draw(st.booleans()):
+        c = draw(st.integers(0, q - 1))
+        rows.insert(0, tuple(ring.mul(c, y) for y in draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.append((0,) * n)
+    return LinearCode(ring, n, tuple(draw(st.permutations(rows))))
+
+
+@given(codes_with_dependent_rows())
+@settings(max_examples=200, deadline=None)
+def test_echelon_dual_and_size_match_an_ambient_scan(code):
+    ring, n = code.ring, code.n
+    scanned = {
+        v
+        for v in itertools.product(range(ring.order), repeat=n)
+        if all(ring.dot(g, v) == 0 for g in code.generators)
+    }
+    dual = code.dual()
+    assert dual.word_set == scanned
+    assert dual.dual().word_set == code.word_set
+    assert code.size == len(code.words)
+    assert dual.size == len(dual.words)
+    assert code.size * dual.size == ring.order**n
