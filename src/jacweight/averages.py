@@ -1,11 +1,16 @@
 """Permutation averages of Jacobi-type enumerators.
 
 Averaging runs over all coordinate permutations applied to the first
-code, with the mask and the second code held fixed.  The closed forms
-replace the sum over n! permutations by a sum over symbol-placement
-matrices weighted with multinomial counts, so they need only the
-composition distribution of the averaged code and, in the joint case,
-the Jacobi distribution of the fixed code against the mask.
+code, with the mask and the second code held fixed.  Each route has one
+body.  The closed forms, single and joint, are one placement kernel: the
+fixed side is a table of cell vectors (the mask's composition, or the
+fixed code's Jacobi distribution against the mask), and each nonzero
+cell is split over the averaged code's symbols with multinomial weights,
+which needs only the averaged code's composition counts.  The streamed
+value splits the same cells over the symbols where its point is nonzero.
+The exhaustive averages share one loop over S_n, and every intersection
+count (at the identity, over S_n or at sampled permutations) comes from
+one counter of the pairs agreeing outside the mask support.
 
 The average joint Jacobi polynomial evaluated at the point that is
 zero exactly on variables with differing code symbols and zero mask
@@ -26,6 +31,7 @@ from .codes import (
     _tuple_counts,
     check_budget,
     check_mask,
+    check_pair,
     comp_table,
     composition,
     jacobi_table,
@@ -95,9 +101,29 @@ def _require_brute(*codes: LinearCode) -> None:
 
 
 def _check_pair(code_c: LinearCode, code_d: LinearCode, w) -> None:
-    if code_c.ring != code_d.ring or code_c.n != code_d.n:
-        raise ValueError("codes must share ring and length")
+    check_pair(code_c, code_d)
     check_mask(code_c.ring, code_c.n, w)
+
+
+def _charge_splits(cell_vectors, bins) -> None:
+    """Charge the splits of every nonzero cell over its allowed bins:
+    the sum over cell vectors of the products C(cell + b - 1, cell)."""
+    count = sum(
+        math.prod(math.comb(c + b - 1, c) for c, b in zip(cells, bins) if c)
+        for cells in cell_vectors
+    )
+    check_budget(count, "composition splits")
+
+
+def _agreements(code_c: LinearCode, code_d: LinearCode, w, orders):
+    """For each sigma in orders, the pairs (u, v) in C x D with u[sigma[i]]
+    equal to v[i] at every position i outside supp(w)."""
+    keep = _zero_positions(w)
+    cnt_d = Counter(tuple(v[i] for i in keep) for v in code_d.words)
+    words = code_c.words
+    for sigma in orders:
+        moved = [sigma[i] for i in keep]
+        yield sum(cnt_d.get(tuple([u[i] for i in moved]), 0) for u in words)
 
 
 # ---- evaluation points -----------------------------------------------------
@@ -126,29 +152,31 @@ def all_ones_point(ring: RingSpec, arity: int):
 def intersection_size(code_c: LinearCode, code_d: LinearCode, w) -> int:
     """Pairs in C x D that agree on every position outside supp(w)."""
     _check_pair(code_c, code_d, w)
-    keep = _zero_positions(w)
-    cnt_c = Counter(tuple(u[i] for i in keep) for u in code_c.words)
-    cnt_d = Counter(tuple(v[i] for i in keep) for v in code_d.words)
-    return sum(mult * cnt_d.get(key, 0) for key, mult in cnt_c.items())
+    return next(_agreements(code_c, code_d, w, [range(code_c.n)]))
 
 
 # ---- exhaustive averages ---------------------------------------------------
 
 
+def _brute_average(code: LinearCode, others, w) -> SparsePolynomial:
+    """Column tuples of code's permuted words against the fixed codes' words
+    and w, averaged over every permutation."""
+    n = code.n
+    _require_brute(code, *others)
+    fixed_lists = [other.words for other in others]
+    counts: Counter = Counter()
+    for sigma in itertools.permutations(range(n)):
+        permuted = [permute_word(u, sigma) for u in code.words]
+        counts.update(_tuple_counts(code.ring, [permuted, *fixed_lists], (w,)))
+    total = math.factorial(n)
+    terms = {key: Fraction(mult, total) for key, mult in counts.items()}
+    return SparsePolynomial(code.ring, 2 + len(others), terms)
+
+
 def brute_avg_jacobi(code: LinearCode, w) -> SparsePolynomial:
     """Average Jacobi polynomial by running over every permutation."""
-    n = code.n
-    check_mask(code.ring, n, w)
-    _require_brute(code)
-    ring = code.ring
-    counts: Counter = Counter()
-    total = 0
-    for sigma in itertools.permutations(range(n)):
-        total += 1
-        permuted = [permute_word(u, sigma) for u in code.words]
-        counts.update(_tuple_counts(ring, [permuted], (w,)))
-    terms = {key: Fraction(mult, total) for key, mult in counts.items()}
-    return SparsePolynomial(ring, 2, terms)
+    check_mask(code.ring, code.n, w)
+    return _brute_average(code, (), w)
 
 
 def brute_avg_joint_jacobi(
@@ -156,17 +184,7 @@ def brute_avg_joint_jacobi(
 ) -> SparsePolynomial:
     """Average joint Jacobi polynomial over every permutation of C."""
     _check_pair(code_c, code_d, w)
-    n = code_c.n
-    _require_brute(code_c, code_d)
-    ring = code_c.ring
-    counts: Counter = Counter()
-    total = 0
-    for sigma in itertools.permutations(range(n)):
-        total += 1
-        permuted = [permute_word(u, sigma) for u in code_c.words]
-        counts.update(_tuple_counts(ring, [permuted, code_d.words], (w,)))
-    terms = {key: Fraction(mult, total) for key, mult in counts.items()}
-    return SparsePolynomial(ring, 3, terms)
+    return _brute_average(code_c, (code_d,), w)
 
 
 def brute_delta(code_c: LinearCode, code_d: LinearCode, w) -> Fraction:
@@ -174,107 +192,85 @@ def brute_delta(code_c: LinearCode, code_d: LinearCode, w) -> Fraction:
     _check_pair(code_c, code_d, w)
     n = code_c.n
     _require_brute(code_c)
-    keep = _zero_positions(w)
-    cnt_d = Counter(tuple(v[i] for i in keep) for v in code_d.words)
-    total = 0
-    perms = 0
-    for sigma in itertools.permutations(range(n)):
-        perms += 1
-        for u in code_c.words:
-            total += cnt_d.get(tuple(u[sigma[i]] for i in keep), 0)
-    return Fraction(total, perms)
+    orders = itertools.permutations(range(n))
+    return Fraction(sum(_agreements(code_c, code_d, w, orders)), math.factorial(n))
 
 
 # ---- closed forms ----------------------------------------------------------
 
 
+def _placements(code: LinearCode, fixed_table) -> dict[tuple[int, ...], Fraction]:
+    """Terms of the average over permutations of code against a fixed side.
+
+    fixed_table maps a fixed-side cell vector r_key of length m to its
+    multiplicity.  Each nonzero cell r is split over the q symbols of
+    code; a split whose symbol counts form a composition of code is
+    weighted by that composition's codeword count over its number of
+    arrangements, times the multinomial placements of every cell.
+    Variable a * m + r gets the part of cell r that code gives symbol a.
+    """
+    q = code.ring.order
+    n = code.n
+    _charge_splits(fixed_table, itertools.repeat(q))
+    weights = {
+        comp: (mult, multinomial(n, comp)) for comp, mult in comp_table(code).items()
+    }
+    out: dict[tuple[int, ...], Fraction] = {}
+    for r_key, fixed_mult in fixed_table.items():
+        m = len(r_key)
+        cells = [r for r, cell in enumerate(r_key) if cell]
+        choices = [
+            [(sp, multinomial(r_key[r], sp)) for sp in compositions(r_key[r], q)]
+            for r in cells
+        ]
+        for picks in itertools.product(*choices):
+            splits, ways = zip(*picks)
+            comp_l = tuple(map(sum, zip(*splits)))
+            hit = weights.get(comp_l)
+            if hit is None:
+                continue
+            mult, arrangements = hit
+            exps = [0] * (q * m)
+            for r, sp in zip(cells, splits):
+                exps[r::m] = sp
+            out[tuple(exps)] = Fraction(
+                mult * fixed_mult * math.prod(ways), arrangements
+            )
+    return out
+
+
 def avg_jacobi(code: LinearCode, w) -> SparsePolynomial:
     """Average Jacobi polynomial from composition counts alone.
 
-    For each mask class the averaged code's symbols fall into the
-    class multinomially, weighted by the number of codewords per
-    composition over the number of arrangements of that composition.
+    The fixed side is the mask alone: each mask class is a cell that
+    the averaged code's symbols fill multinomially.
     """
-    n = code.n
-    check_mask(code.ring, n, w)
-    ring = code.ring
-    q = ring.order
-    ell = composition(ring, w)
-    table = comp_table(code)
-    per_class = [list(compositions(ell[b], q)) for b in range(q)]
-    out: dict[tuple[int, ...], Fraction] = {}
-    for cols in itertools.product(*per_class):
-        comp_l = tuple(sum(cols[b][a] for b in range(q)) for a in range(q))
-        mult = table.get(comp_l)
-        if not mult:
-            continue
-        ways = 1
-        for b in range(q):
-            ways *= multinomial(ell[b], cols[b])
-        exps = [0] * (q * q)
-        for b in range(q):
-            for a in range(q):
-                exps[a * q + b] = cols[b][a]
-        key = tuple(exps)
-        coeff = Fraction(mult * ways, multinomial(n, comp_l))
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return SparsePolynomial(ring, 2, out)
-
-
-def _split_plans(ring: RingSpec, point):
-    """Per-variable admissible first-slot symbols for the joint average.
-
-    Splits that would place mass on a variable where the point is zero
-    are pruned.
-    """
-    q = ring.order
-    plans = {}
-    for a1 in range(q):
-        for a2 in range(q):
-            allowed = [
-                b for b in range(q) if point[(b * q + a1) * q + a2] != 0
-            ]
-            plans[(a1, a2)] = allowed
-    return plans
+    check_mask(code.ring, code.n, w)
+    terms = _placements(code, {composition(code.ring, w): 1})
+    return SparsePolynomial(code.ring, 2, terms)
 
 
 def avg_joint_jacobi(code_c: LinearCode, code_d: LinearCode, w) -> SparsePolynomial:
     """Average joint Jacobi polynomial without enumerating pairs.
 
-    Runs over the Jacobi distribution of the fixed code against the
-    mask and splits each cell count over the averaged code's symbols,
-    weighting by composition counts and placement multinomials.
+    The fixed side is the Jacobi distribution of the fixed code against
+    the mask; each of its cells is split over the averaged code's symbols.
     """
     _check_pair(code_c, code_d, w)
-    ring = code_c.ring
+    terms = _placements(code_c, jacobi_table(code_d, w))
+    return SparsePolynomial(code_c.ring, 3, terms)
+
+
+def _split_plans(ring: RingSpec, point):
+    """Per cell (a1, a2) of the fixed side, the first-slot symbols b whose
+    variable (b, a1, a2) is nonzero at the point.
+
+    Splits that would place mass on a variable where the point is zero
+    are pruned.
+    """
     q = ring.order
-    n = code_c.n
-    table_a = comp_table(code_c)
-    table_b = jacobi_table(code_d, w)
-    slots = [(a1, a2) for a1 in range(q) for a2 in range(q)]
-    out: dict[tuple[int, ...], Fraction] = {}
-    for r_key, bcnt in table_b.items():
-        split_lists = [
-            list(compositions(r_key[a1 * q + a2], q)) for (a1, a2) in slots
-        ]
-        for splits in itertools.product(*split_lists):
-            exps = [0] * (q * q * q)
-            comp_l = [0] * q
-            ways = 1
-            for (a1, a2), sp in zip(slots, splits):
-                ways *= multinomial(r_key[a1 * q + a2], sp)
-                for b in range(q):
-                    exps[(b * q + a1) * q + a2] = sp[b]
-                    comp_l[b] += sp[b]
-            mult = table_a.get(tuple(comp_l))
-            if not mult:
-                continue
-            coeff = Fraction(
-                mult * bcnt * ways, multinomial(n, tuple(comp_l))
-            )
-            key = tuple(exps)
-            out[key] = out.get(key, Fraction(0)) + coeff
-    return SparsePolynomial(ring, 3, out)
+    m = q * q
+    return [[b for b in range(q) if point[b * m + r] != 0] for r in range(m)]
 
 
 def avg_joint_jacobi_value(code_c: LinearCode, code_d: LinearCode, w, point):
@@ -286,52 +282,36 @@ def avg_joint_jacobi_value(code_c: LinearCode, code_d: LinearCode, w, point):
     _check_pair(code_c, code_d, w)
     ring = code_c.ring
     q = ring.order
+    m = q * q
     n = code_c.n
     if len(point) != q**3:
         raise ValueError("point length must cover all three-slot variables")
     table_a = comp_table(code_c)
     table_b = jacobi_table(code_d, w)
     plans = _split_plans(ring, point)
-    slots = [(a1, a2) for a1 in range(q) for a2 in range(q)]
+    _charge_splits(table_b, [len(allowed) for allowed in plans])
     total = Fraction(0)
     for r_key, bcnt in table_b.items():
-        split_lists = []
-        feasible = True
-        for a1, a2 in slots:
-            cell = r_key[a1 * q + a2]
-            allowed = plans[(a1, a2)]
-            if cell and not allowed:
-                feasible = False
-                break
-            split_lists.append(_sparse_splits(cell, allowed, q))
-        if not feasible:
-            continue
+        cells = [r for r, cell in enumerate(r_key) if cell]
+        split_lists = [_sparse_splits(r_key[r], plans[r], q) for r in cells]
         for splits in itertools.product(*split_lists):
-            comp_l = [0] * q
-            ways = 1
-            value = Fraction(1)
-            for (a1, a2), sp in zip(slots, splits):
-                ways *= multinomial(r_key[a1 * q + a2], sp)
-                for b in range(q):
-                    e = sp[b]
-                    if not e:
-                        continue
-                    comp_l[b] += e
-                    value = value * point[(b * q + a1) * q + a2] ** e
-            mult = table_a.get(tuple(comp_l))
+            comp_l = tuple(map(sum, zip(*splits)))
+            mult = table_a.get(comp_l)
             if not mult:
                 continue
-            total += (
-                Fraction(mult * bcnt * ways, multinomial(n, tuple(comp_l)))
-                * value
-            )
+            ways = 1
+            value = Fraction(1)
+            for r, sp in zip(cells, splits):
+                ways *= multinomial(r_key[r], sp)
+                for b, e in enumerate(sp):
+                    if e:
+                        value = value * point[b * m + r] ** e
+            total += Fraction(mult * bcnt * ways, multinomial(n, comp_l)) * value
     return total
 
 
 def _sparse_splits(total: int, allowed, bins: int):
     """Compositions of total over bins, supported only on allowed bins."""
-    if total == 0:
-        return [(0,) * bins]
     out = []
     for parts in compositions(total, len(allowed)):
         sp = [0] * bins
@@ -361,7 +341,9 @@ def delta_closed(code_c: LinearCode, code_d: LinearCode, w) -> Fraction:
         col0 = tuple(r_key[a * q + 0] for a in range(q))
         groups[col0] += mult
     support_classes = [b for b in range(1, q) if ell[b]]
-    per_class = [list(compositions(ell[b], q)) for b in support_classes]
+    support_cells = [ell[b] for b in support_classes]
+    _charge_splits([support_cells] * len(groups), itertools.repeat(q))
+    per_class = [list(compositions(cell, q)) for cell in support_cells]
     total = Fraction(0)
     for col0, bcnt in groups.items():
         for rest in itertools.product(*per_class):
@@ -463,17 +445,14 @@ def _mc_delta_python(code_c, code_d, w, samples, seed):
     import random
 
     rng = random.Random(seed)
-    n = code_c.n
-    keep = _zero_positions(w)
-    cnt_d = Counter(tuple(v[i] for i in keep) for v in code_d.words)
-    counts = []
-    order = list(range(n))
-    for _ in range(samples):
-        rng.shuffle(order)
-        c = 0
-        for u in code_c.words:
-            c += cnt_d.get(tuple(u[order[i]] for i in keep), 0)
-        counts.append(c)
+    order = list(range(code_c.n))
+
+    def shuffles():
+        for _ in range(samples):
+            rng.shuffle(order)
+            yield order
+
+    counts = list(_agreements(code_c, code_d, w, shuffles()))
     mean = sum(counts) / samples
     if samples > 1:
         var = sum((c - mean) ** 2 for c in counts) / (samples - 1)

@@ -30,6 +30,7 @@ __all__ = [
     "LinearCode",
     "check_budget",
     "check_mask",
+    "check_pair",
     "enumeration_budget",
     "load_code",
     "code_from_json",
@@ -83,6 +84,12 @@ def check_mask(ring: RingSpec, n: int, w) -> None:
     for s in w:
         if not 0 <= s < ring.order:
             raise ValueError(f"symbol {s} out of range for {ring.label()}")
+
+
+def check_pair(code_c: LinearCode, code_d: LinearCode) -> None:
+    """Raise ValueError unless the two codes share their ring and length."""
+    if code_c.ring != code_d.ring or code_c.n != code_d.n:
+        raise ValueError("codes must share ring and length")
 
 
 def weight(u) -> int:
@@ -141,9 +148,11 @@ class LinearCode:
         generator j + 1, repeats dropped at each stage.  A word kept at a
         stage comes from the lex-least coefficients that give it, so
         every stage keeps the first-occurrence order of the full walk.
+        The budget is charged for the |C| * n symbols of the result, known
+        exactly from the echelon form before a word is built.
         """
         q = self.ring.order
-        check_budget(q ** len(self.generators), "coefficient vectors")
+        check_budget(self.size * self.n, "codeword symbols")
         add = self.ring.add_table
         mul = self.ring.mul_table
         words = [(0,) * self.n]
@@ -303,8 +312,7 @@ def joint_jacobi_table(
     code_c: LinearCode, code_d: LinearCode, w
 ) -> dict[tuple[int, ...], int]:
     """Joint composition distribution B_H over all pairs in C x D."""
-    if code_c.ring != code_d.ring or code_c.n != code_d.n:
-        raise ValueError("codes must share ring and length")
+    check_pair(code_c, code_d)
     return _tuple_counts(code_c.ring, [code_c.words, code_d.words], (w,))
 
 

@@ -22,6 +22,7 @@ from operator import itemgetter
 from .codes import (
     LinearCode,
     _tuple_counts,
+    check_pair,
     comp_table,
     jacobi_table,
     joint_jacobi_table,
@@ -69,8 +70,7 @@ def jacobi(code: LinearCode, w) -> SparsePolynomial:
 
 def joint_cwe(code_c: LinearCode, code_d: LinearCode) -> SparsePolynomial:
     """Joint complete weight enumerator over pairs in C x D."""
-    if code_c.ring != code_d.ring or code_c.n != code_d.n:
-        raise ValueError("codes must share ring and length")
+    check_pair(code_c, code_d)
     counts = _tuple_counts(code_c.ring, [code_c.words, code_d.words])
     return _from_counts(code_c.ring, 2, counts)
 

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -22,14 +25,24 @@ from jacweight.averages import (
     multinomial,
     _mc_delta_python,
 )
-from jacweight.codes import BudgetExceeded, LinearCode
-from jacweight.enumerators import collapse, macwilliams_second, macwilliams_single
+from jacweight.cli import main
+from jacweight.codes import BudgetExceeded, LinearCode, code_to_json, joint_jacobi_table
+from jacweight.enumerators import (
+    collapse,
+    joint_cwe,
+    macwilliams_second,
+    macwilliams_single,
+)
 from jacweight.refvalues import REFERENCE_ROWS, matches_reference
 from jacweight.rings import field_ring, modular_ring
 
 F2 = field_ring(2)
 F3 = field_ring(3)
 Z4 = modular_ring(4)
+F4 = field_ring(2, 2)
+F8 = field_ring(2, 3)
+F9 = field_ring(3, 2)
+Z6 = modular_ring(6)
 
 FROZEN_DELTAS = {
     ("e8", "e8", 1): Fraction(24, 5),
@@ -159,21 +172,67 @@ def test_pair_validation():
         avg_joint_jacobi(a, c, (0, 0, 0))
     with pytest.raises(ValueError):
         delta_closed(a, a, (0, 0))
+    for call in (lambda: joint_cwe(a, b), lambda: joint_jacobi_table(a, c, (0, 0, 0))):
+        with pytest.raises(ValueError, match="codes must share ring and length"):
+            call()
 
 
-@pytest.mark.parametrize("ring,seed", [(F2, 1), (F3, 2), (Z4, 3)])
+@pytest.mark.parametrize(
+    "ring,seed",
+    [(F2, 1), (F3, 2), (Z4, 3), (F4, 4), (Z6, 5), (F8, 6), (F9, 7)],
+)
 def test_closed_forms_match_brute(ring, seed):
     rng = random.Random(seed)
-    for trial in range(2):
-        n = 4 + trial
+    q = ring.order
+    for n in (2, 3) if q >= 8 else (4, 5):
         code_c = random_code(ring, n, rows=2, rng=rng)
         code_d = random_code(ring, n, rows=1, rng=rng)
         w = random_mask(ring, n, rng)
         assert avg_jacobi(code_c, w) == brute_avg_jacobi(code_c, w)
-        assert avg_joint_jacobi(code_c, code_d, w) == brute_avg_joint_jacobi(
-            code_c, code_d, w
-        )
+        joint = avg_joint_jacobi(code_c, code_d, w)
+        assert joint == brute_avg_joint_jacobi(code_c, code_d, w)
         assert delta_closed(code_c, code_d, w) == brute_delta(code_c, code_d, w)
+        # the streamed value prunes the variables where the point is zero
+        point = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(q**3)]
+        point[rng.randrange(q**3)] = Fraction(0)
+        assert avg_joint_jacobi_value(code_c, code_d, w, point) == joint.evaluate(point)
+        keep = [i for i, m in enumerate(w) if m == 0]
+        agreeing = sum(
+            all(u[i] == v[i] for i in keep)
+            for u in code_c.words
+            for v in code_d.words
+        )
+        assert intersection_size(code_c, code_d, w) == agreeing
+
+
+def test_closed_forms_charge_their_splits(monkeypatch, tmp_path):
+    code = LinearCode(F9, 6, ((1,) * 6,))
+    w = (1,) * 6
+    point = intersection_point(F9)
+    calls = [
+        lambda: avg_jacobi(code, w),
+        lambda: avg_joint_jacobi(code, code, w),
+        lambda: avg_joint_jacobi_value(code, code, w, point),
+        lambda: delta_closed(code, code, w),
+    ]
+    # the words cost 9 * 6 codeword symbols and no table charges a product;
+    # a cell of 6 split over 9 symbols has C(14, 6) = 3003 splits, once for
+    # the mask alone and once per word of the fixed code against it
+    monkeypatch.setenv("JF_BUDGET", "1000")
+    for call in calls:
+        with pytest.raises(BudgetExceeded, match="composition splits"):
+            call()
+    path = tmp_path / "f9.json"
+    path.write_text(json.dumps(code_to_json(code)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["avg-joint-jacobi", str(path), str(path), "--w", "111111"])
+    assert rc == 2
+    assert out.getvalue() == ""
+    assert "composition splits exceed the budget 1000" in err.getvalue()
+    monkeypatch.setenv("JF_BUDGET", str(9 * 3003))
+    for call in calls:
+        call()
 
 
 def test_avg_jacobi_fixed_by_invariant_code_and_mask():

@@ -195,6 +195,18 @@ def test_word_budget_gate(monkeypatch):
         _ = code.words
 
 
+def test_words_budget_charges_the_codeword_symbols(monkeypatch):
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    # 14 generators 2 e_i span 2^14 words, not 4^14 coefficient vectors
+    rows = tuple(tuple(2 * (i == j) for i in range(14)) for j in range(14))
+    assert len(LinearCode(Z4, 14, rows).words) == 16384
+    # 4^13 words of 14 symbols would not fit in memory: refused before a word
+    dual = LinearCode(Z4, 14, ((1,) * 14,)).dual()
+    with pytest.raises(BudgetExceeded, match="codeword symbols"):
+        _ = dual.words
+    assert "words" not in dual.__dict__
+
+
 @pytest.mark.parametrize("n", [16, 24])
 def test_z4_dual_scans_no_ambient_space(monkeypatch, n):
     rng = random.Random(n)
