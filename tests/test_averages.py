@@ -183,6 +183,8 @@ def test_pair_validation():
 )
 def test_closed_forms_match_brute(ring, seed):
     rng = random.Random(seed)
+    # the points have their own stream, so the codes are drawn as before
+    point_rng = random.Random(seed + 1000)
     q = ring.order
     for n in (2, 3) if q >= 8 else (4, 5):
         code_c = random_code(ring, n, rows=2, rng=rng)
@@ -193,8 +195,11 @@ def test_closed_forms_match_brute(ring, seed):
         assert joint == brute_avg_joint_jacobi(code_c, code_d, w)
         assert delta_closed(code_c, code_d, w) == brute_delta(code_c, code_d, w)
         # the streamed value prunes the variables where the point is zero
-        point = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(q**3)]
-        point[rng.randrange(q**3)] = Fraction(0)
+        point = [
+            Fraction(point_rng.randint(-3, 3), point_rng.randint(1, 4))
+            for _ in range(q**3)
+        ]
+        point[point_rng.randrange(q**3)] = Fraction(0)
         assert avg_joint_jacobi_value(code_c, code_d, w, point) == joint.evaluate(point)
         keep = [i for i, m in enumerate(w) if m == 0]
         agreeing = sum(

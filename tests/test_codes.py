@@ -222,8 +222,9 @@ def test_z4_dual_scans_no_ambient_space(monkeypatch, n):
 def test_joint_table_budget_gate(monkeypatch):
     code = get_code("z4_small")
     other = LinearCode(Z4, 3, ((1, 1, 1),))
-    monkeypatch.setenv("JF_BUDGET", "16")
-    with pytest.raises(BudgetExceeded):
+    # the words cost 8 * 3 and 4 * 3 codeword symbols, the pairs 8 * 4
+    monkeypatch.setenv("JF_BUDGET", "30")
+    with pytest.raises(BudgetExceeded, match="tuples of codewords"):
         joint_jacobi_table(code, other, (0, 0, 0))
 
 

@@ -203,15 +203,17 @@ def test_macwilliams_arity_checks():
 
 
 def test_genus_budget_gate(monkeypatch):
-    monkeypatch.setenv("JF_BUDGET", "64")
+    # the words cost 16 * 8 = 128 codeword symbols, the triples 16**3
+    monkeypatch.setenv("JF_BUDGET", "1000")
     e8 = get_code("e8")
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="tuples of codewords"):
         cwe_genus(LinearCode(F2, 8, e8.generators), 3)
 
 
 def test_joint_budget_gate(monkeypatch):
-    monkeypatch.setenv("JF_BUDGET", "16")
+    # the words cost 8 * 3 and 4 * 3 codeword symbols, the pairs 8 * 4
+    monkeypatch.setenv("JF_BUDGET", "30")
     a = LinearCode(F2, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     b = LinearCode(F2, 3, ((1, 1, 1), (1, 0, 1)))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="tuples of codewords"):
         joint_cwe(a, b)
