@@ -8,9 +8,17 @@ fixed code's Jacobi distribution against the mask), and each nonzero
 cell is split over the averaged code's symbols with multinomial weights,
 which needs only the averaged code's composition counts.  The streamed
 value splits the same cells over the symbols where its point is nonzero.
-The exhaustive averages share one loop over S_n, and every intersection
-count (at the identity, over S_n or at sampled permutations) comes from
-one counter of the pairs agreeing outside the mask support.
+The exhaustive averages share one loop over S_n.
+
+An intersection count is the number of pairs (u, v) in C x D with u^sigma
+equal to v on the zeros K of the mask.  Those pairs are the kernel of the
+linear map (u, v) -> (u^sigma - v) restricted to K, whose image is
+P_sigma + Q, with P_sigma the restriction of C to sigma(K) and Q that of D
+to K; so the count is |C| |D| / |P_sigma + Q|.  `intersection_size` (sigma
+the identity) takes that span's size from the echelon form over any ring,
+and the Monte Carlo path over F2 from a GF(2) rank per sample.  The brute
+average over S_n, the Monte Carlo key route for q > 2 and its pure-Python
+fallback count the agreeing word pairs with one counter instead.
 
 The average joint Jacobi polynomial evaluated at the point that is
 zero exactly on variables with differing code symbols and zero mask
@@ -25,6 +33,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .codes import (
     LinearCode,
@@ -59,6 +68,7 @@ __all__ = [
 ]
 
 BRUTE_MAX_N = 8
+MC_BATCH = 1024
 
 
 def multinomial(n: int, parts) -> int:
@@ -115,15 +125,21 @@ def _charge_splits(cell_vectors, bins) -> None:
     check_budget(count, "composition splits")
 
 
+def _picker(positions):
+    """u -> its symbols at positions: a scalar for one position and () for
+    none, so that keys made by pickers of one length compare as tuples do."""
+    return itemgetter(*positions) if positions else lambda u: ()
+
+
 def _agreements(code_c: LinearCode, code_d: LinearCode, w, orders):
     """For each sigma in orders, the pairs (u, v) in C x D with u[sigma[i]]
     equal to v[i] at every position i outside supp(w)."""
     keep = _zero_positions(w)
-    cnt_d = Counter(tuple(v[i] for i in keep) for v in code_d.words)
+    cnt_d = Counter(map(_picker(keep), code_d.words))
     words = code_c.words
     for sigma in orders:
-        moved = [sigma[i] for i in keep]
-        yield sum(cnt_d.get(tuple([u[i] for i in moved]), 0) for u in words)
+        keys = map(_picker([sigma[i] for i in keep]), words)
+        yield sum(map(cnt_d.get, keys, itertools.repeat(0)))
 
 
 # ---- evaluation points -----------------------------------------------------
@@ -150,9 +166,16 @@ def all_ones_point(ring: RingSpec, arity: int):
 
 
 def intersection_size(code_c: LinearCode, code_d: LinearCode, w) -> int:
-    """Pairs in C x D that agree on every position outside supp(w)."""
+    """Pairs in C x D that agree on every position outside supp(w):
+    |C| |D| over the size of the span of both codes' generators on those
+    positions, with no word enumerated."""
     _check_pair(code_c, code_d, w)
-    return next(_agreements(code_c, code_d, w, [range(code_c.n)]))
+    keep = _zero_positions(w)
+    rows = tuple(
+        tuple(g[i] for i in keep) for g in code_c.generators + code_d.generators
+    )
+    span = LinearCode(code_c.ring, len(keep), rows)
+    return code_c.size * code_d.size // span.size
 
 
 # ---- exhaustive averages ---------------------------------------------------
@@ -381,7 +404,16 @@ def monte_carlo_delta(
     samples: int = 10000,
     seed: int = 0,
 ) -> AverageResult:
-    """Estimate the average intersection number from random permutations."""
+    """Estimate the average intersection number from random permutations.
+
+    The permutations are drawn by numpy in batches of MC_BATCH, and each is
+    counted exactly.  Over F2 the count is |C| |D| / 2^rank, the rank being
+    that of C's generators on sigma(K) stacked over D's on K (see the module
+    docstring), so no word is enumerated.  Over any other ring every word
+    of C gets a base-q key on sigma(K), looked up among D's keys on K.  When
+    the keys of K would not fit in 62 bits, the pure-Python route counts
+    agreeing pairs at random.Random(seed) shuffles instead.
+    """
     _check_pair(code_c, code_d, w)
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -393,6 +425,75 @@ def monte_carlo_delta(
         return _mc_delta_python(code_c, code_d, w, samples, seed)
     import numpy as np
 
+    count = (_rank_counter if q == 2 else _key_counter)(code_c, code_d, keep)
+    rng = np.random.default_rng(seed)
+    per_perm = []
+    done = 0
+    while done < samples:
+        b = min(MC_BATCH, samples - done)
+        perms = rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)
+        per_perm.append(count(perms))
+        done += b
+    counts = np.concatenate(per_perm).astype(np.float64)
+    mean = float(counts.mean())
+    stderr = (
+        float(counts.std(ddof=1) / math.sqrt(samples)) if samples > 1 else None
+    )
+    return AverageResult(
+        value=mean, method="mc", samples=samples, seed=seed, stderr=stderr
+    )
+
+
+def _weights(perms, keep, powers):
+    """weights[i, pos] = powers[j] when perms[i] sends kept slot keep[j] to
+    pos, so that a word's row times weights.T packs its symbols on
+    perms[i](K)."""
+    import numpy as np
+
+    weights = np.zeros(perms.shape, dtype=powers.dtype)
+    np.put_along_axis(weights, perms[:, keep], powers, axis=1)
+    return weights
+
+
+def _rank_counter(code_c: LinearCode, code_d: LinearCode, keep):
+    """Per-permutation counts over F2 for a (b, n) array of permutations:
+    |C| |D| >> rank, with bit j of each packed row for kept slot j.
+
+    The rank is taken for all b permutations at once, row by row: each
+    row pivots on its lowest set bit, which is cleared from the rows below,
+    and the rows left nonzero are independent.
+    """
+    import numpy as np
+
+    keep = np.array(keep, dtype=np.int64)
+    powers = np.left_shift(1, np.arange(len(keep), dtype=np.int64))
+    gens_c = np.array(code_c.generators, dtype=np.int64).reshape(-1, code_c.n)
+    gens_d = np.array(code_d.generators, dtype=np.int64).reshape(-1, code_d.n)
+    fixed = gens_d[:, keep] @ powers
+    # |C| |D| is a power of two, so each count is exact as a float
+    bits = (code_c.size * code_d.size).bit_length() - 1
+
+    def count(perms):
+        moved = gens_c @ _weights(perms, keep, powers).T
+        rows = np.concatenate([moved, np.repeat(fixed[:, None], len(perms), 1)])
+        rank = np.zeros(len(perms), dtype=np.int64)
+        for r, x in enumerate(rows):
+            low = x & -x
+            rest = rows[r + 1 :]
+            rest ^= ((rest & low) != 0) * x
+            rank += x != 0
+        return np.ldexp(1.0, bits - rank)
+
+    return count
+
+
+def _key_counter(code_c: LinearCode, code_d: LinearCode, keep):
+    """Per-permutation counts for a (b, n) array of permutations: the keys
+    of C's words on perms[i](K) found among the keys of D's words on K."""
+    import numpy as np
+
+    q = code_c.ring.order
+    s = len(keep)
     # keys are exact in float64 below 2**53, letting the matmul use BLAS
     dtype = np.float64 if q ** max(s, 1) < 2**53 else np.int64
     words_c = np.array(code_c.words, dtype=dtype)
@@ -411,34 +512,17 @@ def monte_carlo_delta(
         table = np.bincount(
             keys_d.astype(np.int64), minlength=q ** max(s, 1)
         ).astype(np.int32)
-    rng = np.random.default_rng(seed)
-    keep_arr = np.array(keep, dtype=np.int64)
-    per_perm = []
-    batch = 1024
-    done = 0
-    while done < samples:
-        b = min(batch, samples - done)
-        perms = rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)
-        cols = perms[:, keep_arr]
-        # weights[i, pos] = q**j when perm_i sends keep slot j to pos
-        weights = np.zeros((b, n), dtype=dtype)
-        np.put_along_axis(weights, cols, powers, axis=1)
-        keys = words_c @ weights.T
+    keep = np.array(keep, dtype=np.int64)
+
+    def count(perms):
+        keys = words_c @ _weights(perms, keep, powers).T
         if table is not None:
-            per_perm.append(table[keys.astype(np.int64)].sum(axis=0, dtype=np.int64))
-        else:
-            right = np.searchsorted(keys_d, keys, side="right")
-            left = np.searchsorted(keys_d, keys, side="left")
-            per_perm.append((right - left).sum(axis=0))
-        done += b
-    counts = np.concatenate(per_perm).astype(np.float64)
-    mean = float(counts.mean())
-    stderr = (
-        float(counts.std(ddof=1) / math.sqrt(samples)) if samples > 1 else None
-    )
-    return AverageResult(
-        value=mean, method="mc", samples=samples, seed=seed, stderr=stderr
-    )
+            return table[keys.astype(np.int64)].sum(axis=0, dtype=np.int64)
+        right = np.searchsorted(keys_d, keys, side="right")
+        left = np.searchsorted(keys_d, keys, side="left")
+        return (right - left).sum(axis=0)
+
+    return count
 
 
 def _mc_delta_python(code_c, code_d, w, samples, seed):

@@ -6,6 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import REFERENCE_PAIRS, get_code, random_code, random_mask
 from jacweight.averages import (
     AverageResult,
@@ -23,10 +27,18 @@ from jacweight.averages import (
     intersection_size,
     monte_carlo_delta,
     multinomial,
+    _agreements,
     _mc_delta_python,
+    _rank_counter,
 )
 from jacweight.cli import main
-from jacweight.codes import BudgetExceeded, LinearCode, code_to_json, joint_jacobi_table
+from jacweight.codes import (
+    BudgetExceeded,
+    LinearCode,
+    code_to_json,
+    joint_jacobi_table,
+    load_code,
+)
 from jacweight.enumerators import (
     collapse,
     joint_cwe,
@@ -43,6 +55,8 @@ F4 = field_ring(2, 2)
 F8 = field_ring(2, 3)
 F9 = field_ring(3, 2)
 Z6 = modular_ring(6)
+Z8 = modular_ring(8)
+Z12 = modular_ring(12)
 
 FROZEN_DELTAS = {
     ("e8", "e8", 1): Fraction(24, 5),
@@ -179,7 +193,17 @@ def test_pair_validation():
 
 @pytest.mark.parametrize(
     "ring,seed",
-    [(F2, 1), (F3, 2), (Z4, 3), (F4, 4), (Z6, 5), (F8, 6), (F9, 7)],
+    [
+        (F2, 1),
+        (F3, 2),
+        (Z4, 3),
+        (F4, 4),
+        (Z6, 5),
+        (F8, 6),
+        (F9, 7),
+        (Z8, 8),
+        (Z12, 9),
+    ],
 )
 def test_closed_forms_match_brute(ring, seed):
     rng = random.Random(seed)
@@ -429,6 +453,87 @@ def test_monte_carlo_python_fallback():
     w = front_mask(8, 1)
     py = _mc_delta_python(e8, e8, w, samples=2000, seed=11)
     assert abs(py.value - 4.8) <= 3 * py.stderr
+
+
+# (value, stderr) of monte_carlo_delta as float.hex, for the sampled
+# operations of the averages benchmark and acceptance criterion 6
+MC_PINS = [
+    (("g24", "g24", 1, 4000, 11), ("0x1.7de353f7ced91p+2", "0x1.326598c056a7dp-4")),
+    (("g24", "g24", 2, 4000, 12), ("0x1.0147ae147ae14p+3", "0x1.7dde673f1bb8ep-4")),
+    (("g24", "g24", 3, 4000, 13), ("0x1.823d70a3d70a4p+3", "0x1.c90720dcfdc3cp-4")),
+    (
+        ("e8x2", "d16plus", 1, 150000, 14),
+        ("0x1.7a8e0c9d9d346p+2", "0x1.910892051ba28p-7"),
+    ),
+    (
+        ("e8x2", "d16plus", 2, 150000, 15),
+        ("0x1.f870110a137f4p+2", "0x1.cfa449e10b2cbp-7"),
+    ),
+    (
+        ("d16plus", "d16plus", 3, 150000, 16),
+        ("0x1.7a80b93f98e3ep+3", "0x1.18c5b65a915f6p-6"),
+    ),
+    (("g24", "g24", 1, 100000, 42), ("0x1.802363b256ffcp+2", "0x1.fa442addc4e4fp-7")),
+]
+
+
+@pytest.mark.parametrize("case,pinned", MC_PINS)
+def test_monte_carlo_values_are_pinned(case, pinned):
+    c, d, k, samples, seed = case
+    code_c = get_code(c)
+    res = monte_carlo_delta(
+        code_c, get_code(d), front_mask(code_c.n, k), samples=samples, seed=seed
+    )
+    assert (res.value.hex(), res.stderr.hex()) == pinned
+
+
+def test_binary_counts_build_no_words():
+    g24 = load_code("g24")
+    w = front_mask(24, 2)
+    monte_carlo_delta(g24, g24, w, samples=300, seed=1)
+    # distance 8 > 2: two words agreeing on 22 positions are equal
+    assert intersection_size(g24, g24, w) == 4096
+    assert "words" not in g24.__dict__
+
+
+@st.composite
+def binary_cases(draw):
+    """Two F2 codes of one length n <= 62, a mask and permutations of range(n).
+
+    The generators may be empty or hold zero rows, repeated rows and sums
+    of rows; the mask may have weight 0 or n.
+    """
+    n = draw(st.integers(1, 62))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+
+    def generators():
+        rows = draw(st.lists(bits, max_size=4))
+        if len(rows) > 1 and draw(st.booleans()):
+            rows.append(tuple(a ^ b for a, b in zip(rows[0], rows[1])))
+        if rows and draw(st.booleans()):
+            rows.append(draw(st.sampled_from(rows)))
+        if draw(st.booleans()):
+            rows.append((0,) * n)
+        return tuple(draw(st.permutations(rows)))
+
+    code_c = LinearCode(F2, n, generators())
+    code_d = LinearCode(F2, n, generators())
+    w = draw(st.sampled_from([(0,) * n, (1,) * n]) | bits)
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=6))
+    return code_c, code_d, w, perms
+
+
+@given(binary_cases())
+@settings(max_examples=200, deadline=None)
+def test_rank_counts_equal_the_agreement_counts(case):
+    code_c, code_d, w, perms = case
+    keep = [i for i, m in enumerate(w) if m == 0]
+    ranked = _rank_counter(code_c, code_d, keep)(np.array(perms, dtype=np.int64))
+    assert ranked.tolist() == list(_agreements(code_c, code_d, w, perms))
+    identity = [range(code_c.n)]
+    assert intersection_size(code_c, code_d, w) == next(
+        _agreements(code_c, code_d, w, identity)
+    )
 
 
 def test_delta_dispatcher():

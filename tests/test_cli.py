@@ -65,6 +65,15 @@ def test_delta_monte_carlo_line_is_reproducible():
     assert (rc2, out2) == (rc, out)
 
 
+def test_delta_monte_carlo_g24_line():
+    rc, out, _ = run(
+        "delta", "g24", "g24", "--w-weight", "1",
+        "--method", "mc", "--samples", "2000", "--seed", "42",
+    )
+    assert rc == 0
+    assert out == "5.90000000000  stderr:0.107512  samples:2000  seed:42\n"
+
+
 def test_value_at_intersection_and_ones():
     rc, out, _ = run(
         "avg-joint-jacobi", "e8", "e8", "--w-weight", "1",
