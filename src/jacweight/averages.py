@@ -16,9 +16,10 @@ linear map (u, v) -> (u^sigma - v) restricted to K, whose image is
 P_sigma + Q, with P_sigma the restriction of C to sigma(K) and Q that of D
 to K; so the count is |C| |D| / |P_sigma + Q|.  `intersection_size` (sigma
 the identity) takes that span's size from the echelon form over any ring,
-and the Monte Carlo path over F2 from a GF(2) rank per sample.  The brute
-average over S_n, the Monte Carlo key route for q > 2 and its pure-Python
-fallback count the agreeing word pairs with one counter instead.
+and the Monte Carlo path over F2 from a GF(2) rank per sample.  Over
+larger rings the Monte Carlo path matches base-q keys of the words, and
+the brute average over S_n and the pure-Python Monte Carlo fallback count
+the agreeing word pairs with one counter.
 
 The average joint Jacobi polynomial evaluated at the point that is
 zero exactly on variables with differing code symbols and zero mask
@@ -68,7 +69,6 @@ __all__ = [
 ]
 
 BRUTE_MAX_N = 8
-MC_BATCH = 1024
 
 
 def multinomial(n: int, parts) -> int:
@@ -406,13 +406,14 @@ def monte_carlo_delta(
 ) -> AverageResult:
     """Estimate the average intersection number from random permutations.
 
-    The permutations are drawn by numpy in batches of MC_BATCH, and each is
+    The permutations are drawn by numpy in batches of 1024, and each is
     counted exactly.  Over F2 the count is |C| |D| / 2^rank, the rank being
     that of C's generators on sigma(K) stacked over D's on K (see the module
     docstring), so no word is enumerated.  Over any other ring every word
     of C gets a base-q key on sigma(K), looked up among D's keys on K.  When
-    the keys of K would not fit in 62 bits, the pure-Python route counts
-    agreeing pairs at random.Random(seed) shuffles instead.
+    q^|K| reaches 2^62, or |K| symbols of the bit length of q - 1 pass 62
+    bits, the pure-Python route counts agreeing pairs at random.Random(seed)
+    shuffles instead.
     """
     _check_pair(code_c, code_d, w)
     if samples < 1:
@@ -428,9 +429,10 @@ def monte_carlo_delta(
     count = (_rank_counter if q == 2 else _key_counter)(code_c, code_d, keep)
     rng = np.random.default_rng(seed)
     per_perm = []
+    batch = 1024
     done = 0
     while done < samples:
-        b = min(MC_BATCH, samples - done)
+        b = min(batch, samples - done)
         perms = rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)
         per_perm.append(count(perms))
         done += b
@@ -498,21 +500,13 @@ def _key_counter(code_c: LinearCode, code_d: LinearCode, keep):
     dtype = np.float64 if q ** max(s, 1) < 2**53 else np.int64
     words_c = np.array(code_c.words, dtype=dtype)
     powers = np.array([q**j for j in range(s)], dtype=dtype)
-    keys_d = np.sort(
-        np.array(
-            [
-                sum(v[i] * q**j for j, i in enumerate(keep))
-                for v in code_d.words
-            ],
-            dtype=dtype,
-        )
-    )
+    keep = np.array(keep, dtype=np.int64)
+    keys_d = np.sort(np.array(code_d.words, dtype=dtype)[:, keep] @ powers)
     table = None
     if q ** max(s, 1) <= 1 << 24:
         table = np.bincount(
             keys_d.astype(np.int64), minlength=q ** max(s, 1)
         ).astype(np.int32)
-    keep = np.array(keep, dtype=np.int64)
 
     def count(perms):
         keys = words_c @ _weights(perms, keep, powers).T

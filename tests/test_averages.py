@@ -4,9 +4,8 @@ import json
 import random
 from fractions import Fraction
 
-import pytest
-
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
