@@ -16,10 +16,11 @@ linear map (u, v) -> (u^sigma - v) restricted to K, whose image is
 P_sigma + Q, with P_sigma the restriction of C to sigma(K) and Q that of D
 to K; so the count is |C| |D| / |P_sigma + Q|.  `intersection_size` (sigma
 the identity) takes that span's size from the echelon form over any ring,
-and the Monte Carlo path over F2 from a GF(2) rank per sample.  Over
-larger rings the Monte Carlo path matches base-q keys of the words, and
-the brute average over S_n and the pure-Python Monte Carlo fallback count
-the agreeing word pairs with one counter.
+and the Monte Carlo path over F2 from a GF(2) rank per sample, in its
+pure-Python fallback too while |K| <= 64.  Over larger rings the Monte
+Carlo path matches base-q keys of the words, and the brute average over
+S_n and the rest of that fallback count the agreeing word pairs with one
+counter.
 
 The average joint Jacobi polynomial evaluated at the point that is
 zero exactly on variables with differing code symbols and zero mask
@@ -412,8 +413,9 @@ def monte_carlo_delta(
     docstring), so no word is enumerated.  Over any other ring every word
     of C gets a base-q key on sigma(K), looked up among D's keys on K.  When
     q^|K| reaches 2^62, or |K| symbols of the bit length of q - 1 pass 62
-    bits, the pure-Python route counts agreeing pairs at random.Random(seed)
-    shuffles instead.
+    bits, the pure-Python route draws random.Random(seed) shuffles instead:
+    over F2 with |K| <= 64 it ranks them as above, in int64 rows whose bit
+    63 is the sign bit, and otherwise it counts agreeing pairs.
     """
     _check_pair(code_c, code_d, w)
     if samples < 1:
@@ -528,9 +530,20 @@ def _mc_delta_python(code_c, code_d, w, samples, seed):
     def shuffles():
         for _ in range(samples):
             rng.shuffle(order)
-            yield order
+            yield list(order)
 
-    counts = list(_agreements(code_c, code_d, w, shuffles()))
+    keep = _zero_positions(w)
+    if code_c.ring.order == 2 and len(keep) <= 64:
+        import numpy as np
+
+        count = _rank_counter(code_c, code_d, keep)
+        perms = shuffles()
+        counts = []
+        for _ in range(0, samples, 1024):
+            batch = np.array(list(itertools.islice(perms, 1024)), dtype=np.int64)
+            counts.extend(map(int, count(batch)))
+    else:
+        counts = list(_agreements(code_c, code_d, w, shuffles()))
     mean = sum(counts) / samples
     if samples > 1:
         var = sum((c - mean) ** 2 for c in counts) / (samples - 1)

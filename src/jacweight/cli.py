@@ -27,7 +27,7 @@ from .averages import (
     delta_closed,
     intersection_point,
 )
-from .codes import BudgetExceeded, CodeFormatError, LinearCode, load_code
+from .codes import BudgetExceeded, CodeFormatError, LinearCode, load_code, weight
 from .designs import is_t_design, is_t_homogeneous, supports
 from .enumerators import (
     cwe,
@@ -120,10 +120,6 @@ def _emit_poly(poly, args) -> None:
         print(json.dumps(poly.to_json_obj()))
     else:
         print(poly.render_text())
-
-
-def _mask_weight(w) -> int:
-    return sum(1 for x in w if x != 0)
 
 
 # ---- subcommand handlers ---------------------------------------------------
@@ -266,7 +262,7 @@ def cmd_delta(args) -> int:
     )
     name_c = _code_name(code_c, args.code_c)
     name_d = _code_name(code_d, args.code_d)
-    ref = reference_string(name_c, name_d, _mask_weight(w))
+    ref = reference_string(name_c, name_d, weight(w))
     exact = isinstance(result.value, Fraction)
     match = None
     if ref is not None and exact:
@@ -393,6 +389,7 @@ def cmd_repro_paper(args) -> int:
 # ---- parser ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

@@ -28,7 +28,6 @@ from .codes import (
     joint_jacobi_table,
 )
 from .polynomials import SparsePolynomial
-from .rings import RingSpec
 
 __all__ = [
     "cwe",
@@ -44,15 +43,9 @@ __all__ = [
 ]
 
 
-def _from_counts(ring: RingSpec, arity: int, counts: dict) -> SparsePolynomial:
-    return SparsePolynomial(
-        ring, arity, {key: Fraction(mult) for key, mult in counts.items()}
-    )
-
-
 def cwe(code: LinearCode) -> SparsePolynomial:
     """Complete weight enumerator: one monomial per codeword."""
-    return _from_counts(code.ring, 1, comp_table(code))
+    return SparsePolynomial(code.ring, 1, comp_table(code))
 
 
 def cwe_genus(code: LinearCode, genus: int) -> SparsePolynomial:
@@ -60,24 +53,24 @@ def cwe_genus(code: LinearCode, genus: int) -> SparsePolynomial:
     if genus < 1:
         raise ValueError("genus must be at least 1")
     counts = _tuple_counts(code.ring, [code.words] * genus)
-    return _from_counts(code.ring, genus, counts)
+    return SparsePolynomial(code.ring, genus, counts)
 
 
 def jacobi(code: LinearCode, w) -> SparsePolynomial:
     """Jacobi polynomial of a code with respect to a fixed mask word."""
-    return _from_counts(code.ring, 2, jacobi_table(code, w))
+    return SparsePolynomial(code.ring, 2, jacobi_table(code, w))
 
 
 def joint_cwe(code_c: LinearCode, code_d: LinearCode) -> SparsePolynomial:
     """Joint complete weight enumerator over pairs in C x D."""
     check_pair(code_c, code_d)
     counts = _tuple_counts(code_c.ring, [code_c.words, code_d.words])
-    return _from_counts(code_c.ring, 2, counts)
+    return SparsePolynomial(code_c.ring, 2, counts)
 
 
 def joint_jacobi(code_c: LinearCode, code_d: LinearCode, w) -> SparsePolynomial:
     """Joint Jacobi polynomial of a pair of codes against a mask word."""
-    return _from_counts(code_c.ring, 3, joint_jacobi_table(code_c, code_d, w))
+    return SparsePolynomial(code_c.ring, 3, joint_jacobi_table(code_c, code_d, w))
 
 
 def collapse(poly: SparsePolynomial, keep_slots) -> SparsePolynomial:

@@ -60,7 +60,8 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_mod(coeffs: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
+def _reduce_mod(coeffs, phi: tuple[int, ...]) -> list:
+    # remainder by long division by the monic phi; exact over ints and Fractions
     deg = len(phi) - 1
     work = list(coeffs)
     for i in range(len(work) - 1, deg - 1, -1):

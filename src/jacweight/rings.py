@@ -10,10 +10,11 @@ never touch polynomial code after make_ring returns.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import root_of_unity
+from .exactnum import _reduce_mod, root_of_unity
 
 __all__ = [
     "RingSpec",
@@ -53,40 +54,12 @@ def _poly_mul_mod_p(a, b, p):
     return out
 
 
-def _poly_rem(a, mod, p):
-    # remainder of a modulo a monic polynomial, coefficients mod p
-    work = list(a)
-    deg = len(mod) - 1
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            for j, m in enumerate(mod):
-                work[i - deg + j] = (work[i - deg + j] - c * m) % p
-    work = work[:deg]
-    while len(work) < deg:
-        work.append(0)
-    return work
-
-
-def _trim(poly):
-    i = len(poly)
-    while i > 0 and poly[i - 1] == 0:
-        i -= 1
-    return poly[:i]
-
-
 def _is_irreducible(poly, p) -> bool:
     # trial division by all monic polynomials of degree 1 .. f//2
     f = len(poly) - 1
     for d in range(1, f // 2 + 1):
-        for code in range(p**d):
-            digits = []
-            c = code
-            for _ in range(d):
-                digits.append(c % p)
-                c //= p
-            candidate = digits + [1]
-            if not _trim(_poly_rem(poly, candidate, p)):
+        for low in itertools.product(range(p), repeat=d):
+            if not any(c % p for c in _reduce_mod(poly, low + (1,))):
                 return False
     return True
 
@@ -193,8 +166,9 @@ def field_ring(p: int, f: int = 1, primitive_poly=None) -> RingSpec:
         )
         row = []
         for b in range(q):
-            prod = _poly_rem(_poly_mul_mod_p(da, decode(b), p), poly, p)
-            row.append(encode(prod))
+            # the monic long division over Z, then the remainder mod p
+            prod = _reduce_mod(_poly_mul_mod_p(da, decode(b), p), poly)
+            row.append(encode([c % p for c in prod]))
         mul_rows.append(tuple(row))
 
     return RingSpec(
@@ -241,11 +215,7 @@ def make_ring(kind: str, **params) -> RingSpec:
 def ring_from_json(obj) -> RingSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("ring object must have a 'kind' key")
-    if obj["kind"] == "field":
-        return field_ring(obj["p"], obj.get("f", 1), obj.get("primitive_poly"))
-    if obj["kind"] == "modring":
-        return modular_ring(obj["k"])
-    raise ValueError(f"unknown ring kind {obj['kind']!r}")
+    return make_ring(**obj)
 
 
 def ring_to_json(ring: RingSpec):

@@ -27,6 +27,7 @@ from jacweight.averages import (
     monte_carlo_delta,
     multinomial,
     _agreements,
+    _key_counter,
     _mc_delta_python,
     _rank_counter,
 )
@@ -497,12 +498,12 @@ def test_binary_counts_build_no_words():
 
 @st.composite
 def binary_cases(draw):
-    """Two F2 codes of one length n <= 62, a mask and permutations of range(n).
+    """Two F2 codes of one length n <= 64, a mask and permutations of range(n).
 
     The generators may be empty or hold zero rows, repeated rows and sums
     of rows; the mask may have weight 0 or n.
     """
-    n = draw(st.integers(1, 62))
+    n = draw(st.integers(1, 64))
     bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
 
     def generators():
@@ -533,6 +534,104 @@ def test_rank_counts_equal_the_agreement_counts(case):
     assert intersection_size(code_c, code_d, w) == next(
         _agreements(code_c, code_d, w, identity)
     )
+
+
+def _even_code(n, size, rng):
+    """The even-weight words on a random support of the given size."""
+    a, *rest = rng.sample(range(n), size)
+    return LinearCode(
+        F2, n, tuple(tuple(int(i in (a, b)) for i in range(n)) for b in rest)
+    )
+
+
+# (value, stderr) as float.hex of F2 pairs whose kept positions |K| = n - k
+# pass 61, where the samples are random.Random(seed) shuffles: ranked in
+# int64 rows up to |K| = 64 (bit 63 the sign bit), counted pair by pair above
+FALLBACK_PINS = [
+    ((64, 2, 62), ("0x1.4bc6a7ef9db23p+0", "0x1.53b2639a18645p-6")),
+    ((64, 1, 63), ("0x1.374bc6a7ef9dbp+0", "0x1.ff906c9ffaf10p-7")),
+    ((64, 0, 64), ("0x1.392c5f92c5f93p+0", "0x1.055c76cc65c8ap-6")),
+    ((70, 2, 68), ("0x1.32dbd194237fbp+0", "0x1.c8b68e5eea288p-7")),
+]
+
+
+@pytest.mark.parametrize("case,pinned", FALLBACK_PINS)
+def test_monte_carlo_fallback_values_are_pinned(case, pinned):
+    n, k, seed = case
+    rng = random.Random(seed)
+    code_c = _even_code(n, 8, rng)
+    code_d = _even_code(n, 6, rng)
+    res = monte_carlo_delta(code_c, code_d, front_mask(n, k), samples=1500, seed=seed)
+    assert (res.value.hex(), res.stderr.hex()) == pinned
+    # up to 64 kept positions the fallback ranks and builds no word
+    assert ("words" in code_c.__dict__) == (n - k > 64)
+
+
+def _key_case_code(ring, n, rng, rows):
+    """rows, two rows of small support, a zero row and a repeated row, so
+    that words of two such codes often agree."""
+    rows = list(rows)
+    for _ in range(2):
+        row = [0] * n
+        for i in rng.sample(range(n), 3):
+            row[i] = rng.randrange(1, ring.order)
+        rows.append(tuple(row))
+    rows += [(0,) * n, rows[-1]]
+    rng.shuffle(rows)
+    return LinearCode(ring, n, tuple(rows))
+
+
+# (ring, n, mask weight) for every branch of _key_counter, by q^|K|: a
+# bincount table up to 2^24, searchsorted on float64 keys below 2^53, and
+# searchsorted on int64 keys from there to the numpy route's limit
+KEY_CASES = [
+    ("table", F3, 12, 2),
+    ("table", F4, 11, 1),
+    ("table", F9, 9, 2),
+    ("table", Z4, 10, 0),
+    ("table", Z6, 10, 1),
+    ("sorted", F3, 24, 3),
+    ("sorted", F9, 15, 1),
+    ("sorted", Z6, 18, 2),
+    ("sorted", F8, 12, 2),
+    ("int64", F4, 30, 2),
+    ("int64", Z4, 29, 1),
+    ("int64", F8, 21, 1),
+    ("int64", F8, 20, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "branch,ring,n,k",
+    KEY_CASES,
+    ids=[f"{b}-{r.label()}-{n}-{k}" for b, r, n, k in KEY_CASES],
+)
+def test_key_counts_equal_the_agreement_counts(branch, ring, n, k):
+    q = ring.order
+    s = n - k
+    assert branch == (
+        "table" if q**s <= 2**24 else "sorted" if q**s < 2**53 else "int64"
+    )
+    # within the numpy route's limits, where monte_carlo_delta calls it
+    assert s * (q - 1).bit_length() <= 62 and q**s < 2**62
+    rng = random.Random(q * 1000 + n)
+    w = [0] * n
+    for i in rng.sample(range(n), k):
+        w[i] = rng.randrange(1, q)
+    keep = [i for i, m in enumerate(w) if m == 0]
+    # C holds the all-ones word and D that word with a 2 in the lowest key
+    # digit: keys rounded to float64 past 2^53 would take them as equal
+    tweaked = [1] * n
+    tweaked[keep[0]] = 2
+    code_c = _key_case_code(ring, n, rng, [(1,) * n])
+    shared = next(g for g in code_c.generators if 0 < sum(map(bool, g)) < n)
+    code_d = _key_case_code(ring, n, rng, [shared, tuple(tweaked)])
+    perms = [list(range(n))] + [rng.sample(range(n), n) for _ in range(12)]
+    counts = _key_counter(code_c, code_d, keep)(np.array(perms, dtype=np.int64))
+    agreeing = list(_agreements(code_c, code_d, w, perms))
+    assert counts.tolist() == agreeing
+    # the shared row's multiples agree under the identity
+    assert agreeing[0] >= q and len(set(agreeing)) > 1
 
 
 def test_delta_dispatcher():

@@ -74,6 +74,89 @@ def test_delta_monte_carlo_g24_line():
     assert out == "5.90000000000  stderr:0.107512  samples:2000  seed:42\n"
 
 
+# the numpy Monte Carlo route over F4 and Z4 keys every word on sigma(K)
+MC_KEY_GOLDENS = [
+    (
+        "f4_small",
+        "4.99000000000  stderr:0.0738422  samples:2000  seed:42\n",
+        '{"method": "mc", "value": 4.99, "decimal": "4.99000000000", "paper": null, "match": null, "samples": 2000, "seed": 42, "stderr": 0.07384223952568802}\n',
+    ),
+    (
+        "z4_small",
+        "10.5840000000  stderr:0.0836718  samples:2000  seed:42\n",
+        '{"method": "mc", "value": 10.584, "decimal": "10.5840000000", "paper": null, "match": null, "samples": 2000, "seed": 42, "stderr": 0.08367181416847086}\n',
+    ),
+]
+
+
+def test_delta_monte_carlo_lines_over_f4_and_z4():
+    for name, text, obj in MC_KEY_GOLDENS:
+        args = (
+            "delta", name, name, "--w-weight", "1",
+            "--method", "mc", "--samples", "2000", "--seed", "42",
+        )
+        assert run(*args) == (0, text, "")
+        assert run(*args, "--format", "json") == (0, obj, "")
+
+
+JOINT_JACOBI_Z4_TERMS = [
+    "1 * x_(2 2 0)^2 x_(2 2 1)^1",
+    "1 * x_(2 0 1)^1 x_(2 2 0)^2",
+    "2 * x_(2 0 0)^1 x_(2 2 0)^1 x_(2 3 1)^1",
+    "2 * x_(2 0 0)^1 x_(2 1 1)^1 x_(2 2 0)^1",
+    "1 * x_(2 0 0)^2 x_(2 2 1)^1",
+    "1 * x_(2 0 0)^2 x_(2 0 1)^1",
+    "2 * x_(0 3 1)^1 x_(2 0 0)^1 x_(2 2 0)^1",
+    "1 * x_(0 2 1)^1 x_(2 2 0)^2",
+    "1 * x_(0 2 1)^1 x_(2 0 0)^2",
+    "2 * x_(0 2 0)^1 x_(2 2 0)^1 x_(3 2 1)^1",
+    "2 * x_(0 2 0)^1 x_(2 2 0)^1 x_(3 0 1)^1",
+    "2 * x_(0 2 0)^1 x_(2 0 0)^1 x_(3 3 1)^1",
+    "2 * x_(0 2 0)^1 x_(2 0 0)^1 x_(3 1 1)^1",
+    "2 * x_(0 2 0)^1 x_(1 3 1)^1 x_(2 0 0)^1",
+    "2 * x_(0 2 0)^1 x_(1 2 1)^1 x_(2 2 0)^1",
+    "2 * x_(0 2 0)^1 x_(1 1 1)^1 x_(2 0 0)^1",
+    "2 * x_(0 2 0)^1 x_(1 0 1)^1 x_(2 2 0)^1",
+    "1 * x_(0 2 0)^2 x_(2 2 1)^1",
+    "1 * x_(0 2 0)^2 x_(2 0 1)^1",
+    "1 * x_(0 2 0)^2 x_(0 2 1)^1",
+    "2 * x_(0 1 1)^1 x_(2 0 0)^1 x_(2 2 0)^1",
+    "1 * x_(0 0 1)^1 x_(2 2 0)^2",
+    "1 * x_(0 0 1)^1 x_(2 0 0)^2",
+    "1 * x_(0 0 1)^1 x_(0 2 0)^2",
+    "2 * x_(0 0 0)^1 x_(2 2 0)^1 x_(3 3 1)^1",
+    "2 * x_(0 0 0)^1 x_(2 2 0)^1 x_(3 1 1)^1",
+    "2 * x_(0 0 0)^1 x_(2 0 0)^1 x_(3 2 1)^1",
+    "2 * x_(0 0 0)^1 x_(2 0 0)^1 x_(3 0 1)^1",
+    "2 * x_(0 0 0)^1 x_(1 3 1)^1 x_(2 2 0)^1",
+    "2 * x_(0 0 0)^1 x_(1 2 1)^1 x_(2 0 0)^1",
+    "2 * x_(0 0 0)^1 x_(1 1 1)^1 x_(2 2 0)^1",
+    "2 * x_(0 0 0)^1 x_(1 0 1)^1 x_(2 0 0)^1",
+    "2 * x_(0 0 0)^1 x_(0 2 0)^1 x_(2 3 1)^1",
+    "2 * x_(0 0 0)^1 x_(0 2 0)^1 x_(2 1 1)^1",
+    "2 * x_(0 0 0)^1 x_(0 2 0)^1 x_(0 3 1)^1",
+    "2 * x_(0 0 0)^1 x_(0 1 1)^1 x_(0 2 0)^1",
+    "1 * x_(0 0 0)^2 x_(2 2 1)^1",
+    "1 * x_(0 0 0)^2 x_(2 0 1)^1",
+    "1 * x_(0 0 0)^2 x_(0 2 1)^1",
+    "1 * x_(0 0 0)^2 x_(0 0 1)^1",
+]
+
+
+def test_joint_jacobi_golden_text_and_json():
+    args = ("joint-jacobi", "z4_small", "z4_small", "--w-weight", "1")
+    assert run(*args) == (0, " + ".join(JOINT_JACOBI_Z4_TERMS) + "\n", "")
+    rows = []
+    for term in JOINT_JACOBI_Z4_TERMS:
+        coeff, _, monomial = term.partition(" * x_(")
+        exps = {}
+        for var in monomial.split(" x_("):
+            symbols, _, power = var.partition(")^")
+            exps["(" + symbols.replace(" ", ",") + ")"] = int(power)
+        rows.append({"exps": exps, "coeff": f"{coeff}/1"})
+    assert run(*args, "--format", "json") == (0, json.dumps(rows) + "\n", "")
+
+
 def test_value_at_intersection_and_ones():
     rc, out, _ = run(
         "avg-joint-jacobi", "e8", "e8", "--w-weight", "1",
@@ -201,6 +284,10 @@ def test_a_code_named_twice_is_loaded_once_per_command(monkeypatch):
     # the next command loads its codes afresh
     run("delta", "e8", "e8", "--w-weight", "1")
     assert calls == ["e8", "e8"]
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_argparse_errors_are_json_too():
