@@ -16,17 +16,20 @@ followed by the second.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .codes import (
     LinearCode,
     _tuple_counts,
+    check_budget,
     check_pair,
     comp_table,
     jacobi_table,
     joint_jacobi_table,
 )
+from .exactnum import CyclotomicIntegers
 from .polynomials import SparsePolynomial
 
 __all__ = [
@@ -117,6 +120,14 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     product of its group images.  A group image depends only on the
     group's exponents and is computed once per call.  Image terms are
     keyed by their nonzero groups until the end.
+
+    The loops do integer arithmetic only: the coefficients are put over
+    one common denominator and carried, like the characters, as
+    exactnum.CyclotomicIntegers forms (ints, or phi(m)-tuples of ints
+    in Z[zeta_m]).  One division by size * denominator at the end turns
+    them back into Fractions and Cyclotomics.  A new group image charges
+    a bound on its expansion steps to the budget, and each expansion of
+    a monomial's partial image charges its term count.
     """
     scale = Fraction(1, size)
     ring = poly.ring
@@ -129,41 +140,62 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
         if (base // stride) % q == 0
     ]
     getters = [itemgetter(*members) for members in groups]
-    # the image of x_a as a polynomial in the group's own q variables
+    chars = [[ring.chi(ring.mul(a, b)) for b in range(q)] for a in range(q)]
+    zints = CyclotomicIntegers(
+        [*poly.terms.values(), *(c for row in chars for c in row)]
+    )
+    times, plus, zero = zints.mul, zints.add, zints.zero
+    one = zints.to_ints(1, 1)
+    # the image of x_a as the q terms chi(ab) x_b of the group's own variables
     unit = [tuple(int(b == c) for c in range(q)) for b in range(q)]
     forms = [
-        SparsePolynomial(ring, 1, {unit[b]: ring.chi(ring.mul(a, b)) for b in range(q)})
+        [(unit[b], zints.columns(zints.to_ints(chars[a][b], 1))) for b in range(q)]
         for a in range(q)
     ]
+
+    def group_image(exps):
+        # each of the d products below expands at most comb(d + q - 1, q - 1) terms
+        d = sum(exps)
+        check_budget(d * q * math.comb(d + q - 1, q - 1), "group image steps")
+        prod = {(0,) * q: one}
+        for form, e in zip(forms, exps):
+            for _ in range(e):
+                nxt: dict = {}
+                for k1, c1 in prod.items():
+                    for k2, c2 in form:
+                        k = tuple(map(add, k1, k2))
+                        c = times(c1, c2)
+                        nxt[k] = plus(nxt[k], c) if k in nxt else c
+                prod = {k: c for k, c in nxt.items() if c != zero}
+        return [(k, zints.columns(c)) for k, c in prod.items()]
+
     images: dict = {}
     out: dict = {}
     for key, coeff in poly.terms.items():
-        partial = [((), coeff)]
+        partial = [((), zints.to_ints(coeff, zints.den))]
         for g, get in enumerate(getters):
             exps = get(key)
             if not any(exps):
                 continue
             image = images.get(exps)
             if image is None:
-                prod = SparsePolynomial.constant(ring, 1, 1)
-                for form, e in zip(forms, exps):
-                    for _ in range(e):
-                        prod = prod * form
-                image = images[exps] = list(prod.terms.items())
+                image = images[exps] = group_image(exps)
+            check_budget(len(partial) * len(image), "transform terms")
             partial = [
-                (k + ((g, ik),), c * ic) for k, c in partial for ik, ic in image
+                (k + ((g, ik),), times(c, ic)) for k, c in partial for ik, ic in image
             ]
         for k, c in partial:
-            total = out.pop(k, 0) + c
-            if total:
+            total = plus(out.pop(k, zero), c)
+            if total != zero:
                 out[k] = total
+    scale /= zints.den
     terms = {}
     for k, c in out.items():
         vec = [0] * nvars
         for g, ik in k:
             for v, e in zip(groups[g], ik):
                 vec[v] = e
-        terms[tuple(vec)] = c * scale
+        terms[tuple(vec)] = zints.to_scalar(c, scale)
     return SparsePolynomial(ring, poly.arity, terms)
 
 

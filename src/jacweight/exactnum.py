@@ -6,17 +6,27 @@ Q[x]/Phi_m(x), so equality is coefficient-wise.  A value that is
 actually rational collapses back to a Fraction via simplify(), and
 code that requires a rational result raises NonRationalValue when a
 root-of-unity part survives.
+
+CyclotomicIntegers is the same canonical form without fractions, for
+hot loops: values are brought over one common denominator and carried
+as ints (phi(m) = 1) or phi(m)-tuples of ints in Z[zeta_m], multiplied
+through zeta^phi mod Phi_m (from cyclotomic_poly and _reduce_mod), and
+turned back into Fractions or Cyclotomics by one division at the end.
+The duality transform in enumerators.py computes this way.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from fractions import Fraction
 
 __all__ = [
     "NonRationalValue",
     "cyclotomic_poly",
     "Cyclotomic",
+    "CyclotomicIntegers",
     "root_of_unity",
     "simplify",
     "to_rational",
@@ -190,6 +200,79 @@ class Cyclotomic:
 
     def __str__(self) -> str:
         return cyclo_text(self)
+
+
+class CyclotomicIntegers:
+    """Integer arithmetic in Z[zeta_m] for scalars put over one denominator.
+
+    Built from the scalars a kernel will meet, m is the one root order
+    among their Cyclotomics (1 when there are none; mixed orders raise
+    ValueError), and den is the least common denominator of all their
+    coefficients.  to_ints(v, d) is d * v, which must be integral, as a
+    plain int when phi(m) = 1 and otherwise as a tuple of phi(m) ints in
+    the basis 1, zeta_m, ..., zeta_m^(phi-1).  A multiplier b is first
+    turned into its columns zeta^j * b for j < phi, each the last one
+    shifted up with its top coefficient folded back through zeta^phi
+    mod Phi_m; mul(a, columns(b)) is then sum_j a_j * zeta^j * b.  For
+    phi(m) = 1, mul and add are the int operators.
+    """
+
+    __slots__ = ("m", "phi", "den", "zero", "mul", "add", "_zeta_phi")
+
+    def __init__(self, values) -> None:
+        orders = {v.m for v in values if isinstance(v, Cyclotomic)}
+        if len(orders) > 1:
+            raise ValueError(
+                f"mixed root orders {sorted(orders)} without explicit lift"
+            )
+        self.m = orders.pop() if orders else 1
+        phi_poly = cyclotomic_poly(self.m)
+        self.phi = len(phi_poly) - 1
+        self._zeta_phi = tuple(_reduce_mod([0] * self.phi + [1], phi_poly))
+        self.den = math.lcm(*(c.denominator for v in values for c in self._parts(v)))
+        if self.phi == 1:
+            self.zero, self.mul, self.add = 0, operator.mul, operator.add
+        else:
+            self.zero, self.mul, self.add = (0,) * self.phi, self._mul, _add_tuples
+
+    def _parts(self, value) -> tuple:
+        if isinstance(value, Cyclotomic):
+            return value.coeffs
+        return (Fraction(value),) + (Fraction(0),) * (self.phi - 1)
+
+    def to_ints(self, value, den: int):
+        ints = tuple(c.numerator * (den // c.denominator) for c in self._parts(value))
+        return ints[0] if self.phi == 1 else ints
+
+    def to_scalar(self, ints, scale: Fraction):
+        """The exact scalar ints * scale."""
+        if self.phi == 1:
+            return ints * scale
+        return Cyclotomic(self.m, tuple(c * scale for c in ints))
+
+    def columns(self, b):
+        if self.phi == 1:
+            return b
+        cols = [b]
+        for _ in range(self.phi - 1):
+            last = cols[-1]
+            top = last[-1]
+            cols.append(
+                tuple(x + top * z for x, z in zip((0,) + last[:-1], self._zeta_phi))
+            )
+        return tuple(cols)
+
+    def _mul(self, a, cols):
+        out = [0] * self.phi
+        for x, col in zip(a, cols):
+            if x:
+                for t, v in enumerate(col):
+                    out[t] += x * v
+        return tuple(out)
+
+
+def _add_tuples(a, b):
+    return tuple(map(operator.add, a, b))
 
 
 def cyclo_text(value: Cyclotomic) -> str:

@@ -215,6 +215,14 @@ def make_ring(kind: str, **params) -> RingSpec:
 def ring_from_json(obj) -> RingSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("ring object must have a 'kind' key")
+    for key in ("p", "f", "k"):
+        if key in obj and type(obj[key]) is not int:
+            raise ValueError(f"{key!r} must be an integer, got {obj[key]!r}")
+    poly = obj.get("primitive_poly")
+    if poly is not None and not (
+        type(poly) is list and all(type(c) is int for c in poly)
+    ):
+        raise ValueError(f"'primitive_poly' must be a list of integers, got {poly!r}")
     return make_ring(**obj)
 
 

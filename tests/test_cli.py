@@ -1,11 +1,14 @@
 import contextlib
+import hashlib
 import io
 import json
+from fractions import Fraction
+
+import pytest
 
 from jacweight import cli
 from jacweight.cli import decimal_string, main
 from jacweight.codes import load_code
-from fractions import Fraction
 
 
 def run(*argv):
@@ -234,6 +237,100 @@ def test_macwilliams_joint_sides():
         )
         assert rc == 0
         assert out.splitlines()[-1] == "EQUAL"
+
+
+# sha256 and byte length of the stdout of
+# "macwilliams NAME NAME --side both --w-weight 1", in text and in JSON
+MACWILLIAMS_BOTH_GOLDENS = {
+    ("f4_small", "text"): (
+        "0fe6deaede599042be399d4651a8a0dfcb684e43a98dc65a3e72e16016779425", 26541
+    ),
+    ("f4_small", "json"): (
+        "94d62428006f025e2f59b284ca8203d581b7145c32961890924e058ea273a4e7", 41740
+    ),
+    ("z4_small", "text"): (
+        "4bcf3ba440b5148577f155b8cd6d0c30d439407805d302c9969c2a79382d9671", 2997
+    ),
+    ("z4_small", "json"): (
+        "ba86c3c5d1c2dcd4c642dac9d840444fb60c49e65dbd2ed51818f68caa58a89a", 5200
+    ),
+}
+
+
+def test_macwilliams_both_goldens_over_f4_and_z4():
+    for (name, fmt), (digest, length) in MACWILLIAMS_BOTH_GOLDENS.items():
+        rc, out, err = run(
+            "macwilliams", name, name, "--side", "both", "--w-weight", "1",
+            "--format", fmt,
+        )
+        assert (rc, err) == (0, "")
+        if fmt == "text":
+            transform, direct, verdict = out.splitlines()
+            assert transform.split(": ", 1)[1] == direct.split(": ", 1)[1]
+            assert verdict == "EQUAL"
+        else:
+            obj = json.loads(out)
+            assert obj["transform"] == obj["direct"]
+            assert obj["verdict"] == "EQUAL"
+        assert len(out.encode()) == length
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (p and generator rows of each code over F_p, --side, --w, the charge
+# that exceeds the budget).  Before the transform the words and the
+# enumerator table charge at most 32 and 18; after it the direct duals'
+# words charge more than the transform.
+TRANSFORM_BUDGET_CASES = [
+    (
+        [(2, [[1] * 8]), (2, [[1] * 4 + [0] * 4, [0] * 4 + [1] * 4])],
+        "first", "01010101", 81, "transform terms",
+    ),
+    ([(3, [[1] * 6])], "single", "000000", 504, "group image steps"),
+]
+
+
+@pytest.mark.parametrize("codes, side, w, count, what", TRANSFORM_BUDGET_CASES)
+def test_macwilliams_exits_2_on_transform_budget(
+    tmp_path, monkeypatch, codes, side, w, count, what
+):
+    paths = []
+    for i, (p, gens) in enumerate(codes):
+        path = tmp_path / f"code{i}.json"
+        ring = {"kind": "field", "p": p}
+        obj = {"name": "", "ring": ring, "n": len(w), "generators": gens}
+        path.write_text(json.dumps(obj))
+        paths.append(str(path))
+    argv = ("macwilliams", *paths, "--side", side, "--w", w)
+    monkeypatch.setenv("JF_BUDGET", str(count - 1))
+    rc, out, err = run(*argv)
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == f"{count} {what} exceed the budget {count - 1}"
+    # at the count itself the transform runs and the direct check is skipped
+    monkeypatch.setenv("JF_BUDGET", str(count))
+    rc, out, _ = run(*argv)
+    assert rc == 0
+    assert out.startswith("transform: ")
+    assert len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "ring, message",
+    [
+        ({"kind": "modring", "k": 4.5}, "'k' must be an integer, got 4.5"),
+        ({"kind": "field", "p": "2"}, "'p' must be an integer, got '2'"),
+        (
+            {"kind": "field", "p": 2, "f": 2, "primitive_poly": "111"},
+            "'primitive_poly' must be a list of integers, got '111'",
+        ),
+    ],
+)
+def test_bad_ring_objects_exit_2_with_a_plain_message(tmp_path, ring, message):
+    path = tmp_path / "code.json"
+    obj = {"name": "", "ring": ring, "n": 2, "generators": [[1, 1]]}
+    path.write_text(json.dumps(obj))
+    rc, out, err = run("cwe", str(path))
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": f"bad ring object: {message}"}
 
 
 def test_macwilliams_single_rejects_second_code():

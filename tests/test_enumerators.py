@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import get_code, random_code, random_mask
 from jacweight.averages import all_ones_point
 from jacweight.codes import BudgetExceeded, LinearCode
 from jacweight.enumerators import (
+    _macwilliams,
     collapse,
     cwe,
     cwe_genus,
@@ -18,6 +21,8 @@ from jacweight.enumerators import (
     macwilliams_second,
     macwilliams_single,
 )
+from jacweight.exactnum import Cyclotomic
+from jacweight.polynomials import SparsePolynomial
 from jacweight.rings import field_ring, modular_ring
 
 F2 = field_ring(2)
@@ -27,6 +32,8 @@ F8 = field_ring(2, 3)
 F9 = field_ring(3, 2)
 Z4 = modular_ring(4)
 Z6 = modular_ring(6)
+Z8 = modular_ring(8)
+Z12 = modular_ring(12)
 
 
 def ring_cases(*cases):
@@ -217,3 +224,87 @@ def test_joint_budget_gate(monkeypatch):
     b = LinearCode(F2, 3, ((1, 1, 1), (1, 0, 1)))
     with pytest.raises(BudgetExceeded, match="tuples of codewords"):
         joint_cwe(a, b)
+
+
+def generic_transform(poly, slot, size):
+    """Oracle for _macwilliams by plain substitution.
+
+    Each x_s becomes sum_b chi(s[slot] b) x_(s with b in slot); the
+    result is scaled by 1/size.
+    """
+    ring = poly.ring
+    rules = {}
+    for v in {v for key in poly.terms for v, e in enumerate(key) if e}:
+        s = poly.var_tuple(v)
+        image = {}
+        for b in ring.elements:
+            exps = [0] * poly.nvars
+            exps[poly.var_index(s[:slot] + (b,) + s[slot + 1:])] = 1
+            image[tuple(exps)] = ring.chi(ring.mul(s[slot], b))
+        rules[v] = SparsePolynomial(ring, poly.arity, image)
+    return poly.substitute(rules).scale(Fraction(1, size))
+
+
+fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def transform_cases(draw, ring):
+    """(poly, slot, size): a random polynomial that is not an enumerator.
+
+    Its coefficients are Fractions and Cyclotomics with fractional parts,
+    of the ring's root order, or of order 3 to 5 when the ring's
+    characters are rational.
+    """
+    arity = draw(st.sampled_from((2, 3)))
+    nvars = ring.order**arity
+    m = ring.root_order if ring.root_order > 2 else draw(st.integers(3, 5))
+    scalars = st.one_of(
+        fractions,
+        st.builds(
+            lambda cs: Cyclotomic(m, cs), st.lists(fractions, min_size=1, max_size=5)
+        ),
+    )
+    max_degree = 3 if nvars <= 64 else 2
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        exps = [0] * nvars
+        for _ in range(draw(st.integers(1, max_degree))):
+            exps[draw(st.integers(0, nvars - 1))] += 1
+        terms[tuple(exps)] = draw(scalars)
+    sizes = st.builds(Fraction, st.integers(1, 30), st.integers(1, 7))
+    size = draw(st.one_of(st.integers(1, 30), sizes))
+    return SparsePolynomial(ring, arity, terms), draw(st.integers(0, arity - 1)), size
+
+
+@pytest.mark.parametrize(
+    "ring", ring_cases((F2,), (F3,), (F4,), (F8,), (F9,), (Z4,), (Z6,), (Z8,), (Z12,))
+)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_macwilliams_matches_generic_substitution(ring, data):
+    poly, slot, size = data.draw(transform_cases(ring))
+    assert _macwilliams(poly, slot, size) == generic_transform(poly, slot, size)
+
+
+def test_transform_term_budget_gate(monkeypatch):
+    # the words cost 2 * 8 and 4 * 8 codeword symbols and the table 2 * 4
+    # tuples; the four groups' images charge at most 40 steps, and
+    # expanding them multiplies out to 81 terms
+    code_c = LinearCode(F2, 8, ((1,) * 8,))
+    code_d = LinearCode(F2, 8, ((1,) * 4 + (0,) * 4, (0,) * 4 + (1,) * 4))
+    monkeypatch.setenv("JF_BUDGET", "60")
+    p = joint_jacobi(code_c, code_d, (0, 1) * 4)
+    with pytest.raises(BudgetExceeded, match="^81 transform terms exceed"):
+        _macwilliams(p, 0, code_c.size)
+
+
+def test_group_image_budget_gate(monkeypatch):
+    # the words cost 3 * 6 codeword symbols and the table 3 tuples; the
+    # image (x_0 + x_1 + x_2)^6 of x_(0 0)^6 takes 6 products of at most
+    # 28 terms by 3 terms
+    code = LinearCode(F3, 6, ((1,) * 6,))
+    monkeypatch.setenv("JF_BUDGET", "100")
+    p = jacobi(code, (0,) * 6)
+    with pytest.raises(BudgetExceeded, match="^504 group image steps exceed"):
+        _macwilliams(p, 0, code.size)

@@ -147,3 +147,35 @@ def test_json_shapes():
     }
     assert ring_to_json(modular_ring(4)) == {"kind": "modring", "k": 4}
     assert ring_from_json({"kind": "field", "p": 3}).order == 3
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"kind": "modring", "k": 4.5}, "'k' must be an integer, got 4.5"),
+        ({"kind": "modring", "k": True}, "'k' must be an integer, got True"),
+        ({"kind": "field", "p": "2"}, "'p' must be an integer, got '2'"),
+        ({"kind": "field", "p": 2, "f": 2.0}, "'f' must be an integer, got 2.0"),
+        ({"kind": "field", "p": 2, "f": None}, "'f' must be an integer, got None"),
+        (
+            {"kind": "field", "p": 2, "f": 2, "primitive_poly": "111"},
+            "'primitive_poly' must be a list of integers, got '111'",
+        ),
+        (
+            {"kind": "field", "p": 2, "f": 2, "primitive_poly": [1, 1.0, 1]},
+            "'primitive_poly' must be a list of integers, got [1, 1.0, 1]",
+        ),
+    ],
+)
+def test_ring_from_json_rejects_non_integer_parameters(obj, message):
+    with pytest.raises(ValueError) as info:
+        ring_from_json(obj)
+    assert str(info.value) == message
+
+
+def test_ring_from_json_accepts_well_formed_objects():
+    f4 = {"kind": "field", "p": 2, "f": 2, "primitive_poly": [1, 1, 1]}
+    assert ring_from_json(f4) == field_ring(2, 2)
+    f4_default = {"kind": "field", "p": 2, "f": 2, "primitive_poly": None}
+    assert ring_from_json(f4_default) == field_ring(2, 2)
+    assert ring_from_json({"kind": "modring", "k": 6}) == modular_ring(6)
