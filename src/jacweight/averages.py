@@ -39,7 +39,7 @@ from operator import itemgetter
 
 from .codes import (
     LinearCode,
-    _tuple_counts,
+    _direct_counts,
     check_budget,
     check_mask,
     check_pair,
@@ -191,7 +191,7 @@ def _brute_average(code: LinearCode, others, w) -> SparsePolynomial:
     counts: Counter = Counter()
     for sigma in itertools.permutations(range(n)):
         permuted = [permute_word(u, sigma) for u in code.words]
-        counts.update(_tuple_counts(code.ring, [permuted, *fixed_lists], (w,)))
+        counts.update(_direct_counts(code.ring, [permuted, *fixed_lists], (w,)))
     total = math.factorial(n)
     terms = {key: Fraction(mult, total) for key, mult in counts.items()}
     return SparsePolynomial(code.ring, 2 + len(others), terms)

@@ -517,6 +517,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.digits < 1:
+        parser.error(f"argument --digits: must be at least 1, got {args.digits}")
     # one load per code name for this command: a code named twice is
     # enumerated once, and nothing outlives the call
     args.load = functools.cache(load_code)

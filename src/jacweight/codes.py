@@ -7,7 +7,9 @@ from the ring's tables alone, gives every dual and every code size over
 fields and Z_k alike, with no word enumerated.  One kernel counts every
 composition: the column symbol tuples of each word tuple in a product of
 word lists, with fixed words such as a mask; each distribution table is
-one call.
+one call.  It walks every word tuple, or, for two or more lists built as
+direct sums plus glue, cuts the positions in half and sums products of
+half tables over the glue cosets, the halves counted by the same walk.
 """
 
 from __future__ import annotations
@@ -253,42 +255,136 @@ def _echelon(ring: RingSpec, rows, ncols: int):
 
 # ---- distribution tables -------------------------------------------------
 
+# Tables over fewer word tuples than this stay on the direct route.
+SPLIT_FLOOR = 1024
+
 
 def _tuple_counts(ring: RingSpec, word_lists, fixed=()) -> dict[tuple[int, ...], int]:
     """{composition: multiplicity} over word_lists[0] x ... x word_lists[k-1].
 
     Position i of a word tuple (u_1, ..., u_k) counts at the column index
     ((u_1[i] * q + u_2[i]) * q + ...) * q + f_m[i], f_1 ... f_m being the
-    fixed words.  Each tuple from the first k - 1 lists is summed with the
-    fixed words into a prefix once.  A composition is held as one integer
-    in base n + 1, a digit per column index in use, so that for each prefix
-    a place-value table per position makes a word of the last list one sum.
+    fixed words.  The |L_1| ... |L_k| word tuples of two or more lists are
+    charged to the budget before either of two routes runs:
+
+    * the direct route (`_direct_counts`) walks every word tuple;
+    * the split route (`_split_counts`) cuts each list into the product
+      sets of `_glue_cosets` over the halves [0, n // 2) and [n // 2, n),
+      and sums, over the tuples of cosets, the direct tables of their left
+      halves convolved with those of their right halves.
+
+    A table splits when it has two or more lists and at least SPLIT_FLOOR
+    word tuples, and eight times the word tuples of all its half tables
+    is at most its own word tuples.  Those half-table tuples are, per half,
+    the product over the lists of the summed coset halves, so the rule
+    costs one pass over the words.  Single lists, small tables and codes
+    far from a direct sum, such as g24 (4096 one-word cosets) paired with
+    itself, stay direct.
     """
-    q = ring.order
     n = len(word_lists[0][0])
-    base = (0,) * n
     for f in fixed:
         check_mask(ring, n, f)
-        base = tuple(b * q + s for b, s in zip(base, f))
     if len(word_lists) > 1:
-        check_budget(math.prod(map(len, word_lists)), "tuples of codewords")
-    nvars = q ** (len(word_lists) + len(fixed))
-    place = nvars
+        tuples = math.prod(map(len, word_lists))
+        check_budget(tuples, "tuples of codewords")
+        if tuples >= SPLIT_FLOOR:
+            cosets = [_glue_cosets(words, n // 2) for words in word_lists]
+            if None not in cosets and 8 * (
+                math.prod(sum(len(lefts) for lefts, _ in cs) for cs in cosets)
+                + math.prod(sum(len(rights) for _, rights in cs) for cs in cosets)
+            ) <= tuples:
+                return _split_counts(ring, cosets, fixed, n)
+    return _direct_counts(ring, word_lists, fixed)
+
+
+def _glue_cosets(words, h: int):
+    """The cosets of C_L + C_R in a code's words, as (lefts, rights) pairs.
+
+    C_L holds the words zero on the positions from h on, and C_R those
+    zero before h.  Each coset is the product set of its left halves and
+    its right halves, and distinct cosets share neither: grouping the
+    words by right half, the right halves with equal sets of left halves
+    make one coset.  Any list of distinct words is cut this way into
+    disjoint product sets; a list that repeats a word gives None.
+    """
+    lefts_of = defaultdict(list)
+    for u in words:
+        lefts_of[u[h:]].append(u[:h])
+    groups: dict[frozenset, tuple[list, list]] = {}
+    for right, lefts in lefts_of.items():
+        key = frozenset(lefts)
+        if len(key) < len(lefts):
+            return None
+        groups.setdefault(key, (lefts, []))[1].append(right)
+    return list(groups.values())
+
+
+def _direct_counts(ring: RingSpec, word_lists, fixed=()) -> dict[tuple[int, ...], int]:
+    """The table of `_tuple_counts` by the walk over every word tuple, with
+    no check and no charge."""
+    n = len(word_lists[0][0])
+    power = _place_values(n)
+    sums = _packed_counts(ring, word_lists, fixed, power)
+    return _unpack(sums, power, n, ring.order ** (len(word_lists) + len(fixed)))
+
+
+def _split_counts(ring: RingSpec, cosets, fixed, n: int) -> dict[tuple[int, ...], int]:
+    """The table of `_tuple_counts` from the cosets of each list: for each
+    tuple of cosets, every composition of its left halves against the
+    fixed words' left halves adds to every one of its right halves, and
+    the multiplicities multiply."""
+    h = n // 2
+    left_fixed = [f[:h] for f in fixed]
+    right_fixed = [f[h:] for f in fixed]
+    power = _place_values(n)
+    sums: Counter = Counter()
+    for parts in itertools.product(*cosets):
+        left = _packed_counts(ring, [a for a, _ in parts], left_fixed, power)
+        right = _packed_counts(ring, [b for _, b in parts], right_fixed, power)
+        for x, mx in left.items():
+            sums.update({x + y: mx * my for y, my in right.items()})
+    return _unpack(sums, power, n, ring.order ** (len(cosets) + len(fixed)))
+
+
+def _place_values(n: int) -> defaultdict:
+    """{column index: place value}, the r-th index looked up getting
+    (n + 1) ** r: a composition of n positions, or of part of them, is one
+    integer with a base n + 1 digit per column index in use, and the
+    compositions of two parts add as integers."""
+    power: defaultdict = defaultdict(lambda: (n + 1) ** len(power))
+    return power
+
+
+def _packed_counts(ring: RingSpec, word_lists, fixed, power) -> Counter:
+    """{packed composition: multiplicity} over every word tuple.
+
+    Each tuple from the first k - 1 lists is summed with the fixed words
+    into a prefix once, so that for each prefix a place-value table per
+    position makes a word of the last list one sum.
+    """
+    q = ring.order
+    base = (0,) * len(word_lists[0][0])
+    for f in fixed:
+        base = tuple(b * q + s for b, s in zip(base, f))
+    place = q ** (len(word_lists) + len(fixed))
     scaled = []
     for words in word_lists[:-1]:
         place //= q
         lookup = [s * place for s in range(q)].__getitem__
         scaled.append([tuple(map(lookup, u)) for u in words])
     steps = [s * place // q for s in range(q)]
-    radix = n + 1
-    # the r-th column index looked up gets the place value radix ** r
-    power = defaultdict(lambda: radix ** len(power))
     column = list.__getitem__
     sums: Counter = Counter()
     for rows in itertools.product(*scaled):
         prefix = map(sum, zip(base, *rows))
         cols = [[power[x + step] for step in steps] for x in prefix]
         sums.update(sum(map(column, cols, u)) for u in word_lists[-1])
+    return sums
+
+
+def _unpack(sums, power, n: int, nvars: int) -> dict[tuple[int, ...], int]:
+    """{composition: multiplicity} from packed compositions."""
+    radix = n + 1
     table: dict[tuple[int, ...], int] = {}
     for total, mult in sums.items():
         counts = [0] * nvars
@@ -330,14 +426,14 @@ def code_from_json(obj) -> LinearCode:
     except (KeyError, TypeError, ValueError) as exc:
         raise CodeFormatError(f"bad ring object: {exc}") from exc
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise CodeFormatError("n must be a positive integer")
     gens = obj["generators"]
     if not isinstance(gens, list):
         raise CodeFormatError("generators must be a list of rows")
     rows = []
     for row in gens:
-        if not isinstance(row, list) or not all(isinstance(s, int) for s in row):
+        if not isinstance(row, list) or not all(type(s) is int for s in row):
             raise CodeFormatError("generator rows must be lists of integers")
         rows.append(tuple(row))
     name = obj.get("name", "")

@@ -213,17 +213,21 @@ class SparsePolynomial:
         """Terms sorted lexicographically by full exponent vector."""
         return sorted(self.terms.items())
 
-    def _var_name(self, index: int) -> str:
-        return "x_(" + " ".join(str(s) for s in self.var_tuple(index)) + ")"
+    def _var_names(self, template: str, sep: str) -> list[str]:
+        """The name of every variable: template filled with its symbols
+        joined by sep, built once per rendering."""
+        return [
+            template.format(sep.join(map(str, self.var_tuple(v))))
+            for v in range(self.nvars)
+        ]
 
     def render_text(self) -> str:
         if not self.terms:
             return "0"
+        names = self._var_names("x_({})", " ")
         parts = []
         for key, coeff in self.canonical_items():
-            factors = [
-                f"{self._var_name(v)}^{e}" for v, e in enumerate(key) if e > 0
-            ]
+            factors = [f"{names[v]}^{e}" for v, e in enumerate(key) if e > 0]
             if factors:
                 parts.append(f"{scalar_text(coeff)} * " + " ".join(factors))
             else:
@@ -231,13 +235,10 @@ class SparsePolynomial:
         return " + ".join(parts)
 
     def to_json_obj(self):
+        names = self._var_names("({})", ",")
         out = []
         for key, coeff in self.canonical_items():
-            exps = {}
-            for v, e in enumerate(key):
-                if e > 0:
-                    name = "(" + ",".join(str(s) for s in self.var_tuple(v)) + ")"
-                    exps[name] = e
+            exps = {names[v]: e for v, e in enumerate(key) if e > 0}
             out.append({"exps": exps, "coeff": scalar_to_json(coeff)})
         return out
 

@@ -204,12 +204,19 @@ def modular_ring(k: int) -> RingSpec:
 
 def make_ring(kind: str, **params) -> RingSpec:
     if kind == "field":
+        _require_key(params, kind, "p")
         return field_ring(
             params["p"], params.get("f", 1), params.get("primitive_poly")
         )
     if kind == "modring":
+        _require_key(params, kind, "k")
         return modular_ring(params["k"])
     raise ValueError(f"unknown ring kind {kind!r}")
+
+
+def _require_key(params, kind: str, key: str) -> None:
+    if key not in params:
+        raise ValueError(f"a {kind!r} ring needs the key {key!r}")
 
 
 def ring_from_json(obj) -> RingSpec:

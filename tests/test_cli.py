@@ -333,6 +333,61 @@ def test_bad_ring_objects_exit_2_with_a_plain_message(tmp_path, ring, message):
     assert json.loads(err) == {"error": f"bad ring object: {message}"}
 
 
+@pytest.mark.parametrize(
+    "ring, message",
+    [
+        ({"kind": "field"}, "a 'field' ring needs the key 'p'"),
+        ({"kind": "modring"}, "a 'modring' ring needs the key 'k'"),
+    ],
+)
+def test_ring_objects_without_their_size_key_exit_2(tmp_path, ring, message):
+    path = tmp_path / "code.json"
+    obj = {"name": "", "ring": ring, "n": 2, "generators": [[1, 1]]}
+    path.write_text(json.dumps(obj))
+    rc, out, err = run("cwe", str(path))
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": f"bad ring object: {message}"}
+
+
+@pytest.mark.parametrize(
+    "n, generators, message",
+    [
+        (True, [[1]], "n must be a positive integer"),
+        (2, [[True, 1]], "generator rows must be lists of integers"),
+    ],
+)
+def test_bools_in_code_files_exit_2(tmp_path, n, generators, message):
+    path = tmp_path / "code.json"
+    obj = {"name": "", "ring": {"kind": "field", "p": 2}, "n": n,
+           "generators": generators}
+    path.write_text(json.dumps(obj))
+    rc, out, err = run("cwe", str(path))
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": message}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("delta", "e8", "e8", "--w-weight", "1", "--digits", "-5"),
+        ("delta", "e8", "e8", "--w-weight", "1", "--digits", "0"),
+        ("delta", "e8", "e8", "--w-weight", "1", "--method", "mc", "--digits", "0"),
+        ("avg-joint-jacobi", "e8", "e8", "--w-weight", "1", "--value-at", "ones",
+         "--digits", "0"),
+    ],
+)
+def test_digits_below_one_exit_2(argv):
+    rc, out, err = run(*argv)
+    assert (rc, out) == (2, "")
+    digits = argv[argv.index("--digits") + 1]
+    assert json.loads(err) == {
+        "error": f"argument --digits: must be at least 1, got {digits}"
+    }
+    rc, out, _ = run(*argv[:-1], "1")
+    assert rc == 0
+    assert out
+
+
 def test_macwilliams_single_rejects_second_code():
     rc, out, err = run("macwilliams", "e8", "e8", "--side", "single", "--w-weight", "1")
     assert rc == 2

@@ -251,6 +251,29 @@ def test_code_from_json_rejects_malformed(obj):
         code_from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (
+            {"ring": {"kind": "field", "p": 2}, "n": True, "generators": [[1]]},
+            "n must be a positive integer",
+        ),
+        (
+            {"ring": {"kind": "field", "p": 2}, "n": 2, "generators": [[True, 1]]},
+            "generator rows must be lists of integers",
+        ),
+        (
+            {"ring": {"kind": "field", "p": 3}, "n": 2, "generators": [[1, False]]},
+            "generator rows must be lists of integers",
+        ),
+    ],
+)
+def test_code_from_json_rejects_bools(obj, message):
+    with pytest.raises(CodeFormatError) as info:
+        code_from_json(obj)
+    assert str(info.value) == message
+
+
 def test_load_code_resolution(tmp_path, monkeypatch):
     assert resolve_code_path("e8").name == "e8.json"
     assert resolve_code_path("e8.json").name == "e8.json"

@@ -173,6 +173,21 @@ def test_ring_from_json_rejects_non_integer_parameters(obj, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"kind": "field"}, "a 'field' ring needs the key 'p'"),
+        ({"kind": "field", "f": 2}, "a 'field' ring needs the key 'p'"),
+        ({"kind": "modring"}, "a 'modring' ring needs the key 'k'"),
+        ({"kind": "modring", "p": 4}, "a 'modring' ring needs the key 'k'"),
+    ],
+)
+def test_ring_from_json_names_the_missing_size_key(obj, message):
+    with pytest.raises(ValueError) as info:
+        ring_from_json(obj)
+    assert str(info.value) == message
+
+
 def test_ring_from_json_accepts_well_formed_objects():
     f4 = {"kind": "field", "p": 2, "f": 2, "primitive_poly": [1, 1, 1]}
     assert ring_from_json(f4) == field_ring(2, 2)

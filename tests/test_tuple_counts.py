@@ -1,5 +1,6 @@
 """Every composition table, joint enumerator and brute average against a
-literal count, word tuple by word tuple."""
+literal count, word tuple by word tuple; and the split route of the
+counting kernel against its direct route."""
 
 import itertools
 import math
@@ -8,12 +9,19 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jacweight.codes as codes_module
 from conftest import get_code, random_code, random_mask
 from jacweight.averages import brute_avg_jacobi, brute_avg_joint_jacobi
 from jacweight.codes import (
+    SPLIT_FLOOR,
     LinearCode,
+    _direct_counts,
+    _glue_cosets,
+    _split_counts,
+    _tuple_counts,
     comp_table,
     jacobi_table,
     joint_jacobi_table,
@@ -132,3 +140,172 @@ def test_comp_table_is_counted_once_per_code(monkeypatch):
     # an equal but distinct code object counts afresh
     comp_table(LinearCode(RINGS["F3"], 3, code.generators))
     assert len(calls) == 2
+
+
+# ---- the split route -------------------------------------------------------
+
+# word tuples of a generated case, so that the literal count stays quick
+TUPLE_LIMIT = 4096
+
+
+@st.composite
+def glued_cases(draw):
+    """Two or three codes of one length n <= 7 over one ring, each spanned
+    by rows on the first n // 2 positions, rows on the rest and glue rows on
+    all of them, with at most TUPLE_LIMIT word tuples; and up to two fixed
+    words, while a composition has at most 1024 column indices."""
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    n = draw(st.integers(1, 7))
+    h = n // 2
+    symbols = st.integers(0, ring.order - 1)
+
+    def rows_on(lo, hi):
+        return st.tuples(*[symbols if lo <= i < hi else st.just(0) for i in range(n)])
+
+    row = st.one_of(rows_on(0, h), rows_on(h, n), rows_on(0, n))
+    word_lists = []
+    tuples = 1
+    for _ in range(draw(st.integers(2, 3))):
+        code = LinearCode(ring, n, ())
+        for _ in range(draw(st.integers(0, 6))):
+            grown = LinearCode(ring, n, code.generators + (draw(row),))
+            if tuples * grown.size > TUPLE_LIMIT:
+                break
+            code = grown
+        word_lists.append(code.words)
+        tuples *= code.size
+    arity = len(word_lists)
+    while arity < len(word_lists) + 2 and ring.order ** (arity + 1) <= 1024:
+        arity += 1
+    fixed = draw(st.lists(st.tuples(*[symbols] * n), max_size=arity - len(word_lists)))
+    return ring, word_lists, fixed
+
+
+@given(glued_cases())
+@settings(max_examples=100, deadline=None)
+def test_split_route_matches_the_direct_and_literal_counts(case):
+    ring, word_lists, fixed = case
+    n = len(word_lists[0][0])
+    literal = literal_counts(ring, word_lists, fixed)
+    assert _direct_counts(ring, word_lists, fixed) == literal
+    assert _tuple_counts(ring, word_lists, fixed) == literal
+    cosets = [_glue_cosets(words, n // 2) for words in word_lists]
+    for words, parts in zip(word_lists, cosets):
+        glued = [a + b for lefts, rights in parts for a in lefts for b in rights]
+        assert sorted(glued) == sorted(words)
+    # the split route whether or not the rule would take it
+    assert _split_counts(ring, cosets, fixed, n) == literal
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """The calls of the split route while the test runs."""
+    calls = []
+    split = codes_module._split_counts
+
+    def counting(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(codes_module, "_split_counts", counting)
+    return calls
+
+
+def test_the_rule_takes_the_split_at_the_floor(splits):
+    """A direct sum of two 4-word codes: 256 pair tuples stay direct below
+    the floor, and its 4096 triples split."""
+    f2 = RINGS["F2"]
+    code = LinearCode(f2, 4, ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1)))
+    assert [(len(a), len(b)) for a, b in _glue_cosets(code.words, 2)] == [(4, 4)]
+    w = (1, 0, 0, 1)
+    pair = [code.words] * 2
+    assert len(code.words) ** 2 < SPLIT_FLOOR
+    assert _tuple_counts(f2, pair, (w,)) == literal_counts(f2, pair, (w,))
+    assert splits == []
+    triple = [code.words] * 3
+    assert len(code.words) ** 3 >= SPLIT_FLOOR
+    assert _tuple_counts(f2, triple, (w,)) == literal_counts(f2, triple, (w,))
+    assert len(splits) == 1
+
+
+def unit_rows(n, *supports):
+    return tuple(tuple(int(j in support) for j in range(n)) for support in supports)
+
+
+@pytest.mark.parametrize(
+    "rows, sizes",
+    [
+        # words (a, a): no word is zero on a half, so every coset is one word
+        (unit_rows(10, *[(i, i + 5) for i in range(5)]), [(1, 1)] * 32),
+        # 2-word C_L and C_R and three glue rows: 8 cosets of 2 x 2 words,
+        # 8 * (16^2 + 16^2) half-table tuples against 32^2 tuples
+        (unit_rows(10, (0, 1), (5, 6), (2, 7), (3, 8), (4, 9)), [(2, 2)] * 8),
+    ],
+)
+def test_the_rule_refuses_codes_with_too_little_glue_structure(splits, rows, sizes):
+    f2 = RINGS["F2"]
+    code = LinearCode(f2, 10, rows)
+    cosets = _glue_cosets(code.words, 5)
+    assert [(len(a), len(b)) for a, b in cosets] == sizes
+    pair = [code.words] * 2
+    assert len(code.words) ** 2 >= SPLIT_FLOOR
+    w = (1,) * 3 + (0,) * 7
+    assert _tuple_counts(f2, pair, (w,)) == literal_counts(f2, pair, (w,))
+    assert splits == []
+
+
+def test_single_lists_and_repeated_words_stay_direct(splits):
+    f2 = RINGS["F2"]
+    # F2^6, the product of its halves: one coset
+    code = LinearCode(f2, 6, unit_rows(6, *[(i,) for i in range(6)]))
+    w = (0, 1, 1, 0, 0, 1)
+    assert jacobi_table(code, w) == literal_counts(f2, [code.words], (w,))
+    cwe_genus(code, 1)
+    # a list that repeats its words is no set of product cosets
+    doubled = list(code.words) * 2
+    assert _glue_cosets(doubled, 3) is None
+    lists = [doubled, code.words]
+    assert _tuple_counts(f2, lists, (w,)) == literal_counts(f2, lists, (w,))
+    assert splits == []
+
+
+def test_the_fixtures_glue_cosets():
+    """|C_L| = |C_R| = 16 for e8x2 (1 coset), 8 for d16plus (4 cosets) and
+    32 for d24plus (4 cosets); every word of g24 is a coset."""
+    for name, sizes in (
+        ("e8x2", [(16, 16)]),
+        ("d16plus", [(8, 8)] * 4),
+        ("d24plus", [(32, 32)] * 4),
+        ("g24", [(1, 1)] * 4096),
+    ):
+        code = get_code(name)
+        cosets = _glue_cosets(code.words, code.n // 2)
+        assert [(len(a), len(b)) for a, b in cosets] == sizes
+
+
+def test_pair_tables_of_the_glued_fixtures_split(splits):
+    """The joint Jacobi tables of e8x2 x d16plus at two masks of each weight
+    1 to 8, and both orders of their joint cwe, equal the direct walk."""
+    e8x2, d16plus = get_code("e8x2"), get_code("d16plus")
+    rng = random.Random("e8x2-d16plus")
+    masks = []
+    for k in range(1, 9):
+        masks.append((1,) * k + (0,) * (16 - k))
+        masks.append(tuple(rng.sample([1] * k + [0] * (16 - k), 16)))
+    pair = [e8x2.words, d16plus.words]
+    for w in masks:
+        assert joint_jacobi_table(e8x2, d16plus, w) == _direct_counts(
+            e8x2.ring, pair, (w,)
+        )
+    for first, second in ((e8x2, d16plus), (d16plus, e8x2)):
+        direct = _direct_counts(first.ring, [first.words, second.words])
+        assert joint_cwe(first, second).terms == as_fractions(direct)
+    assert len(splits) == len(masks) + 2
+
+
+def test_d24plus_pair_table_splits(splits):
+    d24plus = get_code("d24plus")
+    table = joint_jacobi_table(d24plus, d24plus, (1,) + (0,) * 23)
+    assert len(splits) == 1
+    assert sum(table.values()) == 4096**2
+    assert len(table) == 364
