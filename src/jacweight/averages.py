@@ -415,11 +415,13 @@ def monte_carlo_delta(
     q^|K| reaches 2^62, or |K| symbols of the bit length of q - 1 pass 62
     bits, the pure-Python route draws random.Random(seed) shuffles instead:
     over F2 with |K| <= 64 it ranks them as above, in int64 rows whose bit
-    63 is the sign bit, and otherwise it counts agreeing pairs.
+    63 is the sign bit, and otherwise it counts agreeing pairs.  The samples
+    are charged to the budget before any is drawn.
     """
     _check_pair(code_c, code_d, w)
     if samples < 1:
         raise ValueError("samples must be positive")
+    check_budget(samples, "samples")
     n = code_c.n
     q = code_c.ring.order
     keep = _zero_positions(w)

@@ -10,6 +10,10 @@ word lists, with fixed words such as a mask; each distribution table is
 one call.  It walks every word tuple, or, for two or more lists built as
 direct sums plus glue, cuts the positions in half and sums products of
 half tables over the glue cosets, the halves counted by the same walk.
+The single-code tables, `comp_table` and `jacobi_table`, take another
+route when the ring has order 2: each word is an int with bit i for
+position i, and its composition is its popcount in each class of
+positions with equal fixed-word symbols, so no word tuple is built.
 """
 
 from __future__ import annotations
@@ -169,8 +173,21 @@ class LinearCode:
         return tuple(words)
 
     @cached_property
+    def _bits(self) -> tuple[int, ...]:
+        """The words of a code over a ring of order 2 as ints, bit i for
+        position i, in the order of `words`: the same walk, each multiple
+        of a generator added by an XOR with its bit mask, and charged the
+        same |C| * n codeword symbols before a word is built."""
+        check_budget(self.size * self.n, "codeword symbols")
+        words = [0]
+        for gen in self.generators:
+            mask = sum(s << i for i, s in enumerate(gen))
+            words = list(dict.fromkeys(x for u in words for x in (u, u ^ mask)))
+        return tuple(words)
+
+    @cached_property
     def _comp_table(self) -> dict[tuple[int, ...], int]:
-        return _tuple_counts(self.ring, [self.words])
+        return _code_counts(self, ())
 
     @cached_property
     def word_set(self) -> frozenset:
@@ -188,10 +205,13 @@ class LinearCode:
         return tuple(u) in self.word_set
 
     def weight_distribution(self) -> dict[int, int]:
+        """{weight: codewords}, in the first-occurrence order of the words:
+        a composition of weight n less its count of symbol 0 first occurs
+        at the first word of that weight."""
         dist: dict[int, int] = {}
-        for u in self.words:
-            w = weight(u)
-            dist[w] = dist.get(w, 0) + 1
+        for comp, mult in comp_table(self).items():
+            w = self.n - comp[0]
+            dist[w] = dist.get(w, 0) + mult
         return dist
 
     def permute(self, sigma) -> "LinearCode":
@@ -394,14 +414,66 @@ def _unpack(sums, power, n: int, nvars: int) -> dict[tuple[int, ...], int]:
     return table
 
 
+def _code_counts(code: LinearCode, fixed) -> dict[tuple[int, ...], int]:
+    """The table of `_tuple_counts` over one code's words: by popcount
+    (`_bit_counts`) when the ring has order 2, by the kernel otherwise."""
+    if code.ring.order != 2:
+        return _tuple_counts(code.ring, [code.words], fixed)
+    # charged before the masks are checked, in the kernel route's order
+    bits = code._bits
+    for f in fixed:
+        check_mask(code.ring, code.n, f)
+    return _bit_counts(bits, code.n, fixed)
+
+
+def _bit_counts(bits, n: int, fixed) -> dict[tuple[int, ...], int]:
+    """The table of `_tuple_counts` over one list of words of a ring of
+    order 2, each packed as an int with bit i for position i.
+
+    Position i falls in class r, r being its fixed-word column
+    (f_1[i], ..., f_m[i]) read in base 2, so that a mask gives at most two
+    classes.  A word with k ones in class r counts k at column index
+    2^m + r and the rest of the class at r.  Its key is its popcount in
+    each class in use; equal keys mean equal compositions, so the table
+    keeps the first-occurrence order of the direct walk.
+    """
+    index = [0] * n
+    for f in fixed:
+        index = [2 * r + s for r, s in zip(index, f)]
+    classes = [0] * 2 ** len(fixed)
+    for i, r in enumerate(index):
+        classes[r] |= 1 << i
+    used = [r for r, c in enumerate(classes) if c]
+    keys = Counter(
+        zip(*[map(int.bit_count, map(classes[r].__and__, bits)) for r in used])
+    )
+    ones_at = len(classes)
+    table: dict[tuple[int, ...], int] = {}
+    for key, mult in keys.items():
+        counts = [0] * (2 * ones_at)
+        for r, ones in zip(used, key):
+            counts[r] = classes[r].bit_count() - ones
+            counts[ones_at + r] = ones
+        table[tuple(counts)] = mult
+    return table
+
+
 def comp_table(code: LinearCode) -> dict[tuple[int, ...], int]:
-    """Composition distribution A_L, counted once per code: do not mutate it."""
+    """Composition distribution A_L, counted once per code: do not mutate it.
+
+    Over a ring of order 2 it is counted by popcount from the packed
+    words (`_bit_counts`), else by `_tuple_counts`; the tables are equal,
+    key order included."""
     return code._comp_table
 
 
 def jacobi_table(code: LinearCode, w) -> dict[tuple[int, ...], int]:
-    """Jacobi composition distribution B_R of a code against mask w."""
-    return _tuple_counts(code.ring, [code.words], (w,))
+    """Jacobi composition distribution B_R of a code against mask w.
+
+    Over a ring of order 2 the mask's zeros and ones are two classes of
+    positions, and each word's key is its popcount in each (`_bit_counts`);
+    over any other ring `_tuple_counts` walks the words."""
+    return _code_counts(code, (w,))
 
 
 def joint_jacobi_table(

@@ -496,6 +496,33 @@ def test_binary_counts_build_no_words():
     assert "words" not in g24.__dict__
 
 
+def test_binary_closed_forms_build_no_words():
+    """The closed forms read the composition and Jacobi tables, which over a
+    ring of order 2 come from the packed words."""
+    g24 = load_code("g24")
+    w = front_mask(24, 3)
+    assert delta_closed(g24, g24, w) == Fraction(50560, 4199)
+    assert avg_joint_jacobi_value(g24, g24, w, intersection_point(F2)) == Fraction(
+        50560, 4199
+    )
+    avg_jacobi(g24, w)
+    assert "words" not in g24.__dict__
+
+
+def test_monte_carlo_charges_its_samples(monkeypatch):
+    e8 = get_code("e8")
+    w = front_mask(8, 1)
+    monkeypatch.setenv("JF_BUDGET", "1999")
+    with pytest.raises(BudgetExceeded, match="2000 samples exceed the budget 1999"):
+        monte_carlo_delta(e8, e8, w, samples=2000, seed=42)
+    # the pure-Python route is charged before it shuffles
+    wide = _even_code(70, 3, random.Random(0))
+    with pytest.raises(BudgetExceeded, match="samples"):
+        monte_carlo_delta(wide, wide, (0,) * 70, samples=2000, seed=1)
+    monkeypatch.setenv("JF_BUDGET", "2000")
+    assert monte_carlo_delta(e8, e8, w, samples=2000, seed=42).value == 4.85
+
+
 @st.composite
 def binary_cases(draw):
     """Two F2 codes of one length n <= 64, a mask and permutations of range(n).

@@ -421,6 +421,22 @@ def test_error_reports_are_json_on_stderr(monkeypatch):
     assert "exceed the budget 1000" in json.loads(err)["error"]
 
 
+def test_monte_carlo_samples_past_the_budget_exit_2(monkeypatch):
+    argv = ("delta", "e8", "e8", "--w-weight", "1",
+            "--method", "mc", "--samples", "2000", "--seed", "42")
+    monkeypatch.setenv("JF_BUDGET", "1999")
+    rc, out, err = run(*argv)
+    assert (rc, out) == (2, "")
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert json.loads(last) == {"error": "2000 samples exceed the budget 1999"}
+    monkeypatch.setenv("JF_BUDGET", "2000")
+    rc, out, err = run(*argv)
+    assert (rc, out, err) == (
+        0, "4.85000000000  stderr:0.0680372  samples:2000  seed:42\n", ""
+    )
+
+
 def test_a_code_named_twice_is_loaded_once_per_command(monkeypatch):
     calls = []
 

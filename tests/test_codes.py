@@ -207,6 +207,18 @@ def test_words_budget_charges_the_codeword_symbols(monkeypatch):
     assert "words" not in dual.__dict__
 
 
+def test_binary_tables_charge_the_codeword_symbols(monkeypatch):
+    code = get_code("e8").permute(range(8))
+    monkeypatch.setenv("JF_BUDGET", str(16 * 8 - 1))
+    with pytest.raises(BudgetExceeded, match="128 codeword symbols"):
+        comp_table(code)
+    with pytest.raises(BudgetExceeded, match="128 codeword symbols"):
+        jacobi_table(code, (1,) + (0,) * 7)
+    monkeypatch.setenv("JF_BUDGET", str(16 * 8))
+    assert comp_table(code) == {(8, 0): 1, (4, 4): 14, (0, 8): 1}
+    assert "words" not in code.__dict__
+
+
 @pytest.mark.parametrize("n", [16, 24])
 def test_z4_dual_scans_no_ambient_space(monkeypatch, n):
     rng = random.Random(n)

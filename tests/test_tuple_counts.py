@@ -1,6 +1,7 @@
 """Every composition table, joint enumerator and brute average against a
-literal count, word tuple by word tuple; and the split route of the
-counting kernel against its direct route."""
+literal count, word tuple by word tuple; the split route of the counting
+kernel against its direct route; and the popcount route of binary codes'
+single-list tables against both."""
 
 import itertools
 import math
@@ -18,6 +19,7 @@ from jacweight.averages import brute_avg_jacobi, brute_avg_joint_jacobi
 from jacweight.codes import (
     SPLIT_FLOOR,
     LinearCode,
+    _bit_counts,
     _direct_counts,
     _glue_cosets,
     _split_counts,
@@ -26,8 +28,9 @@ from jacweight.codes import (
     jacobi_table,
     joint_jacobi_table,
     permute_word,
+    weight,
 )
-from jacweight.enumerators import cwe_genus, jacobi, joint_cwe, joint_jacobi
+from jacweight.enumerators import cwe, cwe_genus, jacobi, joint_cwe, joint_jacobi
 from jacweight.rings import field_ring, modular_ring
 
 RINGS = {
@@ -80,6 +83,9 @@ def test_builders_match_literal_counts(name):
         code_d = random_code(ring, n, rows=1, rng=rng)
         w = random_mask(ring, n, rng)
         assert comp_table(code_c) == literal_counts(ring, [code_c.words])
+        assert list(code_c.weight_distribution().items()) == list(
+            Counter(map(weight, code_c.words)).items()
+        )
         assert jacobi_table(code_c, w) == literal_counts(ring, [code_c.words], (w,))
         pair = [code_c.words, code_d.words]
         assert joint_jacobi_table(code_c, code_d, w) == literal_counts(ring, pair, (w,))
@@ -309,3 +315,67 @@ def test_d24plus_pair_table_splits(splits):
     assert len(splits) == 1
     assert sum(table.values()) == 4096**2
     assert len(table) == 364
+
+
+# ---- the popcount route ----------------------------------------------------
+
+
+@st.composite
+def binary_codes(draw):
+    """A code over F2 or Z2 of length 1 to 70, so that its packed words may
+    pass 64 bits, with zero, repeated and dependent generator rows; a mask of
+    any weight from 0 to n; and up to one more fixed word."""
+    ring = draw(st.sampled_from([RINGS["F2"], modular_ring(2)]))
+    n = draw(st.integers(1, 70))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(bits, max_size=5))
+    if len(rows) > 1 and draw(st.booleans()):
+        rows.append(tuple(a ^ b for a, b in zip(rows[0], rows[1])))
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    if draw(st.booleans()):
+        rows.append((0,) * n)
+    code = LinearCode(ring, n, tuple(draw(st.permutations(rows))))
+    ones = set(draw(st.permutations(range(n)))[: draw(st.integers(0, n))])
+    w = tuple(int(i in ones) for i in range(n))
+    more = draw(st.lists(bits, max_size=1))
+    return code, w, more
+
+
+@given(binary_codes())
+@settings(max_examples=150, deadline=None)
+def test_popcount_tables_match_the_direct_and_literal_counts(case):
+    code, w, more = case
+    ring, n = code.ring, code.n
+    assert [sum(s << i for i, s in enumerate(u)) for u in code.words] == list(
+        code._bits
+    )
+    for table, fixed in ((comp_table(code), ()), (jacobi_table(code, w), (w,))):
+        direct = _direct_counts(ring, [code.words], fixed)
+        literal = literal_counts(ring, [code.words], fixed)
+        assert table == direct == literal
+        assert list(table) == list(direct) == list(literal)
+    fixed = (w, *more)
+    table = _bit_counts(code._bits, n, fixed)
+    assert list(table.items()) == list(_direct_counts(ring, [code.words], fixed).items())
+
+
+def test_binary_single_tables_take_the_popcount_route(monkeypatch):
+    """cwe, jacobi and weight_distribution of g24 and d24plus equal their
+    kernel tables without calling the kernel or building a word."""
+    calls = []
+    monkeypatch.setattr(codes_module, "_tuple_counts", lambda *a: calls.append(a))
+    w = (1,) * 5 + (0,) * 19
+    tables = {}
+    for name in ("g24", "d24plus"):
+        code = codes_module.load_code(name)
+        tables[name] = cwe(code).terms, jacobi(code, w).terms
+        code.weight_distribution()
+        assert "words" not in code.__dict__
+    assert calls == []
+    monkeypatch.undo()
+    for name, (cwe_terms, jacobi_terms) in tables.items():
+        code = get_code(name)
+        assert cwe_terms == as_fractions(_direct_counts(code.ring, [code.words]))
+        direct = _direct_counts(code.ring, [code.words], (w,))
+        assert jacobi_terms == as_fractions(direct)
