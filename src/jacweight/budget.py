@@ -1,0 +1,37 @@
+"""The enumeration budget: a cap on the items any one loop may walk.
+
+Every enumerating loop charges the count it is about to walk, from ring
+tables up, before it builds anything; past the cap it raises
+BudgetExceeded instead of grinding.
+"""
+
+from __future__ import annotations
+
+import os
+
+DEFAULT_BUDGET = 1 << 26
+
+
+class BudgetExceeded(RuntimeError):
+    """An enumeration would exceed the configured budget."""
+
+
+def enumeration_budget() -> int:
+    """Current enumeration budget; the JF_BUDGET env var overrides it."""
+    raw = os.environ.get("JF_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"JF_BUDGET must be an integer, got {raw!r}") from exc
+    if value < 1:
+        raise ValueError("JF_BUDGET must be positive")
+    return value
+
+
+def check_budget(count: int, what: str) -> None:
+    """Raise BudgetExceeded when an operation would enumerate count items."""
+    budget = enumeration_budget()
+    if count > budget:
+        raise BudgetExceeded(f"{count} {what} exceed the budget {budget}")

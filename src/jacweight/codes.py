@@ -28,6 +28,7 @@ from functools import cached_property
 from operator import getitem
 from pathlib import Path
 
+from .budget import BudgetExceeded, check_budget, enumeration_budget
 from .rings import RingSpec, ring_from_json, ring_to_json
 
 __all__ = [
@@ -51,36 +52,8 @@ __all__ = [
     "joint_jacobi_table",
 ]
 
-DEFAULT_BUDGET = 1 << 26
-
-
-class BudgetExceeded(RuntimeError):
-    """An enumeration would exceed the configured budget."""
-
-
 class CodeFormatError(ValueError):
     """A code file or code object violates the input schema."""
-
-
-def enumeration_budget() -> int:
-    """Current enumeration budget; the JF_BUDGET env var overrides it."""
-    raw = os.environ.get("JF_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"JF_BUDGET must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError("JF_BUDGET must be positive")
-    return value
-
-
-def check_budget(count: int, what: str) -> None:
-    """Raise BudgetExceeded when an operation would enumerate count items."""
-    budget = enumeration_budget()
-    if count > budget:
-        raise BudgetExceeded(f"{count} {what} exceed the budget {budget}")
 
 
 def check_mask(ring: RingSpec, n: int, w) -> None:

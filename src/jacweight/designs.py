@@ -3,21 +3,26 @@
 The supports of the words of one weight form a multiset of blocks.
 The checks here are exhaustive: coverage of every t-subset of the
 coordinate set is counted with block multiplicity, and a design means
-that count is the same everywhere.  Each point is a bitset of the
-blocks holding it, so a t-subset's coverage is the bit count of the
-AND of its points' bitsets, and the work does not grow with the number
-of blocks.
+that count is the same everywhere.
+
+Each word's support is one int, bit i set when position i is nonzero:
+`LinearCode._bits` over a ring of order 2, one int per word of `words`
+otherwise.  A weight class is the masks of one popcount, and its n
+columns, each a bitset of the blocks holding one point, come from one
+transpose of the masks' binary digits.  A t-subset's coverage is the bit
+count of the AND of its points' columns; one scan walks the t-subsets
+depth first, so the AND of each shorter prefix is taken once, and the
+work does not grow with the number of blocks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from itertools import combinations, compress, groupby, repeat, starmap
 from operator import and_
 
-from .codes import LinearCode, check_budget, weight
+from .codes import LinearCode, check_budget
 
 __all__ = [
     "BlockMultiset",
@@ -27,6 +32,9 @@ __all__ = [
     "is_t_homogeneous",
     "lambda_identity_holds",
 ]
+
+# the binary digits '0' and '1' as the bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,8 @@ class BlockMultiset:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not 0 <= self.k <= self.n:
+            raise ValueError(f"block size {self.k} is outside 0..{self.n}")
         for block in self.blocks:
             if len(block) != self.k or len(set(block)) != self.k:
                 raise ValueError("every block must have k distinct points")
@@ -76,47 +86,78 @@ class DesignReport:
         }
 
 
+def _support_masks(code: LinearCode):
+    """Each word's support as an int, bit i for position i, in the order
+    of `words`; both routes charge the |C| * n codeword symbols."""
+    if code.ring.order == 2:
+        return code._bits
+    powers = [1 << i for i in range(code.n)]
+    return [sum(compress(powers, u)) for u in code.words]
+
+
 def supports(code: LinearCode, target_weight: int) -> BlockMultiset:
     """Blocks of coordinate supports of the words of one weight."""
     points = range(code.n)
     blocks = tuple(
-        tuple(itertools.compress(points, u)) for u in code.words if weight(u) == target_weight
+        # bin(x)[:1:-1] is x's binary digits from bit 0 up
+        tuple(compress(points, bin(x)[:1:-1].encode().translate(_DIGIT_BYTES)))
+        for x in _support_masks(code)
+        if x.bit_count() == target_weight
     )
     return BlockMultiset(code.n, target_weight, blocks)
 
 
 def is_t_design(bm: BlockMultiset, t: int) -> DesignReport:
-    """Exhaustive coverage scan of all t-subsets of the point set.
+    """Exhaustive coverage scan of all t-subsets of the point set, each
+    block read as its support mask."""
+    masks = [sum(1 << p for p in block) for block in bm.blocks]
+    return _coverage(bm.n, bm.k, t, masks)
 
-    The C(n, t) t-subsets are charged to the budget; each block sets
-    its bit in the bitsets of its points, and each t-subset ANDs the
-    bitsets of its t points.
+
+def _coverage(n: int, k: int, t: int, masks) -> DesignReport:
+    """The report at t of the blocks of size k whose supports are masks.
+
+    The range of t is checked and the C(n, t) t-subsets are charged to the
+    budget first.  Column p, the bitset of the blocks holding point p, is
+    read off one string of every mask's n binary digits.  The scan ANDs
+    each prefix of at most t - 2 points with each later point's column
+    once; past a prefix of t - 2 points, the AND of each pair of those
+    is one t-subset's blocks.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t > bm.k:
-        raise ValueError(f"t={t} exceeds block size {bm.k}")
-    if t > bm.n:
-        raise ValueError(f"t={t} exceeds the {bm.n} points")
-    check_budget(math.comb(bm.n, t), f"{t}-subsets of {bm.n} points")
-    columns = [0] * bm.n
-    for r, block in enumerate(bm.blocks):
-        for point in block:
-            columns[point] |= 1 << r
-    full = (1 << len(bm.blocks)) - 1
-    counts = [
-        reduce(and_, sub, full).bit_count() for sub in itertools.combinations(columns, t)
-    ]
-    min_cov, max_cov = min(counts), max(counts)
-    lam = min_cov if min_cov == max_cov else None
+    if t > k:
+        raise ValueError(f"t={t} exceeds block size {k}")
+    if t > n:
+        raise ValueError(f"t={t} exceeds the {n} points")
+    check_budget(math.comb(n, t), f"{t}-subsets of {n} points")
+    digits = "".join(map(format, masks, repeat(f"0{n}b")))
+    columns = [int(digits[n - 1 - p :: n] or "0", 2) for p in range(n)]
+    if t < 2:
+        counts = {len(masks)} if t == 0 else set(map(int.bit_count, columns))
+    else:
+        counts = set()
+        # (AND of a prefix's columns, its first later point, points to add)
+        stack = [((1 << len(masks)) - 1, 0, t)]
+        while stack:
+            acc, start, depth = stack.pop()
+            rest = list(map(acc.__and__, columns[start:]))
+            if depth == 2:
+                counts.update(map(int.bit_count, starmap(and_, combinations(rest, 2))))
+            else:
+                stack.extend(
+                    (a, start + i + 1, depth - 1)
+                    for i, a in enumerate(rest[: len(rest) - depth + 1])
+                )
+    low, high = min(counts), max(counts)
     return DesignReport(
-        n=bm.n,
-        weight=bm.k,
+        n=n,
+        weight=k,
         t=t,
-        lam=lam,
-        min_coverage=min_cov,
-        max_coverage=max_cov,
-        block_count=len(bm.blocks),
+        lam=low if low == high else None,
+        min_coverage=low,
+        max_coverage=high,
+        block_count=len(masks),
     )
 
 
@@ -125,31 +166,18 @@ def is_t_homogeneous(code: LinearCode, t: int):
 
     Returns the overall verdict and one report per nonzero weight
     with words present; the full-support class counts, the zero word
-    does not.  The words are grouped by weight in one pass.
+    does not.  The support masks are grouped by popcount.
     """
-    classes: dict[int, list[tuple[int, ...]]] = {}
-    points = range(code.n)
-    for u in code.words:
-        block = tuple(itertools.compress(points, u))
-        classes.setdefault(len(block), []).append(block)
     reports = []
-    for w, blocks in sorted(classes.items()):
+    masks = sorted(_support_masks(code), key=int.bit_count)
+    for w, group in groupby(masks, key=int.bit_count):
         if w == 0:
             continue
+        group = list(group)
         if t > w:
-            reports.append(
-                DesignReport(
-                    n=code.n,
-                    weight=w,
-                    t=t,
-                    lam=None,
-                    min_coverage=0,
-                    max_coverage=0,
-                    block_count=len(blocks),
-                )
-            )
+            reports.append(DesignReport(code.n, w, t, None, 0, 0, len(group)))
         else:
-            reports.append(is_t_design(BlockMultiset(code.n, w, tuple(blocks)), t))
+            reports.append(_coverage(code.n, w, t, group))
     return all(r.is_design for r in reports), reports
 
 

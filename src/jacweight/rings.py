@@ -5,7 +5,9 @@ the element a0 + a1*lam + ... + a_{f-1}*lam^(f-1) encodes as
 sum a_i p^i with digits a_i in [0, p); for Z_k the element is its
 residue.  0 is always the additive identity omega_0.  Arithmetic goes
 through tables precomputed at construction, so element operations
-never touch polynomial code after make_ring returns.
+never touch polynomial code after make_ring returns.  A construction
+charges its q^2 table entries to the enumeration budget before it
+builds a table.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .budget import check_budget
 from .exactnum import _reduce_mod, root_of_unity
 
 __all__ = [
@@ -120,9 +123,11 @@ class RingSpec:
 
 
 def field_ring(p: int, f: int = 1, primitive_poly=None) -> RingSpec:
-    """Construct F_{p^f}; the modulus is validated for irreducibility."""
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    """Construct F_{p^f}; the modulus is validated for irreducibility.
+
+    Its q^2 table entries are charged to the budget once f is known to be
+    the modulus's degree, before p is tested for primality.
+    """
     if f < 1:
         raise ValueError("extension degree must be at least 1")
     if primitive_poly is None:
@@ -134,13 +139,17 @@ def field_ring(p: int, f: int = 1, primitive_poly=None) -> RingSpec:
             raise ValueError(
                 f"no default modulus for q = {p}^{f}; supply primitive_poly"
             )
+    if len(primitive_poly) != f + 1:
+        raise ValueError("modulus must be monic of degree f")
+    q = p**f
+    check_budget(q * q, "ring table entries")
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     poly = tuple(int(c) % p for c in primitive_poly)
-    if len(poly) != f + 1 or poly[-1] != 1:
+    if poly[-1] != 1:
         raise ValueError("modulus must be monic of degree f")
     if f >= 2 and not _is_irreducible(poly, p):
         raise ValueError(f"modulus {poly} is reducible over F_{p}")
-
-    q = p**f
 
     def decode(e: int):
         digits = []
@@ -185,9 +194,10 @@ def field_ring(p: int, f: int = 1, primitive_poly=None) -> RingSpec:
 
 
 def modular_ring(k: int) -> RingSpec:
-    """Construct Z_k."""
+    """Construct Z_k, its k^2 table entries charged to the budget first."""
     if k < 2:
         raise ValueError("modulus must be at least 2")
+    check_budget(k * k, "ring table entries")
     add_rows = tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
     mul_rows = tuple(tuple((a * b) % k for b in range(k)) for a in range(k))
     neg_row = tuple((-a) % k for a in range(k))

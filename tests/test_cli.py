@@ -349,6 +349,18 @@ def test_ring_objects_without_their_size_key_exit_2(tmp_path, ring, message):
     assert json.loads(err) == {"error": f"bad ring object: {message}"}
 
 
+def test_ring_tables_past_the_budget_exit_2(tmp_path, monkeypatch):
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    path = tmp_path / "code.json"
+    ring = {"kind": "modring", "k": 100000}
+    path.write_text(json.dumps({"name": "", "ring": ring, "n": 2, "generators": [[1, 1]]}))
+    rc, out, err = run("cwe", str(path))
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "10000000000 ring table entries exceed the budget 67108864"
+    }
+
+
 @pytest.mark.parametrize(
     "n, generators, message",
     [
@@ -483,6 +495,66 @@ def test_homogeneous_golden():
     assert obj["classes"] == [
         {"weight": 4, "t": 3, "lambda": 1, "min": 1, "max": 1},
         {"weight": 8, "t": 3, "lambda": 1, "min": 1, "max": 1},
+    ]
+
+
+# sha256 of the stdout of the design commands of the enumeration benchmark
+DESIGN_GOLDENS = {
+    ("homogeneous", "g24", "--t", "5"):
+        "a4ea10d82271a26fb1caddbc236e839946743a06bfb31f734db2500abc34008b",
+    ("homogeneous", "d24plus", "--t", "3"):
+        "7c9deb9ed3609b77bd86a5834bbab06fcb47d46c832cac8d1f3a5a0e62602ebb",
+    ("homogeneous", "d24plus", "--t", "2"):
+        "906841029c85a897e25c967b97e9ac6704f572c698fbdb042b3a9aef361d073e",
+    ("design-check", "g24", "--weight", "8", "--t", "5"):
+        "e9198115366577ab66b954cc4a43030720ac0e1fa5bb047e550a42918f1584fe",
+    ("design-check", "d24plus", "--weight", "8", "--t", "3"):
+        "949615744555bf0ca8a4e65f213f1cbe54161201b4190a62afe0d4755b63d791",
+}
+
+
+@pytest.mark.parametrize("argv", DESIGN_GOLDENS, ids=" ".join)
+def test_design_command_goldens(argv, monkeypatch):
+    loaded = []
+
+    def recording_load(spec):
+        loaded.append(load_code(spec))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_code", recording_load)
+    rc, out, err = run(*argv)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DESIGN_GOLDENS[argv]
+    # binary codes are scanned from their packed words
+    assert len(loaded) == 1
+    assert "words" not in loaded[0].__dict__
+
+
+@pytest.mark.parametrize("weight", ["-1", "9"])
+def test_design_check_refuses_a_weight_outside_the_points(weight):
+    rc, out, err = run("design-check", "e8", "--weight", weight, "--t", "1")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": f"block size {weight} is outside 0..8"}
+
+
+def test_homogeneous_is_stopped_by_the_budget(tmp_path, monkeypatch):
+    # two words of 24 symbols; 42504 5-subsets for the full-support class
+    path = tmp_path / "repetition.json"
+    ring = {"kind": "field", "p": 2}
+    path.write_text(json.dumps({"name": "", "ring": ring, "n": 24, "generators": [[1] * 24]}))
+    for budget, error in (
+        (47, "48 codeword symbols exceed the budget 47"),
+        (42503, "42504 5-subsets of 24 points exceed the budget 42503"),
+    ):
+        monkeypatch.setenv("JF_BUDGET", str(budget))
+        rc, out, err = run("homogeneous", str(path), "--t", "5")
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {"error": error}
+    monkeypatch.setenv("JF_BUDGET", "42504")
+    rc, out, err = run("homogeneous", str(path), "--t", "5")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["classes"] == [
+        {"weight": 24, "t": 5, "lambda": 1, "min": 1, "max": 1}
     ]
 
 

@@ -4,9 +4,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import get_code, random_code
-from jacweight.codes import BudgetExceeded, LinearCode
+from jacweight.codes import BudgetExceeded, LinearCode, weight
 from jacweight.designs import (
     BlockMultiset,
     DesignReport,
@@ -33,6 +35,12 @@ def test_block_validation():
         BlockMultiset(4, 2, ((0, 4),))
     with pytest.raises(ValueError):
         BlockMultiset(4, 3, ((0, 1),))
+
+
+@pytest.mark.parametrize("n, k", [(8, -1), (8, 9), (0, 1)])
+def test_block_size_outside_the_point_range_is_refused(n, k):
+    with pytest.raises(ValueError, match=rf"^block size {k} is outside 0\.\.{n}$"):
+        BlockMultiset(n, k, ())
 
 
 @pytest.mark.parametrize("t", [0, 1, 2, 3])
@@ -262,3 +270,56 @@ def test_weight_classes_of_random_codes(ring):
                     expected.append(report)
             verdict = all(r.is_design for r in expected)
             assert is_t_homogeneous(code, t) == (verdict, expected)
+
+
+# One ring of each kind the scans meet, and one of order past 256; each
+# with the most generators that keep |C| at most 64 (257 for Z257).
+SCAN_RINGS = [
+    (field_ring(2), 6),
+    (modular_ring(2), 6),
+    (field_ring(3), 3),
+    (field_ring(2, 2), 3),
+    (modular_ring(4), 3),
+    (modular_ring(6), 2),
+    (modular_ring(257), 1),
+]
+
+
+@st.composite
+def scan_codes(draw):
+    """A code of length n <= 9 over one of SCAN_RINGS, with zero rows,
+    zero columns and repeated supports allowed."""
+    ring, most = draw(st.sampled_from(SCAN_RINGS))
+    n = draw(st.integers(1, 9))
+    symbols = st.integers(0, ring.order - 1) | st.just(0)
+    row = st.lists(symbols, min_size=n, max_size=n).map(tuple)
+    gens = draw(st.lists(row, max_size=most))
+    return LinearCode(ring, n, tuple(gens))
+
+
+@given(scan_codes())
+@settings(max_examples=120, deadline=None)
+def test_scans_match_the_word_blocks_and_the_literal_count(code):
+    n, words = code.n, code.words
+    reports = {t: [] for t in range(n + 2)}
+    for w in range(n + 1):
+        blocks = tuple(
+            tuple(i for i, x in enumerate(u) if x) for u in words if weight(u) == w
+        )
+        bm = supports(code, w)
+        assert bm == BlockMultiset(n, w, blocks)
+        assert bm.blocks == blocks
+        for t in range(n + 2):
+            if t > w:
+                with pytest.raises(ValueError, match="exceeds"):
+                    is_t_design(bm, t)
+                if w and blocks:
+                    reports[t].append(DesignReport(n, w, t, None, 0, 0, len(blocks)))
+                continue
+            report = literal_report(bm, t)
+            assert is_t_design(bm, t) == report
+            if w and blocks:
+                reports[t].append(report)
+    for t, expected in reports.items():
+        verdict = all(r.is_design for r in expected)
+        assert is_t_homogeneous(code, t) == (verdict, expected)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from jacweight.codes import BudgetExceeded
 from jacweight.exactnum import Cyclotomic, root_of_unity
 from jacweight.rings import (
     field_ring,
@@ -129,6 +130,26 @@ def test_default_extension_polynomials_exist():
 def test_missing_default_polynomial_requires_explicit_one():
     with pytest.raises(ValueError):
         field_ring(5, 2)
+
+
+@pytest.mark.parametrize(
+    "build, q",
+    [
+        (lambda: modular_ring(11), 11),
+        (lambda: field_ring(11), 11),
+        (lambda: field_ring(3, 2), 9),
+        (lambda: ring_from_json({"kind": "modring", "k": 10**5}), 10**5),
+        # 10^20 + 39 is prime: testing it by trial division takes 10^10 steps
+        (lambda: field_ring(10**20 + 39), 10**20 + 39),
+    ],
+)
+def test_ring_tables_charge_their_entries_first(monkeypatch, build, q):
+    monkeypatch.setenv("JF_BUDGET", str(min(q * q - 1, 10**6)))
+    with pytest.raises(BudgetExceeded, match=f"^{q * q} ring table entries exceed"):
+        build()
+    if q * q <= 10**6:
+        monkeypatch.setenv("JF_BUDGET", str(q * q))
+        assert build().order == q
 
 
 def test_json_roundtrip(ring):
