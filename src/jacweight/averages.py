@@ -15,12 +15,12 @@ equal to v on the zeros K of the mask.  Those pairs are the kernel of the
 linear map (u, v) -> (u^sigma - v) restricted to K, whose image is
 P_sigma + Q, with P_sigma the restriction of C to sigma(K) and Q that of D
 to K; so the count is |C| |D| / |P_sigma + Q|.  `intersection_size` (sigma
-the identity) takes that span's size from the echelon form over any ring,
-and the Monte Carlo path over F2 from a GF(2) rank per sample, in its
-pure-Python fallback too while |K| <= 64.  Over larger rings the Monte
-Carlo path matches base-q keys of the words, and the brute average over
-S_n and the rest of that fallback count the agreeing word pairs with one
-counter.
+the identity) takes that span's size from the echelon form over any ring.
+The Monte Carlo path is one sampling loop that picks its stream by width
+(numpy's, or random.Random shuffles once |K| symbols pass 62 bits) and its
+counter by ring: over F2 a GF(2) rank per sample while |K| <= 64, else
+base-q keys of the words on numpy's stream and the agreeing word pairs on
+the shuffles, counted by the one counter the brute average over S_n uses.
 
 The average joint Jacobi polynomial evaluated at the point that is
 zero exactly on variables with differing code symbols and zero mask
@@ -407,44 +407,64 @@ def monte_carlo_delta(
 ) -> AverageResult:
     """Estimate the average intersection number from random permutations.
 
-    The permutations are drawn by numpy in batches of 1024, and each is
-    counted exactly.  Over F2 the count is |C| |D| / 2^rank, the rank being
-    that of C's generators on sigma(K) stacked over D's on K (see the module
-    docstring), so no word is enumerated.  Over any other ring every word
-    of C gets a base-q key on sigma(K), looked up among D's keys on K.  When
-    q^|K| reaches 2^62, or |K| symbols of the bit length of q - 1 pass 62
-    bits, the pure-Python route draws random.Random(seed) shuffles instead:
-    over F2 with |K| <= 64 it ranks them as above, in int64 rows whose bit
-    63 is the sign bit, and otherwise it counts agreeing pairs.  The samples
-    are charged to the budget before any is drawn.
+    One loop draws them in batches of 1024 and counts each exactly.  The
+    stream is chosen by width: numpy's, or random.Random(seed) shuffles
+    once q^|K| reaches 2^62 or |K| symbols of the bit length of q - 1 pass
+    62 bits.  The counter is chosen by ring: over F2 with |K| <= 64 it is
+    |C| |D| / 2^rank (see the module docstring and `_rank_counter`), with no
+    word enumerated; otherwise base-q keys on numpy's stream and agreeing
+    pairs on the shuffles.  The statistics are numpy float64 on numpy's
+    stream and Python int sums on the shuffles.  The samples are charged to
+    the budget before any is drawn.
     """
     _check_pair(code_c, code_d, w)
     if samples < 1:
         raise ValueError("samples must be positive")
     check_budget(samples, "samples")
-    n = code_c.n
     q = code_c.ring.order
     keep = _zero_positions(w)
     s = len(keep)
-    if s * max(1, (q - 1).bit_length()) > 62 or q**max(s, 1) >= 2**62:
-        return _mc_delta_python(code_c, code_d, w, samples, seed)
-    import numpy as np
+    shuffled = s * max(1, (q - 1).bit_length()) > 62 or q**max(s, 1) >= 2**62
+    if shuffled:
+        import random
 
-    count = (_rank_counter if q == 2 else _key_counter)(code_c, code_d, keep)
-    rng = np.random.default_rng(seed)
-    per_perm = []
-    batch = 1024
-    done = 0
-    while done < samples:
-        b = min(batch, samples - done)
-        perms = rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)
-        per_perm.append(count(perms))
-        done += b
-    counts = np.concatenate(per_perm).astype(np.float64)
-    mean = float(counts.mean())
-    stderr = (
-        float(counts.std(ddof=1) / math.sqrt(samples)) if samples > 1 else None
-    )
+        rng = random.Random(seed)
+        order = list(range(code_c.n))
+
+        def draw(b):
+            # each shuffle continues from the last one and is copied
+            return [rng.shuffle(order) or list(order) for _ in range(b)]
+
+    else:
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+
+        def draw(b):
+            return rng.permuted(np.tile(np.arange(code_c.n), (b, 1)), axis=1)
+
+    if q == 2 and s <= 64:
+        count = _rank_counter(code_c, code_d, keep)
+    elif shuffled:
+
+        def count(perms):
+            return list(_agreements(code_c, code_d, w, perms))
+
+    else:
+        count = _key_counter(code_c, code_d, keep)
+    batches = [count(draw(min(1024, samples - i))) for i in range(0, samples, 1024)]
+    stderr = None
+    if shuffled:
+        counts = [int(c) for batch in batches for c in batch]
+        mean = sum(counts) / samples
+        if samples > 1:
+            var = sum((c - mean) ** 2 for c in counts) / (samples - 1)
+            stderr = math.sqrt(var / samples)
+    else:
+        counts = np.concatenate(batches).astype(np.float64)
+        mean = float(counts.mean())
+        if samples > 1:
+            stderr = float(counts.std(ddof=1) / math.sqrt(samples))
     return AverageResult(
         value=mean, method="mc", samples=samples, seed=seed, stderr=stderr
     )
@@ -462,8 +482,9 @@ def _weights(perms, keep, powers):
 
 
 def _rank_counter(code_c: LinearCode, code_d: LinearCode, keep):
-    """Per-permutation counts over F2 for a (b, n) array of permutations:
-    |C| |D| >> rank, with bit j of each packed row for kept slot j.
+    """Per-permutation counts over F2 for b permutations, as a (b, n) array
+    or a list of lists: |C| |D| >> rank, with bit j of each packed row for
+    kept slot j; bit 63 is the sign bit, so |K| may reach 64.
 
     The rank is taken for all b permutations at once, row by row: each
     row pivots on its lowest set bit, which is cleared from the rows below,
@@ -480,6 +501,7 @@ def _rank_counter(code_c: LinearCode, code_d: LinearCode, keep):
     bits = (code_c.size * code_d.size).bit_length() - 1
 
     def count(perms):
+        perms = np.asarray(perms, dtype=np.int64)
         moved = gens_c @ _weights(perms, keep, powers).T
         rows = np.concatenate([moved, np.repeat(fixed[:, None], len(perms), 1)])
         rank = np.zeros(len(perms), dtype=np.int64)
@@ -521,40 +543,6 @@ def _key_counter(code_c: LinearCode, code_d: LinearCode, keep):
         return (right - left).sum(axis=0)
 
     return count
-
-
-def _mc_delta_python(code_c, code_d, w, samples, seed):
-    import random
-
-    rng = random.Random(seed)
-    order = list(range(code_c.n))
-
-    def shuffles():
-        for _ in range(samples):
-            rng.shuffle(order)
-            yield list(order)
-
-    keep = _zero_positions(w)
-    if code_c.ring.order == 2 and len(keep) <= 64:
-        import numpy as np
-
-        count = _rank_counter(code_c, code_d, keep)
-        perms = shuffles()
-        counts = []
-        for _ in range(0, samples, 1024):
-            batch = np.array(list(itertools.islice(perms, 1024)), dtype=np.int64)
-            counts.extend(map(int, count(batch)))
-    else:
-        counts = list(_agreements(code_c, code_d, w, shuffles()))
-    mean = sum(counts) / samples
-    if samples > 1:
-        var = sum((c - mean) ** 2 for c in counts) / (samples - 1)
-        stderr = math.sqrt(var / samples)
-    else:
-        stderr = None
-    return AverageResult(
-        value=mean, method="mc", samples=samples, seed=seed, stderr=stderr
-    )
 
 
 def delta(

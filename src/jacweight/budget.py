@@ -30,8 +30,21 @@ def enumeration_budget() -> int:
     return value
 
 
-def check_budget(count: int, what: str) -> None:
-    """Raise BudgetExceeded when an operation would enumerate count items."""
+def check_budget(count: int, what: str, power: int = 1) -> None:
+    """Raise BudgetExceeded when an operation would enumerate count ** power
+    items.  Past the budget, a number too long for str (4300 digits) is
+    written as a power of two at or below it; so is count ** power, never
+    built, once that bound alone passes the budget's bit length by 2^16."""
     budget = enumeration_budget()
-    if count > budget:
-        raise BudgetExceeded(f"{count} {what} exceed the budget {budget}")
+    low = power * (count.bit_length() - 1)
+    if low > budget.bit_length() + (1 << 16):
+        text = f"at least 2^{low}"
+    else:
+        count **= power
+        if count <= budget:
+            return
+        try:
+            text = str(count)
+        except ValueError:
+            text = f"at least 2^{count.bit_length() - 1}"
+    raise BudgetExceeded(f"{text} {what} exceed the budget {budget}")

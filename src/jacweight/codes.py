@@ -154,7 +154,7 @@ class LinearCode:
         check_budget(self.size * self.n, "codeword symbols")
         words = [0]
         for gen in self.generators:
-            mask = sum(s << i for i, s in enumerate(gen))
+            mask = _pack(gen)
             words = list(dict.fromkeys(x for u in words for x in (u, u ^ mask)))
         return tuple(words)
 
@@ -223,6 +223,8 @@ def _echelon(ring: RingSpec, rows, ncols: int):
     pivots = []
     rest = [list(row) for row in rows]
     for col in range(ncols):
+        if not rest:
+            break
         live = [row for row in rest if row[col]]
         if not live:
             continue
@@ -413,9 +415,7 @@ def _bit_counts(bits, n: int, fixed) -> dict[tuple[int, ...], int]:
     index = [0] * n
     for f in fixed:
         index = [2 * r + s for r, s in zip(index, f)]
-    classes = [0] * 2 ** len(fixed)
-    for i, r in enumerate(index):
-        classes[r] |= 1 << i
+    classes = [_pack([x == r for x in index]) for r in range(2 ** len(fixed))]
     used = [r for r, c in enumerate(classes) if c]
     keys = Counter(
         zip(*[map(int.bit_count, map(classes[r].__and__, bits)) for r in used])
@@ -429,6 +429,12 @@ def _bit_counts(bits, n: int, fixed) -> dict[tuple[int, ...], int]:
             counts[ones_at + r] = ones
         table[tuple(counts)] = mult
     return table
+
+
+def _pack(flags) -> int:
+    """The int with bit i set just when flags[i] is true, read in one pass
+    from a string of binary digits (int() parses base 2 in linear time)."""
+    return int("0" + "".join(["1" if x else "0" for x in reversed(flags)]), 2)
 
 
 def comp_table(code: LinearCode) -> dict[tuple[int, ...], int]:

@@ -55,6 +55,8 @@ def cwe_genus(code: LinearCode, genus: int) -> SparsePolynomial:
     """Genus-g enumerator over g-tuples of codewords."""
     if genus < 1:
         raise ValueError("genus must be at least 1")
+    # |C|^g, charged before the g copies of the word list are made
+    check_budget(len(code.words), "tuples of codewords", power=genus)
     counts = _tuple_counts(code.ring, [code.words] * genus)
     return SparsePolynomial(code.ring, genus, counts)
 

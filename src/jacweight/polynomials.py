@@ -117,11 +117,7 @@ class SparsePolynomial:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(k1, k2))
-                prod = c1 * c2
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
         return SparsePolynomial(self.ring, self.arity, out)
 
     def scale(self, value) -> "SparsePolynomial":
@@ -160,10 +156,7 @@ class SparsePolynomial:
         polynomials must share a ring and arity among themselves (which
         may differ from the source arity).
         """
-        target = None
-        for rule in rules.values():
-            target = rule
-            break
+        target = next(iter(rules.values()), None)
         if target is None:
             if self.terms:
                 raise ValueError("no substitution rules for a nonzero polynomial")

@@ -112,10 +112,8 @@ class RingSpec:
         return acc
 
     def chi(self, a: int):
-        """Additive character of a: zeta_p^(constant coefficient) for fields,
-        zeta_k^a for modular rings."""
-        if self.kind == "field":
-            return root_of_unity(self.root_order, a % self.p)
+        """Additive character of a: zeta_m^a with m the root order, which is
+        zeta_p^(constant coefficient) for fields and zeta_k^a for Z_k."""
         return root_of_unity(self.root_order, a)
 
     def label(self) -> str:
@@ -141,8 +139,8 @@ def field_ring(p: int, f: int = 1, primitive_poly=None) -> RingSpec:
             )
     if len(primitive_poly) != f + 1:
         raise ValueError("modulus must be monic of degree f")
+    check_budget(p, "ring table entries", power=2 * f)
     q = p**f
-    check_budget(q * q, "ring table entries")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     poly = tuple(int(c) % p for c in primitive_poly)

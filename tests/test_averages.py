@@ -28,7 +28,6 @@ from jacweight.averages import (
     multinomial,
     _agreements,
     _key_counter,
-    _mc_delta_python,
     _rank_counter,
 )
 from jacweight.cli import main
@@ -449,10 +448,72 @@ def test_monte_carlo_python_fallback():
     res = monte_carlo_delta(zero, zero, (0,) * 16, samples=20, seed=4)
     assert res.value == 1.0
     assert res.stderr == 0.0
-    e8 = get_code("e8")
-    w = front_mask(8, 1)
-    py = _mc_delta_python(e8, e8, w, samples=2000, seed=11)
-    assert abs(py.value - 4.8) <= 3 * py.stderr
+    # |K| = 63 is ranked on the shuffles, |K| = 68 counted pair by pair
+    for n, k, seed in ((64, 1, 11), (70, 2, 12)):
+        rng = random.Random(seed)
+        code_c = _even_code(n, 9, rng)
+        code_d = _even_code(n, 7, rng)
+        w = front_mask(n, k)
+        res = monte_carlo_delta(code_c, code_d, w, samples=2000, seed=seed)
+        assert res.stderr > 0
+        assert abs(res.value - float(delta_closed(code_c, code_d, w))) <= (
+            4 * res.stderr
+        )
+
+
+# (ring, n, mask weight, counter, stream) of the sampling loop: F2 ranks on
+# either stream while |K| <= 64, keys on numpy's stream, pairs on shuffles
+ROUTE_CASES = [
+    (F2, 64, 3, "_rank_counter", "numpy"),
+    (F2, 64, 2, "_rank_counter", "shuffles"),
+    (F2, 64, 0, "_rank_counter", "shuffles"),
+    (F2, 70, 2, "_agreements", "shuffles"),
+    (F4, 12, 10, "_key_counter", "numpy"),
+    (F4, 40, 0, "_agreements", "shuffles"),
+]
+
+
+@pytest.mark.parametrize(
+    "ring,n,k,counter,stream",
+    ROUTE_CASES,
+    ids=[f"{r.label()}-K{n - k}" for r, n, k, _, _ in ROUTE_CASES],
+)
+def test_monte_carlo_routes(monkeypatch, ring, n, k, counter, stream):
+    import jacweight.averages as averages
+
+    calls = []
+
+    def spy(name):
+        real = getattr(averages, name)
+        if name == "_agreements":
+
+            def agreements(code_c, code_d, w, orders):
+                calls.append((name, type(orders).__name__))
+                return real(code_c, code_d, w, orders)
+
+            return agreements
+
+        def counter_spy(*args):
+            count = real(*args)
+
+            def spied(perms):
+                calls.append((name, type(perms).__name__))
+                return count(perms)
+
+            return spied
+
+        return counter_spy
+
+    for name in ("_rank_counter", "_key_counter", "_agreements"):
+        monkeypatch.setattr(averages, name, spy(name))
+    rng = random.Random(n + k)
+    rows = [tuple(rng.randrange(ring.order) for _ in range(n)) for _ in range(2)]
+    code = LinearCode(ring, n, tuple(rows))
+    monte_carlo_delta(code, code, front_mask(n, k), samples=1030, seed=5)
+    kind = "ndarray" if stream == "numpy" else "list"
+    # two batches: 1024 samples and 6, each counted once by one counter
+    assert [name for name, _ in calls] == [counter, counter]
+    assert {t for _, t in calls} == {kind}
 
 
 # (value, stderr) of monte_carlo_delta as float.hex, for the sampled

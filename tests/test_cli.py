@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -361,6 +362,39 @@ def test_ring_tables_past_the_budget_exit_2(tmp_path, monkeypatch):
     }
 
 
+def test_counts_too_long_to_print_exit_2_by_bit_length(tmp_path, monkeypatch):
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    path = tmp_path / "code.json"
+    poly = [1] + [0] * 19999 + [1]
+    ring = {"kind": "field", "p": 2, "f": 20000, "primitive_poly": poly}
+    path.write_text(json.dumps({"name": "", "ring": ring, "n": 2, "generators": []}))
+    start = time.perf_counter()
+    for argv, error in (
+        (("cwe", str(path)), "at least 2^40000 ring table entries"),
+        (("cwe-g", "e8", "-g", "20000"), "at least 2^80000 tuples of codewords"),
+        (("cwe-g", "e8", "-g", str(10**10)), "at least 2^40000000000 tuples of codewords"),
+        (("cwe-g", "e8", "-g", "28"), f"{16**28} tuples of codewords"),
+    ):
+        rc, out, err = run(*argv)
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {"error": f"{error} exceed the budget 67108864"}
+    assert time.perf_counter() - start < 5
+
+
+def test_a_long_code_is_charged_before_it_is_sized(tmp_path, monkeypatch):
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    path = tmp_path / "code.json"
+    ring = {"kind": "field", "p": 2}
+    path.write_text(json.dumps({"ring": ring, "n": 10**12, "generators": []}))
+    start = time.perf_counter()
+    rc, out, err = run("cwe", str(path))
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "1000000000000 codeword symbols exceed the budget 67108864"
+    }
+
+
 @pytest.mark.parametrize(
     "n, generators, message",
     [
@@ -447,6 +481,15 @@ def test_monte_carlo_samples_past_the_budget_exit_2(monkeypatch):
     assert (rc, out, err) == (
         0, "4.85000000000  stderr:0.0680372  samples:2000  seed:42\n", ""
     )
+
+
+def test_monte_carlo_with_one_sample_has_no_stderr():
+    argv = ("delta", "e8", "e8", "--w-weight", "1", "--method", "mc",
+            "--samples", "1", "--seed", "3")
+    assert run(*argv) == (0, "4.00000000000  stderr:none  samples:1  seed:3\n", "")
+    rc, out, err = run(*argv, "--format", "json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["stderr"] is None
 
 
 def test_a_code_named_twice_is_loaded_once_per_command(monkeypatch):

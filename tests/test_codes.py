@@ -2,12 +2,14 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import get_code, random_code
+from jacweight.budget import check_budget
 from jacweight.codes import (
     BudgetExceeded,
     CodeFormatError,
@@ -217,6 +219,51 @@ def test_binary_tables_charge_the_codeword_symbols(monkeypatch):
     monkeypatch.setenv("JF_BUDGET", str(16 * 8))
     assert comp_table(code) == {(8, 0): 1, (4, 4): 14, (0, 8): 1}
     assert "words" not in code.__dict__
+
+
+def test_counts_too_long_to_print_are_written_by_bit_length(monkeypatch):
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    # 10**4300 has 4301 digits, past the int to str limit of Python 3.11
+    for count, text in (
+        (10**4299, str(10**4299)),
+        (10**4300, f"at least 2^{(10**4300).bit_length() - 1}"),
+        (2**40000, "at least 2^40000"),
+    ):
+        with pytest.raises(BudgetExceeded) as info:
+            check_budget(count, "things")
+        assert str(info.value) == f"{text} things exceed the budget 67108864"
+    # 16^g for g past the bit length of the budget plus 2^16, unbuilt
+    for power, text in ((10**9, "at least 2^4000000000"), (28, str(16**28))):
+        with pytest.raises(BudgetExceeded) as info:
+            check_budget(16, "tuples", power=power)
+        assert str(info.value) == f"{text} tuples exceed the budget 67108864"
+    check_budget(1, "tuples", power=10**12)
+    check_budget(16, "tuples", power=6)
+
+
+def test_long_codes_are_sized_without_a_walk_over_their_columns(monkeypatch):
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    start = time.perf_counter()
+    assert LinearCode(F2, 10**12, ()).size == 1
+    assert LinearCode(F3, 10**6, ((1,) + (0,) * (10**6 - 1),)).size == 3
+    assert time.perf_counter() - start < 5
+    with pytest.raises(BudgetExceeded, match="^1000000000000 codeword symbols"):
+        comp_table(LinearCode(F2, 10**12, ()))
+
+
+def test_binary_tables_of_long_codes_pack_in_linear_time(monkeypatch):
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    n = 10**6
+    code = LinearCode(F2, n, ((1, 0) * (n // 2),))
+    w = (0, 1, 1) * (n // 3) + (0,)
+    start = time.perf_counter()
+    assert comp_table(code) == {(n, 0): 1, (n // 2, n // 2): 1}
+    # the mask's zeros are the 333334 multiples of 3, half of them even
+    assert jacobi_table(code, w) == {
+        (333334, 666666, 0, 0): 1,
+        (166667, 333333, 166667, 333333): 1,
+    }
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("n", [16, 24])
