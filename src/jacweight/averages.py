@@ -8,7 +8,7 @@ fixed code's Jacobi distribution against the mask), and each nonzero
 cell is split over the averaged code's symbols with multinomial weights,
 which needs only the averaged code's composition counts.  The streamed
 value splits the same cells over the symbols where its point is nonzero.
-The exhaustive averages share one loop over S_n.
+The exhaustive polynomial averages share one loop over S_n.
 
 An intersection count is the number of pairs (u, v) in C x D with u^sigma
 equal to v on the zeros K of the mask.  Those pairs are the kernel of the
@@ -16,11 +16,15 @@ linear map (u, v) -> (u^sigma - v) restricted to K, whose image is
 P_sigma + Q, with P_sigma the restriction of C to sigma(K) and Q that of D
 to K; so the count is |C| |D| / |P_sigma + Q|.  `intersection_size` (sigma
 the identity) takes that span's size from the echelon form over any ring.
+The exhaustive delta reads sigma on K alone, so it walks the injections of
+K into the positions, not S_n: each level of the walk is one packed mask
+per position over the pairs of C x D that agree there, and a pair counts
+for an injection when it is set in the AND of the masks along its path.
 The Monte Carlo path is one sampling loop that picks its stream by width
 (numpy's, or random.Random shuffles once |K| symbols pass 62 bits) and its
 counter by ring: over F2 a GF(2) rank per sample while |K| <= 64, else
 base-q keys of the words on numpy's stream and the agreeing word pairs on
-the shuffles, counted by the one counter the brute average over S_n uses.
+the shuffles, counted by `_agreements`.
 
 The average joint Jacobi polynomial evaluated at the point that is
 zero exactly on variables with differing code symbols and zero mask
@@ -70,6 +74,9 @@ __all__ = [
 ]
 
 BRUTE_MAX_N = 8
+
+# brute_delta's pair masks hold at most this many bits, or |D| if more.
+PAIR_MASK_BITS = 1 << 16
 
 
 def multinomial(n: int, parts) -> int:
@@ -212,12 +219,64 @@ def brute_avg_joint_jacobi(
 
 
 def brute_delta(code_c: LinearCode, code_d: LinearCode, w) -> Fraction:
-    """Average intersection number by running over every permutation."""
+    """Average intersection number, exhaustively over every permutation.
+
+    The count for sigma reads sigma only on the zeros K of w, so the sum
+    over S_n is (n - s)! times the sum over the injections tau: K -> [n],
+    s = |K|.  Those are walked depth first on packed pair masks
+    (`_pair_masks`): a tau counts the pairs set in the AND of its masks, a
+    prefix whose AND is 0 is pruned, and the last level is one sum over the
+    free positions.  C's words are cut into blocks so that no mask holds
+    more than max(PAIR_MASK_BITS, |D|) bits, and each block is walked once.
+    """
     _check_pair(code_c, code_d, w)
     n = code_c.n
     _require_brute(code_c)
-    orders = itertools.permutations(range(n))
-    return Fraction(sum(_agreements(code_c, code_d, w, orders)), math.factorial(n))
+    keep = _zero_positions(w)
+    words_d = code_d.words
+    words_c = code_c.words
+    if not keep:
+        # on an empty K every pair agrees under every sigma
+        return Fraction(len(words_c) * len(words_d))
+    step = max(PAIR_MASK_BITS, len(words_d)) // len(words_d)
+    total = 0
+    for i in range(0, len(words_c), step):
+        masks = _pair_masks(words_c[i : i + step], words_d, keep, n)
+        # -1 has every bit set: the empty prefix keeps every pair
+        total += _injection_counts(masks, 0, -1, tuple(range(n)))
+    return Fraction(total * math.factorial(n - len(keep)), math.factorial(n))
+
+
+def _pair_masks(block, words_d, keep, n: int):
+    """masks[j][p]: the int with bit i * |D| + k set just when block[i][p]
+    equals words_d[k][keep[j]], read from one string of binary digits."""
+    zeros = "0" * len(words_d)
+    rows = block[::-1]
+    masks = []
+    for k in keep:
+        column = [v[k] for v in reversed(words_d)]
+        digits = {
+            a: "".join(["1" if x == a else "0" for x in column]) for a in set(column)
+        }
+        masks.append(
+            [int("".join([digits.get(u[p], zeros) for u in rows]), 2) for p in range(n)]
+        )
+    return masks
+
+
+def _injection_counts(masks, j: int, acc: int, free) -> int:
+    """The sum, over the injections tau of levels j, j + 1, ... of masks into
+    the positions free, of the bits set in acc AND masks[j][tau(j)] AND ...;
+    the last level is one sum over the free positions."""
+    head = masks[j]
+    if j == len(masks) - 1:
+        return sum(map(int.bit_count, map(acc.__and__, map(head.__getitem__, free))))
+    total = 0
+    for i, p in enumerate(free):
+        prefix = acc & head[p]
+        if prefix:
+            total += _injection_counts(masks, j + 1, prefix, free[:i] + free[i + 1 :])
+    return total
 
 
 # ---- closed forms ----------------------------------------------------------

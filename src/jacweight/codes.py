@@ -259,8 +259,9 @@ def _tuple_counts(ring: RingSpec, word_lists, fixed=()) -> dict[tuple[int, ...],
 
     Position i of a word tuple (u_1, ..., u_k) counts at the column index
     ((u_1[i] * q + u_2[i]) * q + ...) * q + f_m[i], f_1 ... f_m being the
-    fixed words.  The |L_1| ... |L_k| word tuples of two or more lists are
-    charged to the budget before either of two routes runs:
+    fixed words.  The |L_1| ... |L_k| word tuples of two or more lists, and
+    then the q^(k + m) columns of a table entry, are charged to the budget
+    before either of two routes runs:
 
     * the direct route (`_direct_counts`) walks every word tuple;
     * the split route (`_split_counts`) cuts each list into the product
@@ -279,16 +280,18 @@ def _tuple_counts(ring: RingSpec, word_lists, fixed=()) -> dict[tuple[int, ...],
     n = len(word_lists[0][0])
     for f in fixed:
         check_mask(ring, n, f)
+    tuples = math.prod(map(len, word_lists))
     if len(word_lists) > 1:
-        tuples = math.prod(map(len, word_lists))
         check_budget(tuples, "tuples of codewords")
-        if tuples >= SPLIT_FLOOR:
-            cosets = [_glue_cosets(words, n // 2) for words in word_lists]
-            if None not in cosets and 8 * (
-                math.prod(sum(len(lefts) for lefts, _ in cs) for cs in cosets)
-                + math.prod(sum(len(rights) for _, rights in cs) for cs in cosets)
-            ) <= tuples:
-                return _split_counts(ring, cosets, fixed, n)
+    # each entry of the table unpacks into this many columns
+    check_budget(ring.order, "table columns", power=len(word_lists) + len(fixed))
+    if len(word_lists) > 1 and tuples >= SPLIT_FLOOR:
+        cosets = [_glue_cosets(words, n // 2) for words in word_lists]
+        if None not in cosets and 8 * (
+            math.prod(sum(len(lefts) for lefts, _ in cs) for cs in cosets)
+            + math.prod(sum(len(rights) for _, rights in cs) for cs in cosets)
+        ) <= tuples:
+            return _split_counts(ring, cosets, fixed, n)
     return _direct_counts(ring, word_lists, fixed)
 
 

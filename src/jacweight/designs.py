@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations, compress, groupby, repeat, starmap
 from operator import and_
 
-from .codes import LinearCode, check_budget
+from .codes import LinearCode, _pack, check_budget
 
 __all__ = [
     "BlockMultiset",
@@ -88,11 +88,11 @@ class DesignReport:
 
 def _support_masks(code: LinearCode):
     """Each word's support as an int, bit i for position i, in the order
-    of `words`; both routes charge the |C| * n codeword symbols."""
+    of `words`; both routes charge the |C| * n codeword symbols before
+    they build a mask, and each mask is packed in linear time."""
     if code.ring.order == 2:
         return code._bits
-    powers = [1 << i for i in range(code.n)]
-    return [sum(compress(powers, u)) for u in code.words]
+    return list(map(_pack, code.words))
 
 
 def supports(code: LinearCode, target_weight: int) -> BlockMultiset:
@@ -109,8 +109,8 @@ def supports(code: LinearCode, target_weight: int) -> BlockMultiset:
 
 def is_t_design(bm: BlockMultiset, t: int) -> DesignReport:
     """Exhaustive coverage scan of all t-subsets of the point set, each
-    block read as its support mask."""
-    masks = [sum(1 << p for p in block) for block in bm.blocks]
+    block read as its support mask, packed in time linear in n."""
+    masks = [_pack(list(map(set(b).__contains__, range(bm.n)))) for b in bm.blocks]
     return _coverage(bm.n, bm.k, t, masks)
 
 

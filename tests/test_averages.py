@@ -1,14 +1,18 @@
 import contextlib
 import io
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jacweight.averages as averages
 from conftest import REFERENCE_PAIRS, get_code, random_code, random_mask
 from jacweight.averages import (
     AverageResult,
@@ -173,6 +177,86 @@ def test_brute_averages_charge_the_budget(monkeypatch):
     with pytest.raises(BudgetExceeded, match=r"steps over 8! permutations"):
         brute_avg_joint_jacobi(code, code, w)
     assert "words" not in code.__dict__
+
+
+def test_brute_delta_refuses_before_any_word(monkeypatch):
+    big = LinearCode(F2, 9, ((1,) * 9,))
+    message = r"^exhaustive averaging is limited to length 8, got 9$"
+    with pytest.raises(ValueError, match=message):
+        brute_delta(big, big, (0,) * 9)
+    code_c, code_d = load_code("e8"), load_code("e8")
+    monkeypatch.setenv("JF_BUDGET", str(40320 * 16 - 1))
+    message = r"^645120 steps over 8! permutations exceed the budget 645119$"
+    with pytest.raises(BudgetExceeded, match=message):
+        brute_delta(code_c, code_d, front_mask(8, 1))
+    assert "words" not in code_c.__dict__ and "words" not in code_d.__dict__
+    monkeypatch.setenv("JF_BUDGET", str(40320 * 16))
+    assert brute_delta(code_c, code_d, front_mask(8, 1)) == Fraction(24, 5)
+
+
+BRUTE_RINGS = (F2, F3, F4, F8, F9, Z4, Z6)
+
+
+@st.composite
+def brute_cases(draw):
+    """Two codes of length n <= 6 over one of BRUTE_RINGS, with at most two
+    rows each (zero-row codes and zero rows allowed), and a mask with no
+    zero, only zeros, or any symbols."""
+    ring = draw(st.sampled_from(BRUTE_RINGS))
+    q = ring.order
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
+    code_c = LinearCode(ring, n, tuple(draw(st.lists(row, max_size=2))))
+    code_d = LinearCode(ring, n, tuple(draw(st.lists(row, max_size=2))))
+    symbols = st.integers(0, q - 1) | st.just(0)
+    w = draw(st.lists(symbols, min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["any", "any", "only zeros", "no zero"]))
+    if shape == "only zeros":
+        w = [0] * n
+    elif shape == "no zero":
+        w = [x or 1 for x in w]
+    return code_c, code_d, tuple(w)
+
+
+@given(brute_cases())
+@settings(max_examples=200, deadline=None)
+def test_brute_delta_equals_the_literal_sum_over_s_n(case):
+    code_c, code_d, w = case
+    n = code_c.n
+    orders = itertools.permutations(range(n))
+    literal = Fraction(sum(_agreements(code_c, code_d, w, orders)), math.factorial(n))
+    size_c, size_d = len(code_c.words), len(code_d.words)
+    pair_masks = averages._pair_masks
+    # a cap of 1 bit gives one word of C per block, 8 bits a few
+    for cap in (1, 8, averages.PAIR_MASK_BITS):
+        widths = []
+
+        def spy(block, words_d, keep, n):
+            masks = pair_masks(block, words_d, keep, n)
+            bits = max(m.bit_length() for level in masks for m in level)
+            assert bits <= len(block) * len(words_d)
+            widths.append(len(block) * len(words_d))
+            return masks
+
+        with mock.patch.object(averages, "PAIR_MASK_BITS", cap), mock.patch.object(
+            averages, "_pair_masks", spy
+        ):
+            assert brute_delta(code_c, code_d, w) == literal
+        if 0 in w:
+            # every block walked once, none wider than the cap or |D|
+            assert sum(widths) == size_c * size_d
+            assert max(widths) <= max(cap, size_d)
+            per_block = max(cap, size_d) // size_d
+            assert len(widths) == -(-size_c // per_block)
+        else:
+            assert widths == []
+
+
+def test_brute_delta_on_e8_at_every_front_mask():
+    e8 = get_code("e8")
+    for k in range(9):
+        w = front_mask(8, k)
+        assert brute_delta(e8, e8, w) == delta_closed(e8, e8, w)
 
 
 def test_pair_validation():

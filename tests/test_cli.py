@@ -638,3 +638,20 @@ def test_repro_paper_conjecture_mode():
         assert gap < 0.12
     again = run("repro-paper", "--conjecture")
     assert again == (rc, out, err)
+
+
+def test_table_columns_are_charged(tmp_path, monkeypatch):
+    # one word, so 1 tuple of codewords at any genus, but 2^30 table columns
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    path = tmp_path / "zero.json"
+    ring = {"kind": "field", "p": 2}
+    path.write_text(json.dumps({"name": "", "ring": ring, "n": 8, "generators": []}))
+    start = time.perf_counter()
+    rc, out, err = run("cwe-g", str(path), "-g", "30")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": f"{2**30} table columns exceed the budget 67108864"
+    }
+    rc, out, err = run("cwe-g", str(path), "-g", "3", "--format", "json")
+    assert (rc, err) == (0, "")

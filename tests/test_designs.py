@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -323,3 +325,28 @@ def test_scans_match_the_word_blocks_and_the_literal_count(code):
     for t, expected in reports.items():
         verdict = all(r.is_design for r in expected)
         assert is_t_homogeneous(code, t) == (verdict, expected)
+
+
+def test_support_masks_charge_before_they_are_built(monkeypatch):
+    # the codeword symbols are charged before any mask or power of two exists
+    monkeypatch.setenv("JF_BUDGET", "100")
+    code = LinearCode(field_ring(3), 20000, ())
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="20000 codeword symbols"):
+            supports(code, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_block_masks_pack_in_linear_time():
+    # three blocks of half of 400000 points; summing a bit per point took 6 s
+    n = 400000
+    halves = (tuple(range(0, n, 2)), tuple(range(1, n, 2)), tuple(range(n // 2)))
+    bm = BlockMultiset(n, n // 2, halves)
+    start = time.perf_counter()
+    report = is_t_design(bm, 1)
+    assert time.perf_counter() - start < 2
+    assert (report.lam, report.min_coverage, report.max_coverage) == (None, 1, 2)
