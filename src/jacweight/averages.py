@@ -14,8 +14,9 @@ An intersection count is the number of pairs (u, v) in C x D with u^sigma
 equal to v on the zeros K of the mask.  Those pairs are the kernel of the
 linear map (u, v) -> (u^sigma - v) restricted to K, whose image is
 P_sigma + Q, with P_sigma the restriction of C to sigma(K) and Q that of D
-to K; so the count is |C| |D| / |P_sigma + Q|.  `intersection_size` (sigma
-the identity) takes that span's size from the echelon form over any ring.
+to K; so the count is |C| |D| / |P_sigma + Q|.  `_span_counter` takes that
+span's size from the echelon form over any ring (Howell's property over
+Z_k), for `intersection_size` (sigma the identity) and the shuffles.
 The exhaustive delta reads sigma on K alone, so it walks the injections of
 K into the positions, not S_n: each level of the walk is one packed mask
 per position over the pairs of C x D that agree there, and a pair counts
@@ -23,8 +24,7 @@ for an injection when it is set in the AND of the masks along its path.
 The Monte Carlo path is one sampling loop that picks its stream by width
 (numpy's, or random.Random shuffles once |K| symbols pass 62 bits) and its
 counter by ring: over F2 a GF(2) rank per sample while |K| <= 64, else
-base-q keys of the words on numpy's stream and the agreeing word pairs on
-the shuffles, counted by `_agreements`.
+span sizes on the shuffles and base-q keys of the words on numpy's stream.
 
 The average joint Jacobi polynomial evaluated at the point that is
 zero exactly on variables with differing code symbols and zero mask
@@ -39,11 +39,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .codes import (
     LinearCode,
     _direct_counts,
+    _echelon,
     check_budget,
     check_mask,
     check_pair,
@@ -133,23 +133,6 @@ def _charge_splits(cell_vectors, bins) -> None:
     check_budget(count, "composition splits")
 
 
-def _picker(positions):
-    """u -> its symbols at positions: a scalar for one position and () for
-    none, so that keys made by pickers of one length compare as tuples do."""
-    return itemgetter(*positions) if positions else lambda u: ()
-
-
-def _agreements(code_c: LinearCode, code_d: LinearCode, w, orders):
-    """For each sigma in orders, the pairs (u, v) in C x D with u[sigma[i]]
-    equal to v[i] at every position i outside supp(w)."""
-    keep = _zero_positions(w)
-    cnt_d = Counter(map(_picker(keep), code_d.words))
-    words = code_c.words
-    for sigma in orders:
-        keys = map(_picker([sigma[i] for i in keep]), words)
-        yield sum(map(cnt_d.get, keys, itertools.repeat(0)))
-
-
 # ---- evaluation points -----------------------------------------------------
 
 
@@ -174,16 +157,28 @@ def all_ones_point(ring: RingSpec, arity: int):
 
 
 def intersection_size(code_c: LinearCode, code_d: LinearCode, w) -> int:
-    """Pairs in C x D that agree on every position outside supp(w):
-    |C| |D| over the size of the span of both codes' generators on those
-    positions, with no word enumerated."""
+    """Pairs in C x D that agree on every position outside supp(w): the
+    span counter at the identity, with no word enumerated."""
     _check_pair(code_c, code_d, w)
-    keep = _zero_positions(w)
-    rows = tuple(
-        tuple(g[i] for i in keep) for g in code_c.generators + code_d.generators
-    )
-    span = LinearCode(code_c.ring, len(keep), rows)
-    return code_c.size * code_d.size // span.size
+    count = _span_counter(code_c, code_d, _zero_positions(w))
+    return count([range(code_c.n)])[0]
+
+
+def _span_counter(code_c: LinearCode, code_d: LinearCode, keep):
+    """Per-permutation counts for a list of permutations: |C| |D| over the
+    size of the span of C's generators on sigma(K) and D's on K, with D's
+    rows on K put in echelon form once, whose pivot rows span them."""
+    ring = code_c.ring
+    s = len(keep)
+    fixed, _ = _echelon(ring, [[g[i] for i in keep] for g in code_d.generators], s)
+    fixed = tuple(map(tuple, fixed))
+    pairs = code_c.size * code_d.size
+
+    def span_size(sigma):
+        moved = tuple(tuple(g[sigma[i]] for i in keep) for g in code_c.generators)
+        return LinearCode(ring, s, moved + fixed).size
+
+    return lambda perms: [pairs // span_size(sigma) for sigma in perms]
 
 
 # ---- exhaustive averages ---------------------------------------------------
@@ -470,11 +465,13 @@ def monte_carlo_delta(
     stream is chosen by width: numpy's, or random.Random(seed) shuffles
     once q^|K| reaches 2^62 or |K| symbols of the bit length of q - 1 pass
     62 bits.  The counter is chosen by ring: over F2 with |K| <= 64 it is
-    |C| |D| / 2^rank (see the module docstring and `_rank_counter`), with no
-    word enumerated; otherwise base-q keys on numpy's stream and agreeing
-    pairs on the shuffles.  The statistics are numpy float64 on numpy's
-    stream and Python int sums on the shuffles.  The samples are charged to
-    the budget before any is drawn.
+    |C| |D| / 2^rank (see the module docstring and `_rank_counter`);
+    otherwise |C| |D| / |P_sigma + Q| on the shuffles (`_span_counter`) and
+    base-q keys of the words on numpy's stream.  Only the keys enumerate
+    words.  The statistics are numpy float64 on numpy's stream and Python
+    int sums on the shuffles.  The samples are charged to the budget before
+    any is drawn, and on the span counter so are the samples * (k_C + k_D)
+    * |K| symbols of its generator rows.
     """
     _check_pair(code_c, code_d, w)
     if samples < 1:
@@ -505,10 +502,9 @@ def monte_carlo_delta(
     if q == 2 and s <= 64:
         count = _rank_counter(code_c, code_d, keep)
     elif shuffled:
-
-        def count(perms):
-            return list(_agreements(code_c, code_d, w, perms))
-
+        rows = len(code_c.generators) + len(code_d.generators)
+        check_budget(samples * rows * s, "span symbols")
+        count = _span_counter(code_c, code_d, keep)
     else:
         count = _key_counter(code_c, code_d, keep)
     batches = [count(draw(min(1024, samples - i))) for i in range(0, samples, 1024)]

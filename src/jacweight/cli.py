@@ -28,6 +28,7 @@ from .averages import (
     delta_closed,
     intersection_point,
 )
+from .budget import check_budget
 from .codes import BudgetExceeded, CodeFormatError, LinearCode, load_code, weight
 from .designs import is_t_design, is_t_homogeneous, supports
 from .enumerators import (
@@ -65,6 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 def decimal_string(value, digits: int = 12) -> str:
     """Round-half-even rendering at a fixed significant-digit count."""
+    check_budget(digits, "decimal digits")
     with localcontext() as ctx:
         ctx.prec = max(digits + 15, 40)
         ctx.rounding = ROUND_HALF_EVEN

@@ -4,7 +4,9 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -30,9 +32,9 @@ from jacweight.averages import (
     intersection_size,
     monte_carlo_delta,
     multinomial,
-    _agreements,
     _key_counter,
     _rank_counter,
+    _span_counter,
 )
 from jacweight.cli import main
 from jacweight.codes import (
@@ -90,6 +92,24 @@ FROZEN_DELTAS = {
 
 def front_mask(n: int, k: int):
     return (1,) * k + (0,) * (n - k)
+
+
+def _picker(positions):
+    """u -> its symbols at positions: a scalar for one position and () for
+    none, so that keys made by pickers of one length compare as tuples do."""
+    return itemgetter(*positions) if positions else lambda u: ()
+
+
+def _agreements(code_c, code_d, w, orders):
+    """The literal counter: for each sigma in orders, the pairs (u, v) in
+    C x D with u[sigma[i]] equal to v[i] at every position i outside
+    supp(w), found by keying every word."""
+    keep = [i for i, m in enumerate(w) if m == 0]
+    cnt_d = Counter(map(_picker(keep), code_d.words))
+    words = code_c.words
+    for sigma in orders:
+        keys = map(_picker([sigma[i] for i in keep]), words)
+        yield sum(map(cnt_d.get, keys, itertools.repeat(0)))
 
 
 def test_multinomial_convention():
@@ -532,7 +552,7 @@ def test_monte_carlo_python_fallback():
     res = monte_carlo_delta(zero, zero, (0,) * 16, samples=20, seed=4)
     assert res.value == 1.0
     assert res.stderr == 0.0
-    # |K| = 63 is ranked on the shuffles, |K| = 68 counted pair by pair
+    # |K| = 63 is ranked on the shuffles, |K| = 68 counted by span sizes
     for n, k, seed in ((64, 1, 11), (70, 2, 12)):
         rng = random.Random(seed)
         code_c = _even_code(n, 9, rng)
@@ -546,14 +566,14 @@ def test_monte_carlo_python_fallback():
 
 
 # (ring, n, mask weight, counter, stream) of the sampling loop: F2 ranks on
-# either stream while |K| <= 64, keys on numpy's stream, pairs on shuffles
+# either stream while |K| <= 64, keys on numpy's stream, span sizes on shuffles
 ROUTE_CASES = [
     (F2, 64, 3, "_rank_counter", "numpy"),
     (F2, 64, 2, "_rank_counter", "shuffles"),
     (F2, 64, 0, "_rank_counter", "shuffles"),
-    (F2, 70, 2, "_agreements", "shuffles"),
+    (F2, 70, 2, "_span_counter", "shuffles"),
     (F4, 12, 10, "_key_counter", "numpy"),
-    (F4, 40, 0, "_agreements", "shuffles"),
+    (F4, 40, 0, "_span_counter", "shuffles"),
 ]
 
 
@@ -569,13 +589,6 @@ def test_monte_carlo_routes(monkeypatch, ring, n, k, counter, stream):
 
     def spy(name):
         real = getattr(averages, name)
-        if name == "_agreements":
-
-            def agreements(code_c, code_d, w, orders):
-                calls.append((name, type(orders).__name__))
-                return real(code_c, code_d, w, orders)
-
-            return agreements
 
         def counter_spy(*args):
             count = real(*args)
@@ -588,7 +601,7 @@ def test_monte_carlo_routes(monkeypatch, ring, n, k, counter, stream):
 
         return counter_spy
 
-    for name in ("_rank_counter", "_key_counter", "_agreements"):
+    for name in ("_rank_counter", "_key_counter", "_span_counter"):
         monkeypatch.setattr(averages, name, spy(name))
     rng = random.Random(n + k)
     rows = [tuple(rng.randrange(ring.order) for _ in range(n)) for _ in range(2)]
@@ -660,12 +673,32 @@ def test_monte_carlo_charges_its_samples(monkeypatch):
     monkeypatch.setenv("JF_BUDGET", "1999")
     with pytest.raises(BudgetExceeded, match="2000 samples exceed the budget 1999"):
         monte_carlo_delta(e8, e8, w, samples=2000, seed=42)
-    # the pure-Python route is charged before it shuffles
+    # the pure-Python route is charged its samples before its span symbols
     wide = _even_code(70, 3, random.Random(0))
-    with pytest.raises(BudgetExceeded, match="samples"):
+    with pytest.raises(BudgetExceeded, match="^2000 samples exceed the budget 1999$"):
         monte_carlo_delta(wide, wide, (0,) * 70, samples=2000, seed=1)
     monkeypatch.setenv("JF_BUDGET", "2000")
     assert monte_carlo_delta(e8, e8, w, samples=2000, seed=42).value == 4.85
+
+
+def test_span_counter_charges_its_symbols(monkeypatch, tmp_path):
+    # two rows each on |K| = 70: 2000 samples * 4 rows * 70 symbols
+    wide = _even_code(70, 3, random.Random(0))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(code_to_json(wide)))
+    argv = ["delta", str(path), str(path), "--w", "0" * 70, "--method", "mc",
+            "--samples", "2000", "--seed", "1"]
+    monkeypatch.setenv("JF_BUDGET", "559999")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert (rc, out.getvalue()) == (2, "")
+    assert json.loads(err.getvalue()) == {
+        "error": "560000 span symbols exceed the budget 559999"
+    }
+    monkeypatch.setenv("JF_BUDGET", "560000")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
 
 
 @st.composite
@@ -708,6 +741,56 @@ def test_rank_counts_equal_the_agreement_counts(case):
     )
 
 
+SPAN_RINGS = (F2, F3, F4, F8, F9, Z4, Z6, Z8)
+
+
+@st.composite
+def span_cases(draw):
+    """Two codes of one length n <= 70 over one of SPAN_RINGS, a mask with
+    any number |K| of zeros from 0 to n, and permutations of range(n).
+
+    The generators may be empty or hold zero rows, repeated rows and
+    multiples of a row, zero divisors among the multipliers over Z_k (such
+    as 2 times a row over Z4)."""
+    ring = draw(st.sampled_from(SPAN_RINGS))
+    q = ring.order
+    n = draw(st.integers(1, 70))
+    symbols = st.integers(0, q - 1)
+    row = st.lists(symbols, min_size=n, max_size=n).map(tuple)
+
+    def generators():
+        rows = draw(st.lists(row, max_size=3))
+        if rows and draw(st.booleans()):
+            c, u = draw(symbols), draw(st.sampled_from(rows))
+            rows.append(tuple(ring.mul_table[c][x] for x in u))
+        if rows and draw(st.booleans()):
+            rows.append(draw(st.sampled_from(rows)))
+        if draw(st.booleans()):
+            rows.append((0,) * n)
+        return tuple(draw(st.permutations(rows)))
+
+    code_c = LinearCode(ring, n, generators())
+    code_d = LinearCode(ring, n, generators())
+    s = draw(st.sampled_from([0, n]) | st.integers(0, n))
+    zeros = set(draw(st.permutations(range(n)))[:s])
+    w = tuple(0 if i in zeros else draw(st.integers(1, q - 1)) for i in range(n))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    return code_c, code_d, w, perms
+
+
+@given(span_cases())
+@settings(max_examples=200, deadline=None)
+def test_span_counts_equal_the_agreement_counts(case):
+    code_c, code_d, w, perms = case
+    keep = [i for i, m in enumerate(w) if m == 0]
+    counts = _span_counter(code_c, code_d, keep)(perms)
+    assert counts == list(_agreements(code_c, code_d, w, perms))
+    identity = [range(code_c.n)]
+    assert intersection_size(code_c, code_d, w) == next(
+        _agreements(code_c, code_d, w, identity)
+    )
+
+
 def _even_code(n, size, rng):
     """The even-weight words on a random support of the given size."""
     a, *rest = rng.sample(range(n), size)
@@ -718,7 +801,7 @@ def _even_code(n, size, rng):
 
 # (value, stderr) as float.hex of F2 pairs whose kept positions |K| = n - k
 # pass 61, where the samples are random.Random(seed) shuffles: ranked in
-# int64 rows up to |K| = 64 (bit 63 the sign bit), counted pair by pair above
+# int64 rows up to |K| = 64 (bit 63 the sign bit), counted by span sizes above
 FALLBACK_PINS = [
     ((64, 2, 62), ("0x1.4bc6a7ef9db23p+0", "0x1.53b2639a18645p-6")),
     ((64, 1, 63), ("0x1.374bc6a7ef9dbp+0", "0x1.ff906c9ffaf10p-7")),
@@ -735,8 +818,23 @@ def test_monte_carlo_fallback_values_are_pinned(case, pinned):
     code_d = _even_code(n, 6, rng)
     res = monte_carlo_delta(code_c, code_d, front_mask(n, k), samples=1500, seed=seed)
     assert (res.value.hex(), res.stderr.hex()) == pinned
-    # up to 64 kept positions the fallback ranks and builds no word
-    assert ("words" in code_c.__dict__) == (n - k > 64)
+    # the shuffles rank or take span sizes, and build no word
+    assert "words" not in code_c.__dict__ and "words" not in code_d.__dict__
+
+
+def test_wide_monte_carlo_over_f4_builds_no_words():
+    rng = random.Random(40)
+    rows = tuple(tuple(rng.randrange(4) for _ in range(40)) for _ in range(3))
+    code_c = LinearCode(F4, 40, rows)
+    code_d = LinearCode(F4, 40, rows[:2])
+    w = front_mask(40, 0)
+    res = monte_carlo_delta(code_c, code_d, w, samples=50, seed=7)
+    assert "words" not in code_c.__dict__ and "words" not in code_d.__dict__
+    # the same shuffles, counted by the literal counter, give the same mean
+    shuffles = random.Random(7)
+    order = list(range(40))
+    perms = [shuffles.shuffle(order) or list(order) for _ in range(50)]
+    assert res.value == sum(_agreements(code_c, code_d, w, perms)) / 50
 
 
 def _key_case_code(ring, n, rng, rows):

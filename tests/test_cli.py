@@ -434,6 +434,23 @@ def test_digits_below_one_exit_2(argv):
     assert out
 
 
+def test_digits_are_charged(monkeypatch):
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    start = time.perf_counter()
+    rc, out, err = run("delta", "e8", "e8", "--w-weight", "1", "--digits", "10" * 20)
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": f"{'10' * 20} decimal digits exceed the budget 67108864"
+    }
+    monkeypatch.setenv("JF_BUDGET", "200")
+    rc, out, err = run("delta", "e8", "e8", "--w-weight", "1", "--digits", "201")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "201 decimal digits exceed the budget 200"}
+    rc, out, err = run("delta", "e8", "e8", "--w-weight", "1", "--digits", "200")
+    assert (rc, out, err) == (0, "24/5  4.8" + "0" * 198 + "  paper:4.8  MATCH\n", "")
+
+
 def test_macwilliams_single_rejects_second_code():
     rc, out, err = run("macwilliams", "e8", "e8", "--side", "single", "--w-weight", "1")
     assert rc == 2
