@@ -23,8 +23,9 @@ per position over the pairs of C x D that agree there, and a pair counts
 for an injection when it is set in the AND of the masks along its path.
 The Monte Carlo path is one sampling loop that picks its stream by width
 (numpy's, or random.Random shuffles once |K| symbols pass 62 bits) and its
-counter by ring: over F2 a GF(2) rank per sample while |K| <= 64, else
-span sizes on the shuffles and base-q keys of the words on numpy's stream.
+counter by ring: over F2 while |K| <= 64 a GF(2) rank per sample of C's
+rows reduced modulo D's by byte tables built once, else span sizes on the
+shuffles and base-q keys of the words on numpy's stream.
 
 The average joint Jacobi polynomial evaluated at the point that is
 zero exactly on variables with differing code symbols and zero mask
@@ -465,7 +466,8 @@ def monte_carlo_delta(
     stream is chosen by width: numpy's, or random.Random(seed) shuffles
     once q^|K| reaches 2^62 or |K| symbols of the bit length of q - 1 pass
     62 bits.  The counter is chosen by ring: over F2 with |K| <= 64 it is
-    |C| |D| / 2^rank (see the module docstring and `_rank_counter`);
+    |C| |D| / 2^(r_D + rank), r_D the rank of D's rows on K, taken once, and
+    rank that of C's moved rows reduced modulo them (`_rank_counter`);
     otherwise |C| |D| / |P_sigma + Q| on the shuffles (`_span_counter`) and
     base-q keys of the words on numpy's stream.  Only the keys enumerate
     words.  The statistics are numpy float64 on numpy's stream and Python
@@ -538,27 +540,49 @@ def _weights(perms, keep, powers):
 
 def _rank_counter(code_c: LinearCode, code_d: LinearCode, keep):
     """Per-permutation counts over F2 for b permutations, as a (b, n) array
-    or a list of lists: |C| |D| >> rank, with bit j of each packed row for
-    kept slot j; bit 63 is the sign bit, so |K| may reach 64.
+    or a list of lists: |C| |D| >> (r_D + rank), with bit j of each packed
+    row for kept slot j; bit 63 is the sign bit, so |K| may reach 64.
 
-    The rank is taken for all b permutations at once, row by row: each
-    row pivots on its lowest set bit, which is cleared from the rows below,
-    and the rows left nonzero are independent.
+    D's rows on K are put once in fully reduced echelon form, no pivot's
+    lowest set bit set in another, so r_D is their count and reducing a row
+    modulo their span, XORing in the pivots whose lowest bits it has, is
+    linear: a 256-entry table per byte of K, applied to C's moved rows as
+    uint64 with one gather and XOR per byte.  The rank of the reduced rows
+    is taken for all b permutations at once, row by row: each row pivots on
+    its lowest set bit, which is cleared from the rows below, and the rows
+    left nonzero are independent.
     """
     import numpy as np
 
-    keep = np.array(keep, dtype=np.int64)
+    pivots = []
+    for g in code_d.generators:
+        x = sum(1 << j for j, i in enumerate(keep) if g[i])
+        for p in pivots:
+            if x & p & -p:
+                x ^= p
+        if x:
+            pivots = [p ^ x if p & x & -x else p for p in pivots] + [x]
+    # table j holds the reductions of the 256 values of byte j, built by
+    # doubling over its bits: entry v + 2^b is entry v XOR bit b's reduction
+    by_low = {p & -p: p for p in pivots}
+    tables = np.zeros((-(-len(keep) // 8), 1), dtype=np.uint64)
+    for b in range(8):
+        units = [1 << (8 * j + b) for j in range(len(tables))]
+        column = np.array([x ^ by_low.get(x, 0) for x in units], dtype=np.uint64)
+        tables = np.hstack([tables, tables ^ column[:, None]])
     powers = np.left_shift(1, np.arange(len(keep), dtype=np.int64))
     gens_c = np.array(code_c.generators, dtype=np.int64).reshape(-1, code_c.n)
-    gens_d = np.array(code_d.generators, dtype=np.int64).reshape(-1, code_d.n)
-    fixed = gens_d[:, keep] @ powers
+    keep = np.array(keep, dtype=np.int64)
     # |C| |D| is a power of two, so each count is exact as a float
-    bits = (code_c.size * code_d.size).bit_length() - 1
+    bits = (code_c.size * code_d.size).bit_length() - 1 - len(pivots)
 
     def count(perms):
         perms = np.asarray(perms, dtype=np.int64)
-        moved = gens_c @ _weights(perms, keep, powers).T
-        rows = np.concatenate([moved, np.repeat(fixed[:, None], len(perms), 1)])
+        moved = (gens_c @ _weights(perms, keep, powers).T).view(np.uint64)
+        rows = np.zeros_like(moved)
+        for j, table in enumerate(tables):
+            rows ^= table[(moved >> 8 * j) & 255]
+        rows = rows.view(np.int64)
         rank = np.zeros(len(perms), dtype=np.int64)
         for r, x in enumerate(rows):
             low = x & -x

@@ -66,7 +66,6 @@ class _Parser(argparse.ArgumentParser):
 
 def decimal_string(value, digits: int = 12) -> str:
     """Round-half-even rendering at a fixed significant-digit count."""
-    check_budget(digits, "decimal digits")
     with localcontext() as ctx:
         ctx.prec = max(digits + 15, 40)
         ctx.rounding = ROUND_HALF_EVEN
@@ -524,6 +523,8 @@ def main(argv=None) -> int:
     # enumerated once, and nothing outlives the call
     args.load = functools.cache(load_code)
     try:
+        # charged before any work, also by commands that print no decimal
+        check_budget(args.digits, "decimal digits")
         return args.func(args)
     except (
         CliError,

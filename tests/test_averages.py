@@ -741,6 +741,69 @@ def test_rank_counts_equal_the_agreement_counts(case):
     )
 
 
+# |K| at the byte edges of _rank_counter's reduction tables: none, one
+# partial byte, one whole byte, a partial second byte, and the top bytes
+RANK_EDGES = (0, 7, 8, 9, 56, 57, 63, 64)
+
+
+@st.composite
+def rank_edge_cases(draw):
+    """Two F2 codes of length |K| to |K| + 2 for |K| in RANK_EDGES, a mask
+    zero on K, and permutations of range(n).
+
+    C may be empty, and may hold the word that is 1 on every position, set
+    at bit 63 of every moved row when |K| = 64.  D's rows either span all
+    of K (|K| <= 9, so that the literal counter can list D's words), unit
+    rows on K summed into the rows above them, so every C row reduces to 0;
+    or they are few and rank-deficient: random rows, unit rows on K (pivots
+    in the top byte), a zero row, a repeated row and a sum of two rows.
+    """
+    s = draw(st.sampled_from(RANK_EDGES))
+    n = max(1, s + draw(st.integers(0, 2)))
+    keep = set(draw(st.permutations(range(n)))[:s])
+    w = tuple(int(i not in keep) for i in range(n))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    units = [tuple(int(i == k) for i in range(n)) for k in sorted(keep)]
+
+    def xor(u, v):
+        return tuple(a ^ b for a, b in zip(u, v))
+
+    if s <= 9 and draw(st.booleans()):
+        rows_d = units + draw(st.lists(bits, max_size=2))
+        for i in reversed(range(len(rows_d) - 1)):
+            if draw(st.booleans()):
+                rows_d[i] = xor(rows_d[i], rows_d[i + 1])
+    else:
+        rows_d = draw(st.lists(bits, max_size=3))
+        if units:
+            rows_d += draw(st.lists(st.sampled_from(units), max_size=2))
+        if len(rows_d) > 1 and draw(st.booleans()):
+            rows_d.append(xor(rows_d[0], rows_d[1]))
+        if rows_d and draw(st.booleans()):
+            rows_d.append(draw(st.sampled_from(rows_d)))
+        if draw(st.booleans()):
+            rows_d.append((0,) * n)
+    rows_c = draw(st.lists(bits, max_size=3))
+    if draw(st.booleans()):
+        rows_c.append((1,) * n)
+    code_c = LinearCode(F2, n, tuple(draw(st.permutations(rows_c))))
+    code_d = LinearCode(F2, n, tuple(draw(st.permutations(rows_d))))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=6))
+    return code_c, code_d, w, perms
+
+
+@given(rank_edge_cases())
+@settings(max_examples=200, deadline=None)
+def test_rank_reduction_at_the_byte_edges(case):
+    code_c, code_d, w, perms = case
+    keep = [i for i, m in enumerate(w) if m == 0]
+    count = _rank_counter(code_c, code_d, keep)
+    ranked = count(np.array(perms, dtype=np.int64))
+    assert ranked.tolist() == list(_agreements(code_c, code_d, w, perms))
+    # the shuffles pass lists of lists
+    assert count([list(p) for p in perms]).tolist() == ranked.tolist()
+
+
 SPAN_RINGS = (F2, F3, F4, F8, F9, Z4, Z6, Z8)
 
 

@@ -451,6 +451,36 @@ def test_digits_are_charged(monkeypatch):
     assert (rc, out, err) == (0, "24/5  4.8" + "0" * 198 + "  paper:4.8  MATCH\n", "")
 
 
+def test_digits_are_charged_before_any_work(monkeypatch):
+    import jacweight.averages as averages
+
+    calls = []
+    real = averages.monte_carlo_delta
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(averages, "monte_carlo_delta", spy)
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    argv = ["delta", "g24", "g24", "--w-weight", "1", "--method", "mc",
+            "--samples", "100000", "--digits", "100000000"]
+    rc, out, err = run(*argv)
+    assert (rc, out, calls) == (2, "", [])
+    assert json.loads(err) == {
+        "error": "100000000 decimal digits exceed the budget 67108864"
+    }
+    # a command that prints no decimal refuses the same --digits
+    rc, out, err = run("cwe", "e8", "--digits", "100000000")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "100000000 decimal digits exceed the budget 67108864"
+    }
+    rc, out, _ = run(*argv[:-3], "100", "--digits", "10")
+    assert (rc, len(calls)) == (0, 1)
+    assert out
+
+
 def test_macwilliams_single_rejects_second_code():
     rc, out, err = run("macwilliams", "e8", "e8", "--side", "single", "--w-weight", "1")
     assert rc == 2
