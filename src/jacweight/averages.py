@@ -472,8 +472,9 @@ def monte_carlo_delta(
     base-q keys of the words on numpy's stream.  Only the keys enumerate
     words.  The statistics are numpy float64 on numpy's stream and Python
     int sums on the shuffles.  The samples are charged to the budget before
-    any is drawn, and on the span counter so are the samples * (k_C + k_D)
-    * |K| symbols of its generator rows.
+    any is drawn, on the span counter so are the samples * (k_C + k_D) * |K|
+    symbols of its generator rows, and on the keys the q^|K| entries of
+    their count table.
     """
     _check_pair(code_c, code_d, w)
     if samples < 1:
@@ -601,17 +602,18 @@ def _key_counter(code_c: LinearCode, code_d: LinearCode, keep):
 
     q = code_c.ring.order
     s = len(keep)
+    entries = q ** max(s, 1)
     # keys are exact in float64 below 2**53, letting the matmul use BLAS
-    dtype = np.float64 if q ** max(s, 1) < 2**53 else np.int64
+    dtype = np.float64 if entries < 2**53 else np.int64
     words_c = np.array(code_c.words, dtype=dtype)
     powers = np.array([q**j for j in range(s)], dtype=dtype)
     keep = np.array(keep, dtype=np.int64)
     keys_d = np.sort(np.array(code_d.words, dtype=dtype)[:, keep] @ powers)
     table = None
-    if q ** max(s, 1) <= 1 << 24:
-        table = np.bincount(
-            keys_d.astype(np.int64), minlength=q ** max(s, 1)
-        ).astype(np.int32)
+    if entries <= 1 << 24:
+        check_budget(entries, "key table entries")
+        table = np.bincount(keys_d.astype(np.int64), minlength=entries)
+        table = table.astype(np.int32)
 
     def count(perms):
         keys = words_c @ _weights(perms, keep, powers).T

@@ -6,6 +6,18 @@ and a harness that recomputes the published reference table.  Output
 is deterministic: polynomials print in canonical term order and
 decimals are rendered round-half-even at a fixed number of
 significant digits.
+
+One table, `COMMANDS`, gives each subcommand its name, help text, code
+arguments, whether it takes a mask, its handler and the enumerator it
+prints; one loop builds the subparsers from it, and `cmd_poly` prints
+every enumerator.  In `macwilliams` each side names its transform and
+the code slots that transform dualises (`SIDES`): single and first (0,),
+second (1,), both (0, 1).  The transform gets those codes' sizes, and
+the cross-check builds the same enumerator with exactly those codes
+replaced by their duals.  The table and `SIDES` call library functions
+through lambdas that look up this module's globals when a command runs,
+so a tracer that replaces those globals after the parser is built and
+cached still sees every call.
 """
 
 from __future__ import annotations
@@ -127,60 +139,44 @@ def _emit_poly(poly, args) -> None:
 # ---- subcommand handlers ---------------------------------------------------
 
 
-def cmd_cwe(args) -> int:
-    _emit_poly(cwe(args.load(args.code)), args)
+def _operands(args) -> list:
+    """The command's codes, each loaded once, then its mask if it takes one."""
+    codes = [args.load(getattr(args, name)) for name in args.codes]
+    return codes + [_mask_for(args, codes[0])] if args.masked else codes
+
+
+def cmd_poly(args) -> int:
+    _emit_poly(args.poly(args, *_operands(args)), args)
     return 0
 
 
-def cmd_cwe_g(args) -> int:
-    _emit_poly(cwe_genus(args.load(args.code), args.genus), args)
-    return 0
-
-
-def cmd_jacobi(args) -> int:
-    code = args.load(args.code)
-    _emit_poly(jacobi(code, _mask_for(args, code)), args)
-    return 0
-
-
-def cmd_joint_cwe(args) -> int:
-    _emit_poly(joint_cwe(args.load(args.code_c), args.load(args.code_d)), args)
-    return 0
-
-
-def cmd_joint_jacobi(args) -> int:
-    code_c = args.load(args.code_c)
-    code_d = args.load(args.code_d)
-    _emit_poly(joint_jacobi(code_c, code_d, _mask_for(args, code_c)), args)
-    return 0
+# side: its transform, given the polynomial and the sizes of the codes in
+# its slots, and the code slots that transform dualises
+SIDES = {
+    "first": (lambda *a: macwilliams_first(*a), (0,)),
+    "second": (lambda *a: macwilliams_second(*a), (1,)),
+    "both": (lambda *a: macwilliams_both(*a), (0, 1)),
+    "single": (lambda *a: macwilliams_single(*a), (0,)),
+}
 
 
 def cmd_macwilliams(args) -> int:
-    code_c = args.load(args.code_c)
-    w = _mask_for(args, code_c)
+    code_c, w = _operands(args)
     side = args.side
-    if side == "single":
-        if args.code_d is not None:
-            raise CliError("--side single transforms one code; drop the second")
-        base = jacobi(code_c, w)
-        transformed = macwilliams_single(base, code_c.size)
-        direct = _try_direct(lambda: jacobi(code_c.dual(), w))
-    else:
-        if args.code_d is None:
-            raise CliError(f"--side {side} needs two codes")
-        code_d = args.load(args.code_d)
-        base = joint_jacobi(code_c, code_d, w)
-        if side == "second":
-            transformed = macwilliams_second(base, code_d.size)
-            direct = _try_direct(lambda: joint_jacobi(code_c, code_d.dual(), w))
-        elif side == "first":
-            transformed = macwilliams_first(base, code_c.size)
-            direct = _try_direct(lambda: joint_jacobi(code_c.dual(), code_d, w))
-        else:
-            transformed = macwilliams_both(base, code_c.size, code_d.size)
-            direct = _try_direct(
-                lambda: joint_jacobi(code_c.dual(), code_d.dual(), w)
-            )
+    if side == "single" and args.code_d is not None:
+        raise CliError("--side single transforms one code; drop the second")
+    if side != "single" and args.code_d is None:
+        raise CliError(f"--side {side} needs two codes")
+    codes = [code_c] if args.code_d is None else [code_c, args.load(args.code_d)]
+    enumerator = jacobi if len(codes) == 1 else joint_jacobi
+    transform, slots = SIDES[side]
+    transformed = transform(enumerator(*codes, w), *(codes[i].size for i in slots))
+    try:
+        direct = enumerator(
+            *(c.dual() if i in slots else c for i, c in enumerate(codes)), w
+        )
+    except BudgetExceeded:
+        direct = None
     verdict = None if direct is None else (
         "EQUAL" if transformed == direct else "UNEQUAL"
     )
@@ -200,19 +196,6 @@ def cmd_macwilliams(args) -> int:
             print(f"direct: {direct.render_text()}")
             print(verdict)
     return 0 if verdict in (None, "EQUAL") else 1
-
-
-def _try_direct(thunk):
-    try:
-        return thunk()
-    except BudgetExceeded:
-        return None
-
-
-def cmd_avg_jacobi(args) -> int:
-    code = args.load(args.code)
-    _emit_poly(avg_jacobi(code, _mask_for(args, code)), args)
-    return 0
 
 
 def _parse_point(text: str, ring):
@@ -237,32 +220,20 @@ def _parse_point(text: str, ring):
 
 
 def cmd_avg_joint_jacobi(args) -> int:
-    code_c = args.load(args.code_c)
-    code_d = args.load(args.code_d)
-    w = _mask_for(args, code_c)
-    if args.value_at is not None:
-        point = _parse_point(args.value_at, code_c.ring)
-        value = avg_joint_jacobi_value(code_c, code_d, w, point)
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "value": fraction_str(value),
-                        "decimal": decimal_string(value, args.digits),
-                    }
-                )
-            )
-        else:
-            print(f"{fraction_str(value)}  {decimal_string(value, args.digits)}")
-        return 0
-    _emit_poly(avg_joint_jacobi(code_c, code_d, w), args)
+    if args.value_at is None:
+        return cmd_poly(args)
+    code_c, code_d, w = _operands(args)
+    point = _parse_point(args.value_at, code_c.ring)
+    value = avg_joint_jacobi_value(code_c, code_d, w, point)
+    exact = {
+        "value": fraction_str(value), "decimal": decimal_string(value, args.digits)
+    }
+    print(json.dumps(exact) if args.format == "json" else "  ".join(exact.values()))
     return 0
 
 
 def cmd_delta(args) -> int:
-    code_c = args.load(args.code_c)
-    code_d = args.load(args.code_d)
-    w = _mask_for(args, code_c)
+    code_c, code_d, w = _operands(args)
     result = delta(
         code_c, code_d, w, method=args.method, samples=args.samples, seed=args.seed
     )
@@ -389,6 +360,37 @@ def cmd_repro_paper(args) -> int:
 # ---- parser ----------------------------------------------------------------
 
 
+CODE, PAIR = ("code",), ("code_c", "code_d")
+
+# name, help, code arguments, takes a mask, handler, and the enumerator
+# cmd_poly prints, called with the arguments, the codes and the mask
+COMMANDS = (
+    ("cwe", "complete weight enumerator", CODE, False, cmd_poly,
+     lambda args, *ops: cwe(*ops)),
+    ("cwe-g", "genus-g weight enumerator", CODE, False, cmd_poly,
+     lambda args, code: cwe_genus(code, args.genus)),
+    ("jacobi", "Jacobi polynomial", CODE, True, cmd_poly,
+     lambda args, *ops: jacobi(*ops)),
+    ("joint-cwe", "joint complete weight enumerator", PAIR, False, cmd_poly,
+     lambda args, *ops: joint_cwe(*ops)),
+    ("joint-jacobi", "joint Jacobi polynomial", PAIR, True, cmd_poly,
+     lambda args, *ops: joint_jacobi(*ops)),
+    ("macwilliams", "duality transform with independent cross-check",
+     ("code_c",), True, cmd_macwilliams, None),
+    ("avg-jacobi", "average Jacobi polynomial", CODE, True, cmd_poly,
+     lambda args, *ops: avg_jacobi(*ops)),
+    ("avg-joint-jacobi", "average joint Jacobi polynomial", PAIR, True,
+     cmd_avg_joint_jacobi, lambda args, *ops: avg_joint_jacobi(*ops)),
+    ("delta", "average intersection number", PAIR, True, cmd_delta, None),
+    ("design-check", "coverage scan of one weight class", CODE, False,
+     cmd_design_check, None),
+    ("homogeneous", "design check of every weight class", CODE, False,
+     cmd_homogeneous, None),
+    ("repro-paper", "recompute the published reference table", (), False,
+     cmd_repro_paper, None),
+)
+
+
 @functools.cache
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
@@ -408,62 +410,23 @@ def build_parser() -> _Parser:
         help="mask weight k; uses the representative with ones first",
     )
 
-    parser = _Parser(prog="jacweight", description=__doc__)
+    # -h prints the docstring's first two paragraphs
+    description = "\n\n".join(__doc__.split("\n\n")[:2])
+    parser = _Parser(prog="jacweight", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
+    p = {}
+    for name, text, codes, masked, handler, poly in COMMANDS:
+        p[name] = sub.add_parser(
+            name, parents=[common, mask] if masked else [common], help=text
+        )
+        for code in codes:
+            p[name].add_argument(code)
+        p[name].set_defaults(func=handler, codes=codes, masked=masked, poly=poly)
 
-    p = sub.add_parser("cwe", parents=[common], help="complete weight enumerator")
-    p.add_argument("code")
-    p.set_defaults(func=cmd_cwe)
-
-    p = sub.add_parser("cwe-g", parents=[common], help="genus-g weight enumerator")
-    p.add_argument("code")
-    p.add_argument("-g", "--genus", type=int, required=True)
-    p.set_defaults(func=cmd_cwe_g)
-
-    p = sub.add_parser("jacobi", parents=[common, mask], help="Jacobi polynomial")
-    p.add_argument("code")
-    p.set_defaults(func=cmd_jacobi)
-
-    p = sub.add_parser(
-        "joint-cwe", parents=[common], help="joint complete weight enumerator"
-    )
-    p.add_argument("code_c")
-    p.add_argument("code_d")
-    p.set_defaults(func=cmd_joint_cwe)
-
-    p = sub.add_parser(
-        "joint-jacobi", parents=[common, mask], help="joint Jacobi polynomial"
-    )
-    p.add_argument("code_c")
-    p.add_argument("code_d")
-    p.set_defaults(func=cmd_joint_jacobi)
-
-    p = sub.add_parser(
-        "macwilliams",
-        parents=[common, mask],
-        help="duality transform with independent cross-check",
-    )
-    p.add_argument("code_c")
-    p.add_argument("code_d", nargs="?", default=None)
-    p.add_argument(
-        "--side", choices=("first", "second", "both", "single"), required=True
-    )
-    p.set_defaults(func=cmd_macwilliams)
-
-    p = sub.add_parser(
-        "avg-jacobi", parents=[common, mask], help="average Jacobi polynomial"
-    )
-    p.add_argument("code")
-    p.set_defaults(func=cmd_avg_jacobi)
-
-    p = sub.add_parser(
-        "avg-joint-jacobi",
-        parents=[common, mask],
-        help="average joint Jacobi polynomial",
-    )
-    p.add_argument("code_c")
-    p.add_argument("code_d")
-    group = p.add_mutually_exclusive_group()
+    p["cwe-g"].add_argument("-g", "--genus", type=int, required=True)
+    p["macwilliams"].add_argument("code_d", nargs="?", default=None)
+    p["macwilliams"].add_argument("--side", choices=tuple(SIDES), required=True)
+    group = p["avg-joint-jacobi"].add_mutually_exclusive_group()
     group.add_argument(
         "--expand", action="store_true", help="print the full polynomial (default)"
     )
@@ -472,45 +435,19 @@ def build_parser() -> _Parser:
         dest="value_at",
         help="evaluate instead: 'ones', 'intersection', or comma-separated rationals",
     )
-    p.set_defaults(func=cmd_avg_joint_jacobi)
-
-    p = sub.add_parser(
-        "delta", parents=[common, mask], help="average intersection number"
+    p["delta"].add_argument(
+        "--method", choices=("closed", "brute", "mc"), default="closed"
     )
-    p.add_argument("code_c")
-    p.add_argument("code_d")
-    p.add_argument("--method", choices=("closed", "brute", "mc"), default="closed")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_delta)
-
-    p = sub.add_parser(
-        "design-check", parents=[common], help="coverage scan of one weight class"
-    )
-    p.add_argument("code")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=cmd_design_check)
-
-    p = sub.add_parser(
-        "homogeneous", parents=[common], help="design check of every weight class"
-    )
-    p.add_argument("code")
-    p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=cmd_homogeneous)
-
-    p = sub.add_parser(
-        "repro-paper",
-        parents=[common],
-        help="recompute the published reference table",
-    )
-    p.add_argument(
+    p["delta"].add_argument("--samples", type=int, default=10000)
+    p["delta"].add_argument("--seed", type=int, default=0)
+    p["design-check"].add_argument("--weight", type=int, required=True)
+    p["design-check"].add_argument("--t", type=int, required=True)
+    p["homogeneous"].add_argument("--t", type=int, required=True)
+    p["repro-paper"].add_argument(
         "--conjecture",
         action="store_true",
         help="report gaps to the conjectured limits instead",
     )
-    p.set_defaults(func=cmd_repro_paper)
-
     return parser
 
 

@@ -2,7 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -530,6 +532,23 @@ def test_monte_carlo_samples_past_the_budget_exit_2(monkeypatch):
     )
 
 
+def test_monte_carlo_key_table_is_charged(tmp_path, monkeypatch):
+    # over F4 with |K| = 6 the key counter counts D's keys in 4^6 = 4096 cells
+    path = tmp_path / "f4_row.json"
+    ring = {"kind": "field", "p": 2, "f": 2}
+    path.write_text(json.dumps({"name": "", "ring": ring, "n": 6, "generators": [[1] * 6]}))
+    argv = ("delta", str(path), str(path), "--w-weight", "0",
+            "--method", "mc", "--samples", "200")
+    monkeypatch.setenv("JF_BUDGET", "4095")
+    assert run(*argv) == (
+        2, "", '{"error": "4096 key table entries exceed the budget 4095"}\n'
+    )
+    monkeypatch.setenv("JF_BUDGET", "4096")
+    assert run(*argv) == (
+        0, "4.00000000000  stderr:0.00000  samples:200  seed:0\n", ""
+    )
+
+
 def test_monte_carlo_with_one_sample_has_no_stderr():
     argv = ("delta", "e8", "e8", "--w-weight", "1", "--method", "mc",
             "--samples", "1", "--seed", "3")
@@ -702,3 +721,117 @@ def test_table_columns_are_charged(tmp_path, monkeypatch):
     }
     rc, out, err = run("cwe-g", str(path), "-g", "3", "--format", "json")
     assert (rc, err) == (0, "")
+
+
+# each command, and the library functions it must call through their names
+# on jacweight.cli, with their call counts; a tracer replaces those names
+# after the parser is built, so a command table holding the functions
+# themselves would miss every wrapper
+TRACED_CALLS = [
+    (("cwe", "e8"), {"cwe": 1}),
+    (("cwe-g", "e8", "-g", "2"), {"cwe_genus": 1}),
+    (("jacobi", "e8", "--w-weight", "1"), {"jacobi": 1}),
+    (("joint-cwe", "e8", "e8"), {"joint_cwe": 1}),
+    (("joint-jacobi", "e8", "e8", "--w-weight", "1"), {"joint_jacobi": 1}),
+    (("macwilliams", "e8", "--side", "single", "--w-weight", "1"),
+     {"jacobi": 2, "macwilliams_single": 1}),
+    (("macwilliams", "e8", "e8", "--side", "first", "--w-weight", "1"),
+     {"joint_jacobi": 2, "macwilliams_first": 1}),
+    (("macwilliams", "e8", "e8", "--side", "second", "--w-weight", "1"),
+     {"joint_jacobi": 2, "macwilliams_second": 1}),
+    (("macwilliams", "e8", "e8", "--side", "both", "--w-weight", "1"),
+     {"joint_jacobi": 2, "macwilliams_both": 1}),
+    (("avg-jacobi", "e8", "--w-weight", "1"), {"avg_jacobi": 1}),
+    (("avg-joint-jacobi", "e8", "e8", "--w-weight", "1"), {"avg_joint_jacobi": 1}),
+    (("avg-joint-jacobi", "e8", "e8", "--w-weight", "1", "--value-at", "ones"),
+     {"avg_joint_jacobi_value": 1}),
+    (("delta", "e8", "e8", "--w-weight", "1"), {"delta": 1}),
+    (("design-check", "e8", "--weight", "4", "--t", "3"),
+     {"supports": 1, "is_t_design": 1}),
+    (("homogeneous", "e8", "--t", "3"), {"is_t_homogeneous": 1}),
+    (("repro-paper", "--conjecture"), {"delta_closed": 23}),
+]
+LIBRARY_NAMES = sorted({name for _, calls in TRACED_CALLS for name in calls})
+
+
+@pytest.mark.parametrize(
+    "argv, expected", TRACED_CALLS, ids=[" ".join(argv) for argv, _ in TRACED_CALLS]
+)
+def test_commands_call_library_functions_by_their_cli_names(
+    argv, expected, monkeypatch
+):
+    # built and cached first, as the benchmark worker's warm-up does
+    assert run("cwe", "e8")[0] == 0
+    calls = Counter()
+
+    def spy(name, fn):
+        def called(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return called
+
+    for name in LIBRARY_NAMES:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    rc, _, err = run(*argv)
+    assert (rc, err) == (0, "")
+    assert calls == expected
+
+
+# sha256 of the stdout of "jacweight -h" and of "jacweight COMMAND -h" at
+# 80 columns
+HELP_SHA256 = {
+    (): "a785552fee85b838104cee6b66cecd2fe0fd0aae40888a483918d7bdfec787fa",
+    ("cwe",): "8b0679336a1043b13bcc8322b5a01cd985c31e2b9951e457033b945552d0ac95",
+    ("cwe-g",): "7b532e4c0111523fdc621746211f822a68c1b2545b54a0ed71fcb00559ab0c16",
+    ("jacobi",): "814d70d4bf8c973dc701d768a9c1c277e47dbbb3bead29812c13f1b308b90b3b",
+    ("joint-cwe",): "2925995a6a6ac019ea69a0fd0074a21c1ee30b2a54344d2242055e3a682e0c64",
+    ("joint-jacobi",):
+        "edad12c0a07a8b3dba2b21e55f164080749db1671fb9884ae3435a76eedaeee2",
+    ("macwilliams",):
+        "b0bce31414160edbe6602805309177da7d5d7ece66ec16681ebde33fb8017726",
+    ("avg-jacobi",): "b735790742f1d9d5fb2ab3272c9d9b8e987c41d50ec98c61aea7c3f2475a5ee9",
+    ("avg-joint-jacobi",):
+        "72bc59f2e4d1447452f8d5d9eab1925264a205f6435068e538440cd702b1b74e",
+    ("delta",): "35f1f388de3f9f4dcf041830e4da886c3cd3696e982bd996c876952024a2fdce",
+    ("design-check",):
+        "c239902e535e0962a16ad0ff99720a9edadf37f17f771ee73fb770f4af489e8a",
+    ("homogeneous",):
+        "45e5493a9096cee4cdcaaab41a388a714b9fe8a2c2ab8243401b06d01df187f5",
+    ("repro-paper",):
+        "27b2246c6006c373cf892067036b67419b6193fba858b8810de8c76707692492",
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="pinned under Python 3.11; argparse lays out help differently by version",
+)
+def test_help_text_is_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, digest in HELP_SHA256.items():
+        rc, out, err = run(*command, "-h")
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+# what each command reports when run with none of its arguments
+REQUIRED_ARGUMENTS = {
+    "cwe": "code",
+    "cwe-g": "code, -g/--genus",
+    "jacobi": "code",
+    "joint-cwe": "code_c, code_d",
+    "joint-jacobi": "code_c, code_d",
+    "macwilliams": "code_c, --side",
+    "avg-jacobi": "code",
+    "avg-joint-jacobi": "code_c, code_d",
+    "delta": "code_c, code_d",
+    "design-check": "code, --weight, --t",
+    "homogeneous": "code, --t",
+}
+
+
+def test_commands_without_their_arguments_exit_2():
+    for command, missing in REQUIRED_ARGUMENTS.items():
+        error = f"the following arguments are required: {missing}"
+        assert run(command) == (2, "", json.dumps({"error": error}) + "\n")

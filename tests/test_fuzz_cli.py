@@ -14,9 +14,17 @@ The drawn sizes are capped so that no example allocates more than a few
 MB before its charge: rows of at most 40 symbols (a huge n comes with no
 rows, or with short ragged ones) and `f` up to 20000 with its modulus.
 `--digits` is drawn up to 10^30, since the decimals charge their digits.
+
 `macwilliams` runs only on the three small fixtures: on a long code its
 direct cross-check builds `LinearCode.dual()`, whose n x n identity is
-built before any charge.
+built before any charge, and on short drawn codes over F3 and up its
+transform may run for seconds under the budget, which charges the terms
+of each monomial's image but not their total.
+
+Well-formed drawn code files over q > 2 (n <= 40, up to three rows) go
+through `delta --method mc`: at |K| <= 8, where the key counter counts
+in a table of q^|K| cells (or by sorted keys past 2^24 of them), and at
+|K| >= 32, past 62 bits, where the shuffles count by span size.
 """
 
 import contextlib
@@ -262,6 +270,12 @@ def code_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "code.json"
 
 
+@pytest.fixture(scope="module")
+def pair_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("pair")
+    return folder / "c.json", folder / "d.json"
+
+
 @given(obj=code_objects())
 @FUZZ
 def test_code_and_ring_objects_exit_0_or_2(code_path, obj):
@@ -277,3 +291,26 @@ def test_code_and_ring_objects_exit_0_or_2(code_path, obj):
 def test_argv_flags_exit_0_1_or_2(argv):
     rc, out, err = run_cli(argv)
     check_outcome(argv, rc, out, err)
+
+
+@given(data=st.data())
+@FUZZ
+def test_monte_carlo_on_drawn_codes_exit_0_or_2(pair_paths, data):
+    ring = data.draw(st.sampled_from(VALID_RINGS[1:]))
+    q = ring.get("p", ring.get("k")) ** ring.get("f", 1)
+    # every ring here takes at least 2 bits a symbol, so |K| >= 32 passes
+    # 62 bits and goes to the shuffles
+    wide = data.draw(st.booleans())
+    n = data.draw(st.integers(32, 40) if wide else st.integers(1, 40))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    for path in pair_paths:
+        generators = data.draw(st.lists(row, max_size=3))
+        path.write_text(json.dumps({"ring": ring, "n": n, "generators": generators}))
+    kept_sizes = range(32, n + 1) if wide else range(min(n, 8) + 1)
+    kept = data.draw(st.sampled_from(kept_sizes))
+    argv = ["delta", *map(str, pair_paths), "--w-weight", str(n - kept),
+            "--method", "mc", "--samples", str(data.draw(st.integers(1, 5000))),
+            "--seed", str(data.draw(st.integers(0, 10**6)))]
+    rc, out, err = run_cli(argv)
+    check_outcome(argv, rc, out, err)
+    assert rc != 1
