@@ -595,6 +595,10 @@ def _rank_counter(code_c: LinearCode, code_d: LinearCode, keep):
     return count
 
 
+# past this many cells _key_counter counts by sorted keys, not a table
+KEY_TABLE_CELLS = 1 << 24
+
+
 def _key_counter(code_c: LinearCode, code_d: LinearCode, keep):
     """Per-permutation counts for a (b, n) array of permutations: the keys
     of C's words on perms[i](K) found among the keys of D's words on K."""
@@ -610,10 +614,11 @@ def _key_counter(code_c: LinearCode, code_d: LinearCode, keep):
     keep = np.array(keep, dtype=np.int64)
     keys_d = np.sort(np.array(code_d.words, dtype=dtype)[:, keep] @ powers)
     table = None
-    if entries <= 1 << 24:
+    if entries <= KEY_TABLE_CELLS:
         check_budget(entries, "key table entries")
-        table = np.bincount(keys_d.astype(np.int64), minlength=entries)
-        table = table.astype(np.int32)
+        cells, counts = np.unique(keys_d.astype(np.int64), return_counts=True)
+        table = np.zeros(entries, np.int32)
+        table[cells] = counts
 
     def count(perms):
         keys = words_c @ _weights(perms, keep, powers).T

@@ -11,14 +11,19 @@ slot, each variable x_(.., a, ..) becomes the character sum
 sum_b chi(ab) x_(.., b, ..), and the result is scaled by 1/|code|.
 Applied to the enumerator of (C, D, w) it yields the enumerator with
 C or D replaced by its dual; transforming both slots is the first slot
-followed by the second.
+followed by the second.  The transform substitutes one group of
+variables at a time over the whole polynomial, on terms packed into ints
+and with coefficients carried as ints mod Phi_m(2^b), so every ring runs
+the same integer code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import struct
 from fractions import Fraction
-from operator import add, itemgetter
 
 from .codes import (
     LinearCode,
@@ -29,7 +34,7 @@ from .codes import (
     jacobi_table,
     joint_jacobi_table,
 )
-from .exactnum import CyclotomicIntegers
+from .exactnum import CyclotomicResidues, integer_coefficients
 from .polynomials import SparsePolynomial
 
 __all__ = [
@@ -118,87 +123,102 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     """Map each x_(.., a, ..) to sum_b chi(ab) x_(.., b, ..) in one slot; scale 1/size.
 
     The q variables that differ only in that slot form a group, and
-    groups map to disjoint variables, so a monomial's image is the
-    product of its group images.  A group image depends only on the
-    group's exponents and is computed once per call.  Image terms are
-    keyed by their nonzero groups until the end.
+    groups map to disjoint variables, so the transform is one group's
+    substitution after another over the whole polynomial, in the
+    natural group order, as in Yates' algorithm.  Equal terms merge and
+    zeros drop after each group, so terms that cancel never reach the
+    later groups.  A group image, the expansion of the substitution in
+    one monomial of the group's variables, depends only on the group's
+    exponents and is computed once per call.
 
-    The loops do integer arithmetic only: the coefficients are put over
-    one common denominator and carried, like the characters, as
-    exactnum.CyclotomicIntegers forms (ints, or phi(m)-tuples of ints
-    in Z[zeta_m]).  One division by size * denominator at the end turns
-    them back into Fractions and Cyclotomics.  A new group image charges
-    a bound on its expansion steps to the budget, and each expansion of
-    a monomial's partial image charges its term count.
+    A term is one int with one digit per variable, of 1, 2, 4 or 8
+    bytes, the fewest that hold the top degree; a group image is kept
+    with its digits at the first group's and shifted into each group's.
+    Coefficients and characters are put over one common denominator and
+    carried as exactnum.CyclotomicResidues, ints mod Phi_m(2^b), with
+    zeta_m -> 2^b (Kronecker substitution), so F2 and Z[zeta_m] run the
+    same int code.  Every value formed is a sum of at most paths =
+    sum over terms of |den * c|_1 * q^deg units, and b is chosen from
+    that bound so that a value is zero exactly when its residue is; one
+    division by size * den at the end gives back the Fractions and
+    Cyclotomics.  A new group image charges a bound on its expansion
+    steps to the budget, and each group's substitution first charges
+    the terms it forms: each term's image size, or 1 for a term with no
+    exponent in the group.
     """
-    scale = Fraction(1, size)
     ring = poly.ring
     q = ring.order
-    nvars = poly.nvars
     stride = q ** (poly.arity - 1 - slot)
-    groups = [
-        tuple(base + a * stride for a in range(q))
-        for base in range(nvars)
-        if (base // stride) % q == 0
-    ]
-    getters = [itemgetter(*members) for members in groups]
-    chars = [[ring.chi(ring.mul(a, b)) for b in range(q)] for a in range(q)]
-    zints = CyclotomicIntegers(
-        [*poly.terms.values(), *(c for row in chars for c in row)]
-    )
-    times, plus, zero = zints.mul, zints.add, zints.zero
-    one = zints.to_ints(1, 1)
-    # the image of x_a as the q terms chi(ab) x_b of the group's own variables
-    unit = [tuple(int(b == c) for c in range(q)) for b in range(q)]
-    forms = [
-        [(unit[b], zints.columns(zints.to_ints(chars[a][b], 1))) for b in range(q)]
-        for a in range(q)
-    ]
+    chars = [ring.chi(ring.mul(a, b)) for a in range(q) for b in range(q)]
+    m, den, rows = integer_coefficients([*poly.terms.values(), *chars])
+    degrees = [sum(key) for key in poly.terms]
+    paths = sum(sum(map(abs, row)) * q**d for row, d in zip(rows, degrees))
+    res = CyclotomicResidues(m, paths)
+    modulus, encode = res.modulus, res.encode
+    # one digit a variable, of the fewest bytes that hold the top degree
+    formats = {1: "B", 2: "H", 4: "I", 8: "Q"}
+    degree = max(degrees, default=0)
+    width = next(w for w in formats if degree >> (8 * w) == 0)
+    layout = struct.Struct(f"<{poly.nvars}{formats[width]}")
+    bits = 8 * width
+    top = (1 << bits) - 1
+    digit = [1 << (a * stride * bits) for a in range(q)]
+    group_mask = top * sum(digit)
+    # the characters are units: den divides their rows exactly
+    units = [encode([c // den for c in row]) for row in rows[len(degrees):]]
+    forms = [[(digit[b], units[a * q + b]) for b in range(q)] for a in range(q)]
 
-    def group_image(exps):
+    def group_image(packed):
         # each of the d products below expands at most comb(d + q - 1, q - 1) terms
+        exps = [packed // unit & top for unit in digit]
         d = sum(exps)
         check_budget(d * q * math.comb(d + q - 1, q - 1), "group image steps")
-        prod = {(0,) * q: one}
+        prod = {0: 1}
         for form, e in zip(forms, exps):
             for _ in range(e):
                 nxt: dict = {}
                 for k1, c1 in prod.items():
                     for k2, c2 in form:
-                        k = tuple(map(add, k1, k2))
-                        c = times(c1, c2)
-                        nxt[k] = plus(nxt[k], c) if k in nxt else c
-                prod = {k: c for k, c in nxt.items() if c != zero}
-        return [(k, zints.columns(c)) for k, c in prod.items()]
+                        nxt[k1 + k2] = nxt.get(k1 + k2, 0) + c1 * c2
+                prod = {k: r for k, c in nxt.items() if (r := c % modulus)}
+        return list(prod.items())
 
     images: dict = {}
-    out: dict = {}
-    for key, coeff in poly.terms.items():
-        partial = [((), zints.to_ints(coeff, zints.den))]
-        for g, get in enumerate(getters):
-            exps = get(key)
-            if not any(exps):
-                continue
-            image = images.get(exps)
+    terms = {
+        int.from_bytes(layout.pack(*key), "little"): encode(row)
+        for key, row in zip(poly.terms, rows)
+    }
+    # a term's degree in each group is fixed, so groups no term uses stay so
+    used = functools.reduce(operator.or_, terms, 0)
+    for base in range(poly.nvars):
+        shift = base * bits
+        if (base // stride) % q or not used >> shift & group_mask:
+            continue
+        buckets: dict = {}
+        for item in terms.items():
+            buckets.setdefault(item[0] >> shift & group_mask, []).append(item)
+        terms = dict(buckets.pop(0, ()))
+        moves = {}
+        for packed in buckets:
+            image = images.get(packed)
             if image is None:
-                image = images[exps] = group_image(exps)
-            check_budget(len(partial) * len(image), "transform terms")
-            partial = [
-                (k + ((g, ik),), times(c, ic)) for k, c in partial for ik, ic in image
-            ]
-        for k, c in partial:
-            total = plus(out.pop(k, zero), c)
-            if total != zero:
-                out[k] = total
-    scale /= zints.den
-    terms = {}
-    for k, c in out.items():
-        vec = [0] * nvars
-        for g, ik in k:
-            for v, e in zip(groups[g], ik):
-                vec[v] = e
-        terms[tuple(vec)] = zints.to_scalar(c, scale)
-    return SparsePolynomial(ring, poly.arity, terms)
+                image = images[packed] = group_image(packed)
+            moves[packed] = [((k - packed) << shift, c) for k, c in image]
+        check_budget(
+            len(terms) + sum(len(v) * len(moves[k]) for k, v in buckets.items()),
+            "transform terms",
+        )
+        out: dict = {}
+        for packed, items in buckets.items():
+            for move, ic in moves[packed]:
+                for key, c in items:
+                    k = key + move
+                    out[k] = out.get(k, 0) + c * ic
+        terms.update((k, r) for k, c in out.items() if (r := c % modulus))
+    scale = Fraction(1, size) / den
+    keys = layout.iter_unpack(b"".join(k.to_bytes(layout.size, "little") for k in terms))
+    values = (res.to_scalar(c, scale) for c in terms.values())
+    return SparsePolynomial(ring, poly.arity, dict(zip(keys, values)))
 
 
 def macwilliams_single(poly: SparsePolynomial, size: int) -> SparsePolynomial:

@@ -7,26 +7,27 @@ actually rational collapses back to a Fraction via simplify(), and
 code that requires a rational result raises NonRationalValue when a
 root-of-unity part survives.
 
-CyclotomicIntegers is the same canonical form without fractions, for
-hot loops: values are brought over one common denominator and carried
-as ints (phi(m) = 1) or phi(m)-tuples of ints in Z[zeta_m], multiplied
-through zeta^phi mod Phi_m (from cyclotomic_poly and _reduce_mod), and
-turned back into Fractions or Cyclotomics by one division at the end.
-The duality transform in enumerators.py computes this way.
+For hot loops, integer_coefficients brings values over one common
+denominator as phi(m) ints each, and CyclotomicResidues carries an
+element of Z[zeta_m] as one int mod Phi_m(2^b), with zeta_m -> 2^b, so
+that ring arithmetic is int arithmetic; b is wide enough that the
+balanced residue reads back the canonical coefficients.  One division
+at the end turns them back into Fractions or Cyclotomics.  The duality
+transform in enumerators.py computes this way.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 
 __all__ = [
     "NonRationalValue",
     "cyclotomic_poly",
     "Cyclotomic",
-    "CyclotomicIntegers",
+    "CyclotomicResidues",
+    "integer_coefficients",
     "root_of_unity",
     "simplify",
     "to_rational",
@@ -202,77 +203,77 @@ class Cyclotomic:
         return cyclo_text(self)
 
 
-class CyclotomicIntegers:
-    """Integer arithmetic in Z[zeta_m] for scalars put over one denominator.
+def integer_coefficients(values):
+    """(m, den, rows): the values over one denominator, as ints.
 
-    Built from the scalars a kernel will meet, m is the one root order
-    among their Cyclotomics (1 when there are none; mixed orders raise
-    ValueError), and den is the least common denominator of all their
-    coefficients.  to_ints(v, d) is d * v, which must be integral, as a
-    plain int when phi(m) = 1 and otherwise as a tuple of phi(m) ints in
-    the basis 1, zeta_m, ..., zeta_m^(phi-1).  A multiplier b is first
-    turned into its columns zeta^j * b for j < phi, each the last one
-    shifted up with its top coefficient folded back through zeta^phi
-    mod Phi_m; mul(a, columns(b)) is then sum_j a_j * zeta^j * b.  For
-    phi(m) = 1, mul and add are the int operators.
+    m is the one root order among the Cyclotomics in values (1 when
+    there are none; mixed orders raise ValueError), den the least common
+    denominator of all their coefficients, and rows[i] is den * values[i]
+    as phi(m) ints in the basis 1, zeta_m, ..., zeta_m^(phi-1).
+    """
+    orders = {v.m for v in values if isinstance(v, Cyclotomic)}
+    if len(orders) > 1:
+        raise ValueError(f"mixed root orders {sorted(orders)} without explicit lift")
+    m = orders.pop() if orders else 1
+    pad = (Fraction(0),) * (len(cyclotomic_poly(m)) - 2)
+    parts = [
+        v.coeffs if isinstance(v, Cyclotomic) else (Fraction(v), *pad) for v in values
+    ]
+    den = math.lcm(*(c.denominator for p in parts for c in p))
+    return m, den, [[c.numerator * (den // c.denominator) for c in p] for p in parts]
+
+
+@functools.lru_cache(maxsize=None)
+def unit_top(m: int) -> int:
+    """The largest |coefficient| of zeta_m^t mod Phi_m over t < m."""
+    phi = cyclotomic_poly(m)
+    return max(abs(c) for t in range(m) for c in _reduce_mod([0] * t + [1], phi))
+
+
+class CyclotomicResidues:
+    """Z[zeta_m] carried as ints mod N = Phi_m(2^b), with zeta_m -> 2^b.
+
+    Kronecker substitution: c_0 + c_1 zeta_m + ... encodes as the int
+    c_0 + c_1 2^b + ... mod N, a ring map since Phi_m(2^b) = N, so sums
+    and products of encodings encode the sums and products.  It is
+    exact on values that are sums of at most `paths` units (integer
+    times root of unity): their canonical coefficients lie at or below
+    top_m * paths < 2^(b-3), where b = max(8, bitlen(top_m * paths) + 3)
+    and top_m = unit_top(m), so the balanced residue mod N is the value
+    at 2^b itself and its balanced base-2^b digits are the coefficients.
+    Such a value is zero exactly when its residue is.
     """
 
-    __slots__ = ("m", "phi", "den", "zero", "mul", "add", "_zeta_phi")
+    __slots__ = ("m", "phi", "bits", "modulus")
 
-    def __init__(self, values) -> None:
-        orders = {v.m for v in values if isinstance(v, Cyclotomic)}
-        if len(orders) > 1:
-            raise ValueError(
-                f"mixed root orders {sorted(orders)} without explicit lift"
-            )
-        self.m = orders.pop() if orders else 1
-        phi_poly = cyclotomic_poly(self.m)
-        self.phi = len(phi_poly) - 1
-        self._zeta_phi = tuple(_reduce_mod([0] * self.phi + [1], phi_poly))
-        self.den = math.lcm(*(c.denominator for v in values for c in self._parts(v)))
+    def __init__(self, m: int, paths: int) -> None:
+        poly = cyclotomic_poly(m)
+        self.m, self.phi = m, len(poly) - 1
+        self.bits = max(8, (unit_top(m) * paths).bit_length() + 3)
+        self.modulus = sum(c << (self.bits * i) for i, c in enumerate(poly))
+
+    def encode(self, ints) -> int:
+        """The residue of sum_i ints[i] * zeta_m^i."""
+        return sum(c << (self.bits * i) for i, c in enumerate(ints)) % self.modulus
+
+    def decode(self, residue: int) -> list[int]:
+        """The phi(m) coefficients of the value whose residue this is."""
+        value = residue % self.modulus
+        if 2 * value > self.modulus:
+            value -= self.modulus
+        half, coeffs = 1 << (self.bits - 1), []
+        for _ in range(self.phi):
+            digit = (value + half) % (2 * half) - half
+            coeffs.append(digit)
+            value = (value - digit) >> self.bits
+        return coeffs
+
+    def to_scalar(self, residue: int, scale: Fraction):
+        """The exact scalar (decoded residue) * scale."""
+        coeffs = self.decode(residue)
         if self.phi == 1:
-            self.zero, self.mul, self.add = 0, operator.mul, operator.add
-        else:
-            self.zero, self.mul, self.add = (0,) * self.phi, self._mul, _add_tuples
-
-    def _parts(self, value) -> tuple:
-        if isinstance(value, Cyclotomic):
-            return value.coeffs
-        return (Fraction(value),) + (Fraction(0),) * (self.phi - 1)
-
-    def to_ints(self, value, den: int):
-        ints = tuple(c.numerator * (den // c.denominator) for c in self._parts(value))
-        return ints[0] if self.phi == 1 else ints
-
-    def to_scalar(self, ints, scale: Fraction):
-        """The exact scalar ints * scale."""
-        if self.phi == 1:
-            return ints * scale
-        return Cyclotomic(self.m, tuple(c * scale for c in ints))
-
-    def columns(self, b):
-        if self.phi == 1:
-            return b
-        cols = [b]
-        for _ in range(self.phi - 1):
-            last = cols[-1]
-            top = last[-1]
-            cols.append(
-                tuple(x + top * z for x, z in zip((0,) + last[:-1], self._zeta_phi))
-            )
-        return tuple(cols)
-
-    def _mul(self, a, cols):
-        out = [0] * self.phi
-        for x, col in zip(a, cols):
-            if x:
-                for t, v in enumerate(col):
-                    out[t] += x * v
-        return tuple(out)
-
-
-def _add_tuples(a, b):
-    return tuple(map(operator.add, a, b))
+            return coeffs[0] * scale
+        return Cyclotomic(self.m, [c * scale for c in coeffs])
 
 
 def cyclo_text(value: Cyclotomic) -> str:

@@ -854,6 +854,46 @@ def test_span_counts_equal_the_agreement_counts(case):
     )
 
 
+KEY_RINGS = (F3, F4, F9, Z4, Z6)
+
+
+@st.composite
+def key_table_cases(draw):
+    """Two codes of one length n <= 8 over one of KEY_RINGS, a mask with
+    1 <= |K| < n, and permutations of range(n).
+
+    D holds a nonzero row that is zero on K, so its words agree on K in
+    groups and a cell of the key table counts more than one word."""
+    ring = draw(st.sampled_from(KEY_RINGS))
+    q = ring.order
+    n = draw(st.integers(2, 8))
+    s = draw(st.integers(1, n - 1))
+    keep = sorted(draw(st.permutations(range(n)))[:s])
+    w = tuple(0 if i in keep else draw(st.integers(1, q - 1)) for i in range(n))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
+    outside = draw(row.filter(lambda r: any(r[i] for i in range(n) if i not in keep)))
+    flat = tuple(0 if i in keep else x for i, x in enumerate(outside))
+    rows_d = draw(st.lists(row, max_size=2)) + [flat]
+    code_c = LinearCode(ring, n, tuple(draw(st.lists(row, min_size=1, max_size=2))))
+    code_d = LinearCode(ring, n, tuple(draw(st.permutations(rows_d))))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    return code_c, code_d, w, perms
+
+
+@given(key_table_cases())
+@settings(max_examples=200, deadline=None)
+def test_key_table_counts_equal_the_sorted_key_counts(case):
+    code_c, code_d, w, perms = case
+    keep = [i for i, m in enumerate(w) if m == 0]
+    assert max(Counter(map(_picker(keep), code_d.words)).values()) > 1
+    perms = np.array(perms, dtype=np.int64)
+    tabled = _key_counter(code_c, code_d, keep)(perms)
+    with mock.patch.object(averages, "KEY_TABLE_CELLS", 0):
+        sorted_keys = _key_counter(code_c, code_d, keep)(perms)
+    assert tabled.tolist() == sorted_keys.tolist()
+    assert tabled.tolist() == list(_agreements(code_c, code_d, w, perms))
+
+
 def _even_code(n, size, rng):
     """The even-weight words on a random support of the given size."""
     a, *rest = rng.sample(range(n), size)

@@ -282,11 +282,12 @@ def test_macwilliams_both_goldens_over_f4_and_z4():
 # (p and generator rows of each code over F_p, --side, --w, the charge
 # that exceeds the budget).  Before the transform the words and the
 # enumerator table charge at most 32 and 18; after it the direct duals'
-# words charge more than the transform.
+# words charge more than the transform.  The first case's four steps form
+# 18, 70, 77 and 225 terms (see test_transform_term_budget_gate).
 TRANSFORM_BUDGET_CASES = [
     (
         [(2, [[1] * 8]), (2, [[1] * 4 + [0] * 4, [0] * 4 + [1] * 4])],
-        "first", "01010101", 81, "transform terms",
+        "first", "01010101", 225, "transform terms",
     ),
     ([(3, [[1] * 6])], "single", "000000", 504, "group image steps"),
 ]
@@ -314,6 +315,23 @@ def test_macwilliams_exits_2_on_transform_budget(
     assert rc == 0
     assert out.startswith("transform: ")
     assert len(out.splitlines()) == 1
+
+
+def test_macwilliams_both_charges_every_step(tmp_path, monkeypatch):
+    # the zero code over F4 at n = 6: its joint Jacobi polynomial is the one
+    # term x_(0 0 1)^2 x_(0 0 0)^4.  The first transform forms 35 and then
+    # 350 terms; the second's groups x_(0 . 0) and x_(0 . 1) form 2100 and
+    # then 5880.  The full transform has 527136 terms.
+    path = tmp_path / "zero.json"
+    ring = {"kind": "field", "p": 2, "f": 2}
+    path.write_text(json.dumps({"name": "", "ring": ring, "n": 6, "generators": []}))
+    monkeypatch.setenv("JF_BUDGET", "4096")
+    argv = ("macwilliams", str(path), str(path), "--side", "both", "--w-weight", "2")
+    rc, out, err = run(*argv, "--format", "json")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "5880 transform terms exceed the budget 4096"
+    }
 
 
 @pytest.mark.parametrize(

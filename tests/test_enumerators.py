@@ -190,6 +190,32 @@ def test_macwilliams_joint_three_sides(ring, n, rows_d):
     assert all(isinstance(c, Fraction) for c in both.terms.values())
 
 
+@st.composite
+def unreached_ring_pairs(draw):
+    """(C, D, w) over F8, F9, Z6 or Z8, rings no benchmark transform meets:
+    n <= 3, one or two generator rows each (rows may repeat or be zero over
+    Z_k, where the codes are not free), and any mask."""
+    ring = draw(st.sampled_from((F8, F9, Z6, Z8)))
+    n = draw(st.integers(1, 3 if ring.order < 9 else 2))
+    row = st.lists(st.integers(0, ring.order - 1), min_size=n, max_size=n)
+    rows = st.lists(row.map(tuple), min_size=1, max_size=2).map(tuple)
+    w = tuple(draw(row))
+    return LinearCode(ring, n, draw(rows)), LinearCode(ring, n, draw(rows)), w
+
+
+@given(unreached_ring_pairs())
+@settings(max_examples=30, deadline=None)
+def test_macwilliams_sides_give_the_duals_enumerators(case):
+    code_c, code_d, w = case
+    base = joint_jacobi(code_c, code_d, w)
+    dual_c, dual_d = code_c.dual(), code_d.dual()
+    first = macwilliams_first(base, code_c.size)
+    assert first == joint_jacobi(dual_c, code_d, w)
+    assert macwilliams_second(base, code_d.size) == joint_jacobi(code_c, dual_d, w)
+    both = macwilliams_both(base, code_c.size, code_d.size)
+    assert both == joint_jacobi(dual_c, dual_d, w)
+
+
 def test_macwilliams_involution():
     code = LinearCode(F2, 3, ((1, 1, 0),))
     w = (0, 0, 1)
@@ -289,13 +315,20 @@ def test_macwilliams_matches_generic_substitution(ring, data):
 
 def test_transform_term_budget_gate(monkeypatch):
     # the words cost 2 * 8 and 4 * 8 codeword symbols and the table 2 * 4
-    # tuples; the four groups' images charge at most 40 steps, and
-    # expanding them multiplies out to 81 terms
+    # tuples; the group images charge at most 40 steps.  The polynomial has
+    # six terms, one per u in C and v in {0, half, 1} (the two halves of D
+    # give one term, of coefficient 2).  Slot 0's groups are the (v_i, w_i)
+    # = (0 0), (0 1), (1 0), (1 1) in that order, and each term has group
+    # exponents (4, 0) or (0, 4) (images of 5 terms), (2, 0) or (0, 2) (3
+    # terms) or none (1 term).  The steps form 2 * (5 + 3 + 1) = 18 and
+    # 2 * (25 + 9 + 1) = 70 terms; then the images of v = 0 for u = 0 and
+    # u = 1 merge into 13 of their 50 terms, so the last two steps form
+    # 13 + 2 * (27 + 5) = 77 and 13 + 2 * (81 + 25) = 225.
     code_c = LinearCode(F2, 8, ((1,) * 8,))
     code_d = LinearCode(F2, 8, ((1,) * 4 + (0,) * 4, (0,) * 4 + (1,) * 4))
     monkeypatch.setenv("JF_BUDGET", "60")
     p = joint_jacobi(code_c, code_d, (0, 1) * 4)
-    with pytest.raises(BudgetExceeded, match="^81 transform terms exceed"):
+    with pytest.raises(BudgetExceeded, match="^70 transform terms exceed"):
         _macwilliams(p, 0, code_c.size)
 
 

@@ -15,11 +15,14 @@ MB before its charge: rows of at most 40 symbols (a huge n comes with no
 rows, or with short ragged ones) and `f` up to 20000 with its modulus.
 `--digits` is drawn up to 10^30, since the decimals charge their digits.
 
-`macwilliams` runs only on the three small fixtures: on a long code its
-direct cross-check builds `LinearCode.dual()`, whose n x n identity is
-built before any charge, and on short drawn codes over F3 and up its
-transform may run for seconds under the budget, which charges the terms
-of each monomial's image but not their total.
+`macwilliams` runs on the three small fixtures and on well-formed drawn
+code files over F2, F3, F4, F9, Z4 and Z6 (n <= 8, one to three rows) at
+every `--side`, in text and in JSON.  A drawn run must exit 0 or 2, since
+exit 1 is an UNEQUAL verdict, a transform that differs from the duals'
+enumerator; whenever the direct cross-check prints, its verdict is EQUAL.
+The transform charges the terms each group's substitution forms, so no
+draw grinds.  Drawn codes stay short because the cross-check builds
+`LinearCode.dual()`, whose n x n identity is built before any charge.
 
 Well-formed drawn code files over q > 2 (n <= 40, up to three rows) go
 through `delta --method mc`: at |K| <= 8, where the key counter counts
@@ -314,3 +317,32 @@ def test_monte_carlo_on_drawn_codes_exit_0_or_2(pair_paths, data):
     rc, out, err = run_cli(argv)
     check_outcome(argv, rc, out, err)
     assert rc != 1
+
+
+@given(data=st.data())
+@FUZZ
+def test_macwilliams_on_drawn_codes_exit_0_or_2(pair_paths, data):
+    ring = data.draw(st.sampled_from(VALID_RINGS))
+    q = ring.get("p", ring.get("k")) ** ring.get("f", 1)
+    n = data.draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    for path in pair_paths:
+        generators = data.draw(st.lists(row, min_size=1, max_size=3))
+        path.write_text(json.dumps({"ring": ring, "n": n, "generators": generators}))
+    side = data.draw(st.sampled_from(["single", "first", "second", "both"]))
+    codes = pair_paths[:1] if side == "single" else pair_paths
+    w = "".join(map(str, data.draw(row)))
+    as_json = data.draw(st.booleans())
+    argv = ["macwilliams", *map(str, codes), "--side", side, "--w", w,
+            *(["--format", "json"] if as_json else [])]
+    rc, out, err = run_cli(argv)
+    check_outcome(argv, rc, out, err)
+    # exit 1 is UNEQUAL: the transform differs from the duals' enumerator
+    assert rc != 1, argv
+    if rc == 0 and as_json:
+        obj = json.loads(out)
+        assert obj["verdict"] == (None if obj["direct"] is None else "EQUAL"), argv
+    elif rc == 0:
+        lines = out.splitlines()
+        direct = [line for line in lines if line.startswith("direct: ")]
+        assert lines[-1] == "EQUAL" if direct else len(lines) == 1, argv
