@@ -217,7 +217,9 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
         terms.update((k, r) for k, c in out.items() if (r := c % modulus))
     scale = Fraction(1, size) / den
     keys = layout.iter_unpack(b"".join(k.to_bytes(layout.size, "little") for k in terms))
-    values = (res.to_scalar(c, scale) for c in terms.values())
+    # enumerator coefficients repeat, so each distinct one is decoded once
+    scalar = functools.lru_cache(maxsize=None)(lambda c: res.to_scalar(c, scale))
+    values = map(scalar, terms.values())
     return SparsePolynomial(ring, poly.arity, dict(zip(keys, values)))
 
 
