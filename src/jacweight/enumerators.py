@@ -134,17 +134,16 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     A term is one int with one digit per variable, of 1, 2, 4 or 8
     bytes, the fewest that hold the top degree; a group image is kept
     with its digits at the first group's and shifted into each group's.
-    Coefficients and characters are put over one common denominator and
-    carried as exactnum.CyclotomicResidues, ints mod Phi_m(2^b), with
-    zeta_m -> 2^b (Kronecker substitution), so F2 and Z[zeta_m] run the
-    same int code.  Every value formed is a sum of at most paths =
-    sum over terms of |den * c|_1 * q^deg units, and b is chosen from
-    that bound so that a value is zero exactly when its residue is; one
-    division by size * den at the end gives back the Fractions and
-    Cyclotomics.  A new group image charges a bound on its expansion
-    steps to the budget, and each group's substitution first charges
-    the terms it forms: each term's image size, or 1 for a term with no
-    exponent in the group.
+    Coefficients and characters go over one common denominator den and
+    are carried as exactnum.CyclotomicResidues, ints mod Phi_m(2^b) with
+    zeta_m -> 2^b, so F2 and Z[zeta_m] run the same int code.  Every
+    value formed is a sum of at most paths = sum over terms of
+    |den * c|_1 * q^deg units, and b is chosen from that bound, so a
+    value is zero exactly when its residue is; one division by size *
+    den at the end gives back the Fractions and Cyclotomics.  A new
+    group image charges a bound on its expansion steps, and each group's
+    substitution first charges the terms it forms: each term's image
+    size, or 1 for a term with no exponent in the group.
     """
     ring = poly.ring
     q = ring.order
@@ -161,16 +160,16 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     width = next(w for w in formats if degree >> (8 * w) == 0)
     layout = struct.Struct(f"<{poly.nvars}{formats[width]}")
     bits = 8 * width
-    top = (1 << bits) - 1
-    digit = [1 << (a * stride * bits) for a in range(q)]
-    group_mask = top * sum(digit)
+    digit_mask = (1 << bits) - 1
+    place = [1 << (a * stride * bits) for a in range(q)]
+    group_mask = digit_mask * sum(place)
     # the characters are units: den divides their rows exactly
     units = [encode([c // den for c in row]) for row in rows[len(degrees):]]
-    forms = [[(digit[b], units[a * q + b]) for b in range(q)] for a in range(q)]
+    forms = [[(place[b], units[a * q + b]) for b in range(q)] for a in range(q)]
 
     def group_image(packed):
         # each of the d products below expands at most comb(d + q - 1, q - 1) terms
-        exps = [packed // unit & top for unit in digit]
+        exps = [packed // p & digit_mask for p in place]
         d = sum(exps)
         check_budget(d * q * math.comb(d + q - 1, q - 1), "group image steps")
         prod = {0: 1}
@@ -216,7 +215,8 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
                     out[k] = out.get(k, 0) + c * ic
         terms.update((k, r) for k, c in out.items() if (r := c % modulus))
     scale = Fraction(1, size) / den
-    keys = layout.iter_unpack(b"".join(k.to_bytes(layout.size, "little") for k in terms))
+    packed_keys = b"".join(k.to_bytes(layout.size, "little") for k in terms)
+    keys = layout.iter_unpack(packed_keys)
     # enumerator coefficients repeat, so each distinct one is decoded once
     scalar = functools.lru_cache(maxsize=None)(lambda c: res.to_scalar(c, scale))
     values = map(scalar, terms.values())

@@ -193,8 +193,8 @@ def test_macwilliams_joint_three_sides(ring, n, rows_d):
 @st.composite
 def unreached_ring_pairs(draw):
     """(C, D, w) over F8, F9, Z6 or Z8, rings no benchmark transform meets:
-    n <= 3, one or two generator rows each (rows may repeat or be zero over
-    Z_k, where the codes are not free), and any mask."""
+    n <= 3 (n <= 2 over F9), one or two generator rows each, which may
+    repeat or be zero (over Z_k the codes need not be free), and any mask."""
     ring = draw(st.sampled_from((F8, F9, Z6, Z8)))
     n = draw(st.integers(1, 3 if ring.order < 9 else 2))
     row = st.lists(st.integers(0, ring.order - 1), min_size=n, max_size=n)
@@ -209,8 +209,7 @@ def test_macwilliams_sides_give_the_duals_enumerators(case):
     code_c, code_d, w = case
     base = joint_jacobi(code_c, code_d, w)
     dual_c, dual_d = code_c.dual(), code_d.dual()
-    first = macwilliams_first(base, code_c.size)
-    assert first == joint_jacobi(dual_c, code_d, w)
+    assert macwilliams_first(base, code_c.size) == joint_jacobi(dual_c, code_d, w)
     assert macwilliams_second(base, code_d.size) == joint_jacobi(code_c, dual_d, w)
     both = macwilliams_both(base, code_c.size, code_d.size)
     assert both == joint_jacobi(dual_c, dual_d, w)
