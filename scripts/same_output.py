@@ -15,6 +15,14 @@ difference and a summary line, and exits 1 on any difference.
 
 ``collect`` is the per-checkout half: it runs an operations file in one
 checkout and prints {id: [exit code, stdout sha256, stderr sha256]}.
+
+``pin`` writes that map, for this checkout, over the transcript's
+operations: every workload at seed 3 and every line of
+``scripts/cli_commands.txt`` but the ``-h`` lines, whose bytes follow
+argparse's layout and so the Python version.  ``tests/test_transcript.py``
+reruns them and compares with the pinned file.
+
+    python3 scripts/same_output.py pin --out tests/transcript.json
 An operation runs as perfbench's worker runs it: a CLI command through
 ``jacweight.cli.main``, a dual through ``LinearCode.dual()`` (its stdout
 is the repr of the generators, and BudgetExceeded exits 2), and any
@@ -31,6 +39,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TRANSCRIPT_SEED = 3
 
 
 def seed_list(text):
@@ -91,15 +102,13 @@ def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def collect(args):
-    sys.path.insert(0, str(Path(args.checkout, "src")))
+def run_ops(ops):
+    """{id: [exit code, stdout sha256, stderr sha256]} of each operation,
+    run in process with the jacweight on sys.path."""
     from jacweight import cli, codes
 
-    source = Path(cli.__file__).resolve()
-    if not source.is_relative_to(Path(args.checkout).resolve()):
-        raise SystemExit(f"imported jacweight from {source}, not from {args.checkout}")
     results = {}
-    for op in json.loads(Path(args.ops).read_text(encoding="utf-8")):
+    for op in ops:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -119,7 +128,36 @@ def collect(args):
                 print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
                 rc = None
         results[op["id"]] = [rc, sha(out.getvalue()), sha(err.getvalue())]
-    print(json.dumps(results))
+    return results
+
+
+def collect(args):
+    sys.path.insert(0, str(Path(args.checkout, "src")))
+    from jacweight import cli
+
+    source = Path(cli.__file__).resolve()
+    if not source.is_relative_to(Path(args.checkout).resolve()):
+        raise SystemExit(f"imported jacweight from {source}, not from {args.checkout}")
+    ops = json.loads(Path(args.ops).read_text(encoding="utf-8"))
+    print(json.dumps(run_ops(ops)))
+    return 0
+
+
+def transcript(workdir):
+    """The results of the transcript's operations, their code files
+    written under workdir."""
+    ops = build_ops(ROOT, None, [TRANSCRIPT_SEED], ROOT / "scripts" / "cli_commands.txt",
+                    Path(workdir))
+    return run_ops([op for op in ops if "-h" not in op.get("argv", ())])
+
+
+def pin(args):
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        results = transcript(tmp)
+    lines = [f"{json.dumps(op)}: {json.dumps(result)}" for op, result in results.items()]
+    Path(args.out).write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print(f"{len(results)} operations pinned in {args.out}")
     return 0
 
 
@@ -137,6 +175,9 @@ def main():
     p.add_argument("checkout")
     p.add_argument("ops", help="operations file written by compare")
     p.set_defaults(func=collect)
+    p = sub.add_parser("pin")
+    p.add_argument("--out", required=True, help="transcript file to write")
+    p.set_defaults(func=pin)
     args = ap.parse_args()
     return args.func(args)
 
