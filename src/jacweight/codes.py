@@ -7,9 +7,10 @@ from the ring's tables alone, gives every dual and every code size over
 fields and Z_k alike, with no word enumerated.  One kernel counts every
 composition: the column symbol tuples of each word tuple in a product of
 word lists, with fixed words such as a mask; each distribution table is
-one call.  It walks every word tuple, or, for two or more lists built as
-direct sums plus glue, cuts the positions in half and sums products of
-half tables over the glue cosets, the halves counted by the same walk.
+one call.  It counts each composition as one packed monomial (see
+`polynomials.monomial_layout`) and walks every word tuple, or, for two or
+more lists built as direct sums plus glue, cuts the positions in half and
+sums products of half tables over the glue cosets, counted the same way.
 The single-code tables, `comp_table` and `jacobi_table`, take another
 route when the ring has order 2: each word is an int with bit i for
 position i, and its composition is its popcount in each class of
@@ -29,6 +30,7 @@ from operator import getitem
 from pathlib import Path
 
 from .budget import BudgetExceeded, check_budget, enumeration_budget
+from .polynomials import monomial_layout
 from .rings import RingSpec, ring_from_json, ring_to_json
 
 __all__ = [
@@ -321,9 +323,8 @@ def _direct_counts(ring: RingSpec, word_lists, fixed=()) -> dict[tuple[int, ...]
     """The table of `_tuple_counts` by the walk over every word tuple, with
     no check and no charge."""
     n = len(word_lists[0][0])
-    power = _place_values(n)
-    sums = _packed_counts(ring, word_lists, fixed, power)
-    return _unpack(sums, power, n, ring.order ** (len(word_lists) + len(fixed)))
+    layout, power = monomial_layout(ring.order ** (len(word_lists) + len(fixed)), n)
+    return _unpack(_packed_counts(ring, word_lists, fixed, power), layout)
 
 
 def _split_counts(ring: RingSpec, cosets, fixed, n: int) -> dict[tuple[int, ...], int]:
@@ -334,31 +335,22 @@ def _split_counts(ring: RingSpec, cosets, fixed, n: int) -> dict[tuple[int, ...]
     h = n // 2
     left_fixed = [f[:h] for f in fixed]
     right_fixed = [f[h:] for f in fixed]
-    power = _place_values(n)
+    layout, power = monomial_layout(ring.order ** (len(cosets) + len(fixed)), n)
     sums: Counter = Counter()
     for parts in itertools.product(*cosets):
         left = _packed_counts(ring, [a for a, _ in parts], left_fixed, power)
         right = _packed_counts(ring, [b for _, b in parts], right_fixed, power)
         for x, mx in left.items():
             sums.update({x + y: mx * my for y, my in right.items()})
-    return _unpack(sums, power, n, ring.order ** (len(cosets) + len(fixed)))
-
-
-def _place_values(n: int) -> defaultdict:
-    """{column index: place value}, the r-th index looked up getting
-    (n + 1) ** r: a composition of n positions, or of part of them, is one
-    integer with a base n + 1 digit per column index in use, and the
-    compositions of two parts add as integers."""
-    power: defaultdict = defaultdict(lambda: (n + 1) ** len(power))
-    return power
+    return _unpack(sums, layout)
 
 
 def _packed_counts(ring: RingSpec, word_lists, fixed, power) -> Counter:
     """{packed composition: multiplicity} over every word tuple.
 
     Each tuple from the first k - 1 lists is summed with the fixed words
-    into a prefix once, so that for each prefix a place-value table per
-    position makes a word of the last list one sum.
+    into a prefix once, so that for each prefix a table per position of
+    the place values power[v] makes a word of the last list one sum.
     """
     q = ring.order
     base = (0,) * len(word_lists[0][0])
@@ -380,16 +372,10 @@ def _packed_counts(ring: RingSpec, word_lists, fixed, power) -> Counter:
     return sums
 
 
-def _unpack(sums, power, n: int, nvars: int) -> dict[tuple[int, ...], int]:
-    """{composition: multiplicity} from packed compositions."""
-    radix = n + 1
-    table: dict[tuple[int, ...], int] = {}
-    for total, mult in sums.items():
-        counts = [0] * nvars
-        for idx in power:
-            total, counts[idx] = divmod(total, radix)
-        table[tuple(counts)] = mult
-    return table
+def _unpack(packed, layout) -> dict[tuple[int, ...], object]:
+    """{exponent vector: value} from {packed monomial: value}, in order."""
+    keys = b"".join(k.to_bytes(layout.size, "big") for k in packed)
+    return dict(zip(layout.iter_unpack(keys), packed.values()))
 
 
 def _code_counts(code: LinearCode, fixed) -> dict[tuple[int, ...], int]:

@@ -22,12 +22,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import struct
 from fractions import Fraction
 
 from .codes import (
     LinearCode,
     _tuple_counts,
+    _unpack,
     check_budget,
     check_pair,
     comp_table,
@@ -35,7 +35,7 @@ from .codes import (
     joint_jacobi_table,
 )
 from .exactnum import CyclotomicResidues, integer_coefficients
-from .polynomials import SparsePolynomial
+from .polynomials import SparsePolynomial, monomial_layout
 
 __all__ = [
     "cwe",
@@ -131,9 +131,9 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     one monomial of the group's variables, depends only on the group's
     exponents and is computed once per call.
 
-    A term is one int with one digit per variable, of 1, 2, 4 or 8
-    bytes, the fewest that hold the top degree; a group image is kept
-    with its digits at the first group's and shifted into each group's.
+    A term is one int in the layout of polynomials.monomial_layout for the
+    top degree; a group image is kept with its digits at the last group's
+    and shifted into each group's.
     Coefficients and characters go over one common denominator den and
     are carried as exactnum.CyclotomicResidues, ints mod Phi_m(2^b) with
     zeta_m -> 2^b, so F2 and Z[zeta_m] run the same int code.  Every
@@ -154,14 +154,10 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     paths = sum(sum(map(abs, row)) * q**d for row, d in zip(rows, degrees))
     res = CyclotomicResidues(m, paths)
     modulus, encode = res.modulus, res.encode
-    # one digit a variable, of the fewest bytes that hold the top degree
-    formats = {1: "B", 2: "H", 4: "I", 8: "Q"}
-    degree = max(degrees, default=0)
-    width = next(w for w in formats if degree >> (8 * w) == 0)
-    layout = struct.Struct(f"<{poly.nvars}{formats[width]}")
-    bits = 8 * width
+    layout, var_place = monomial_layout(poly.nvars, max(degrees, default=0))
+    bits = 8 * layout.size // poly.nvars
     digit_mask = (1 << bits) - 1
-    place = [1 << (a * stride * bits) for a in range(q)]
+    place = var_place[poly.nvars - 1 - (q - 1) * stride :: stride]
     group_mask = digit_mask * sum(place)
     # the characters are units: den divides their rows exactly
     units = [encode([c // den for c in row]) for row in rows[len(degrees):]]
@@ -184,13 +180,13 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
 
     images: dict = {}
     terms = {
-        int.from_bytes(layout.pack(*key), "little"): encode(row)
+        int.from_bytes(layout.pack(*key), "big"): encode(row)
         for key, row in zip(poly.terms, rows)
     }
     # a term's degree in each group is fixed, so groups no term uses stay so
     used = functools.reduce(operator.or_, terms, 0)
     for base in range(poly.nvars):
-        shift = base * bits
+        shift = (poly.nvars - 1 - base - (q - 1) * stride) * bits
         if (base // stride) % q or not used >> shift & group_mask:
             continue
         buckets: dict = {}
@@ -215,12 +211,10 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
                     out[k] = out.get(k, 0) + c * ic
         terms.update((k, r) for k, c in out.items() if (r := c % modulus))
     scale = Fraction(1, size) / den
-    packed_keys = b"".join(k.to_bytes(layout.size, "little") for k in terms)
-    keys = layout.iter_unpack(packed_keys)
     # enumerator coefficients repeat, so each distinct one is decoded once
     scalar = functools.lru_cache(maxsize=None)(lambda c: res.to_scalar(c, scale))
-    values = map(scalar, terms.values())
-    return SparsePolynomial(ring, poly.arity, dict(zip(keys, values)))
+    values = dict(zip(terms, map(scalar, terms.values())))
+    return SparsePolynomial(ring, poly.arity, _unpack(values, layout))
 
 
 def macwilliams_single(poly: SparsePolynomial, size: int) -> SparsePolynomial:

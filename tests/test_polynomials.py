@@ -48,6 +48,14 @@ def test_zero_coefficients_are_dropped():
     assert (q - q).terms == {}
 
 
+@pytest.mark.parametrize(
+    "key", [(-1, 2), (0, -3), (1.5, 0), (2.0, 0), ("1", 0), (True, 0), (None, 1)]
+)
+def test_exponents_must_be_nonnegative_ints(key):
+    with pytest.raises(ValueError, match="nonnegative ints"):
+        SparsePolynomial(F2, 1, {key: Fraction(1), (0, 1): Fraction(3)})
+
+
 def test_arithmetic_small():
     x0 = SparsePolynomial.variable(F2, 1, 0)
     x1 = SparsePolynomial.variable(F2, 1, 1)
