@@ -12,6 +12,7 @@ and rational-valued cyclotomics are collapsed to Fraction.
 from __future__ import annotations
 
 import struct
+from array import array
 from fractions import Fraction
 
 from .exactnum import fraction_str, scalar_text, scalar_to_json, simplify
@@ -49,8 +50,10 @@ class SparsePolynomial:
                 key = tuple(exps)
                 if len(key) != nvars:
                     raise ValueError("exponent vector has wrong length")
-                if {*map(type, key)} != {int} or min(key) < 0:
-                    raise ValueError("exponents must be nonnegative ints")
+                try:
+                    array("Q", key)  # takes only ints (by __index__) in [0, 2^64)
+                except (TypeError, OverflowError):
+                    raise ValueError("exponents must be ints from 0 to 2^64 - 1") from None
                 c = simplify(coeff)
                 if c:
                     clean[key] = c

@@ -49,10 +49,11 @@ def test_zero_coefficients_are_dropped():
 
 
 @pytest.mark.parametrize(
-    "key", [(-1, 2), (0, -3), (1.5, 0), (2.0, 0), ("1", 0), (True, 0), (None, 1)]
+    "key",
+    [(-1, 2), (0, -3), (1.5, 0), (2.0, 0), (Fraction(1), 0), ("1", 0), (None, 1), (2**64, 0)],
 )
 def test_exponents_must_be_nonnegative_ints(key):
-    with pytest.raises(ValueError, match="nonnegative ints"):
+    with pytest.raises(ValueError, match="exponents must be ints"):
         SparsePolynomial(F2, 1, {key: Fraction(1), (0, 1): Fraction(3)})
 
 
