@@ -15,6 +15,10 @@ difference and a summary line, and exits 1 on any difference.
 
 ``collect`` is the per-checkout half: it runs an operations file in one
 checkout and prints {id: [exit code, stdout sha256, stderr sha256]}.
+An operation runs as perfbench's worker runs it: a CLI command through
+``jacweight.cli.main``, a dual through ``LinearCode.dual()`` (its stdout
+is the repr of the generators, and BudgetExceeded exits 2), and any
+other exception gives exit code None and its type and message.
 
 ``pin`` writes that map, for this checkout, over the transcript's
 operations: every workload at seed 3 and every line of
@@ -23,10 +27,6 @@ argparse's layout and so the Python version.  ``tests/test_transcript.py``
 reruns them and compares with the pinned file.
 
     python3 scripts/same_output.py pin --out tests/transcript.json
-An operation runs as perfbench's worker runs it: a CLI command through
-``jacweight.cli.main``, a dual through ``LinearCode.dual()`` (its stdout
-is the repr of the generators, and BudgetExceeded exits 2), and any
-other exception gives exit code None and its type and message.
 """
 
 import argparse
