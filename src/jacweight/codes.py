@@ -7,10 +7,9 @@ from the ring's tables alone, gives every dual and every code size over
 fields and Z_k alike, with no word enumerated.  One kernel counts every
 composition: the column symbol tuples of each word tuple in a product of
 word lists, with fixed words such as a mask; each distribution table is
-one call.  It counts each composition as one packed monomial (see
-`polynomials.monomial_layout`) and walks every word tuple, or, for two or
-more lists built as direct sums plus glue, cuts the positions in half and
-sums products of half tables over the glue cosets, counted the same way.
+one call.  It walks every word tuple, or, for two or more lists built as
+direct sums plus glue, cuts the positions in half and sums products of
+half tables over the glue cosets, each composition one packed int.
 The single-code tables, `comp_table` and `jacobi_table`, take another
 route when the ring has order 2: each word is an int with bit i for
 position i, and its composition is its popcount in each class of
@@ -321,10 +320,12 @@ def _glue_cosets(words, h: int):
 
 def _direct_counts(ring: RingSpec, word_lists, fixed=()) -> dict[tuple[int, ...], int]:
     """The table of `_tuple_counts` by the walk over every word tuple, with
-    no check and no charge."""
+    no check and no charge; the r-th column index met gets digit r."""
     n = len(word_lists[0][0])
-    layout, power = monomial_layout(ring.order ** (len(word_lists) + len(fixed)), n)
-    return _unpack(_packed_counts(ring, word_lists, fixed, power), layout)
+    bits = monomial_layout(0, n)[1]
+    power: defaultdict = defaultdict(lambda: 1 << bits * len(power))
+    sums = _packed_counts(ring, word_lists, fixed, power)
+    return _unpack(sums, power, n, ring.order ** (len(word_lists) + len(fixed)))
 
 
 def _split_counts(ring: RingSpec, cosets, fixed, n: int) -> dict[tuple[int, ...], int]:
@@ -335,22 +336,23 @@ def _split_counts(ring: RingSpec, cosets, fixed, n: int) -> dict[tuple[int, ...]
     h = n // 2
     left_fixed = [f[:h] for f in fixed]
     right_fixed = [f[h:] for f in fixed]
-    layout, power = monomial_layout(ring.order ** (len(cosets) + len(fixed)), n)
+    bits = monomial_layout(0, n)[1]
+    power: defaultdict = defaultdict(lambda: 1 << bits * len(power))
     sums: Counter = Counter()
     for parts in itertools.product(*cosets):
         left = _packed_counts(ring, [a for a, _ in parts], left_fixed, power)
         right = _packed_counts(ring, [b for _, b in parts], right_fixed, power)
         for x, mx in left.items():
             sums.update({x + y: mx * my for y, my in right.items()})
-    return _unpack(sums, layout)
+    return _unpack(sums, power, n, ring.order ** (len(cosets) + len(fixed)))
 
 
 def _packed_counts(ring: RingSpec, word_lists, fixed, power) -> Counter:
     """{packed composition: multiplicity} over every word tuple.
 
     Each tuple from the first k - 1 lists is summed with the fixed words
-    into a prefix once, so that for each prefix a table per position of
-    the place values power[v] makes a word of the last list one sum.
+    into a prefix once, so that for each prefix a place-value table per
+    position makes a word of the last list one sum.
     """
     q = ring.order
     base = (0,) * len(word_lists[0][0])
@@ -372,10 +374,19 @@ def _packed_counts(ring: RingSpec, word_lists, fixed, power) -> Counter:
     return sums
 
 
-def _unpack(packed, layout) -> dict[tuple[int, ...], object]:
-    """{exponent vector: value} from {packed monomial: value}, in order."""
-    keys = b"".join(k.to_bytes(layout.size, "big") for k in packed)
-    return dict(zip(layout.iter_unpack(keys), packed.values()))
+def _unpack(sums, power, n: int, nvars: int) -> dict[tuple[int, ...], int]:
+    """{composition: multiplicity} from packed compositions: one struct
+    unpack per key; then per block of entries (bounding the extra memory)
+    zip to digit tuples per column index in power and back over all nvars."""
+    layout, _ = monomial_layout(len(power), n)
+    rows = map(layout.unpack, (k.to_bytes(layout.size, "little") for k in sums))
+    mults = iter(sums.values())
+    table: dict[tuple[int, ...], int] = {}
+    while block := list(itertools.islice(rows, 256)):
+        columns = dict(zip(power, zip(*block)))
+        zeros = (0,) * len(block)
+        table.update(zip(zip(*(columns.get(i, zeros) for i in range(nvars))), mults))
+    return table
 
 
 def _code_counts(code: LinearCode, fixed) -> dict[tuple[int, ...], int]:

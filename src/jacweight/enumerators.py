@@ -27,7 +27,6 @@ from fractions import Fraction
 from .codes import (
     LinearCode,
     _tuple_counts,
-    _unpack,
     check_budget,
     check_pair,
     comp_table,
@@ -132,7 +131,7 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     exponents and is computed once per call.
 
     A term is one int in the layout of polynomials.monomial_layout for the
-    top degree; a group image is kept with its digits at the last group's
+    top degree; a group image is kept with its digits at the first group's
     and shifted into each group's.
     Coefficients and characters go over one common denominator den and
     are carried as exactnum.CyclotomicResidues, ints mod Phi_m(2^b) with
@@ -154,10 +153,9 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     paths = sum(sum(map(abs, row)) * q**d for row, d in zip(rows, degrees))
     res = CyclotomicResidues(m, paths)
     modulus, encode = res.modulus, res.encode
-    layout, var_place = monomial_layout(poly.nvars, max(degrees, default=0))
-    bits = 8 * layout.size // poly.nvars
+    layout, bits = monomial_layout(poly.nvars, max(degrees, default=0))
     digit_mask = (1 << bits) - 1
-    place = var_place[poly.nvars - 1 - (q - 1) * stride :: stride]
+    place = [1 << (a * stride * bits) for a in range(q)]
     group_mask = digit_mask * sum(place)
     # the characters are units: den divides their rows exactly
     units = [encode([c // den for c in row]) for row in rows[len(degrees):]]
@@ -180,13 +178,13 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
 
     images: dict = {}
     terms = {
-        int.from_bytes(layout.pack(*key), "big"): encode(row)
+        int.from_bytes(layout.pack(*key), "little"): encode(row)
         for key, row in zip(poly.terms, rows)
     }
     # a term's degree in each group is fixed, so groups no term uses stay so
     used = functools.reduce(operator.or_, terms, 0)
     for base in range(poly.nvars):
-        shift = (poly.nvars - 1 - base - (q - 1) * stride) * bits
+        shift = base * bits
         if (base // stride) % q or not used >> shift & group_mask:
             continue
         buckets: dict = {}
@@ -213,8 +211,8 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     scale = Fraction(1, size) / den
     # enumerator coefficients repeat, so each distinct one is decoded once
     scalar = functools.lru_cache(maxsize=None)(lambda c: res.to_scalar(c, scale))
-    values = dict(zip(terms, map(scalar, terms.values())))
-    return SparsePolynomial(ring, poly.arity, _unpack(values, layout))
+    keys = map(layout.unpack, (k.to_bytes(layout.size, "little") for k in terms))
+    return SparsePolynomial(ring, poly.arity, dict(zip(keys, map(scalar, terms.values()))))
 
 
 def macwilliams_single(poly: SparsePolynomial, size: int) -> SparsePolynomial:

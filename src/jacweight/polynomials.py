@@ -6,7 +6,6 @@ order^arity variables listed in omega-order, which makes the
 canonical term order plain lexicographic comparison of keys.
 Coefficients are Fraction or Cyclotomic; zero terms are never stored
 and rational-valued cyclotomics are collapsed to Fraction.
-`monomial_layout` is the one packing of a monomial into an int.
 """
 
 from __future__ import annotations
@@ -21,16 +20,13 @@ from .rings import RingSpec
 __all__ = ["SparsePolynomial", "monomial_layout"]
 
 
-def monomial_layout(nvars: int, degree: int) -> tuple[struct.Struct, list[int]]:
-    """The struct and the place values of a monomial packed as one int with
-    a big-endian digit per variable, variable 0 first, of the fewest of 1,
-    2, 4 or 8 bytes that hold degree.  The struct unpacks key.to_bytes(size,
-    "big"); vectors whose sum stays within degree add as ints with no carry,
-    and int order on keys is lexicographic order on exponent vectors."""
+def monomial_layout(nvars: int, degree: int) -> tuple[struct.Struct, int]:
+    """A monomial packed as one int, variable v's exponent at 1 << bits * v,
+    in digits of the fewest of 1, 2, 4 or 8 bytes that hold degree (sums
+    within degree carry nothing); the struct unpacks key.to_bytes(size, "little")."""
     formats = {1: "B", 2: "H", 4: "I", 8: "Q"}
     width = next(w for w in formats if degree >> (8 * w) == 0)
-    layout = struct.Struct(f">{nvars}{formats[width]}")
-    return layout, [1 << (8 * width * (nvars - 1 - v)) for v in range(nvars)]
+    return struct.Struct(f"<{nvars}{formats[width]}"), 8 * width
 
 
 class SparsePolynomial:

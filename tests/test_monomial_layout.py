@@ -1,10 +1,11 @@
 """The packed monomial of `polynomials.monomial_layout` at every digit width,
 and the tables and transforms that use it at lengths of 256 and more, where
-a digit takes two bytes: against the literal counter, the popcount route
-and a closed form."""
+a digit takes two bytes, and over rings with thousands of column indices:
+against the literal counter, the popcount route and a closed form."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,18 +32,20 @@ F2 = field_ring(2)
     "degree, width",
     [(0, 1), (255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4), (2**32, 8)],
 )
-def test_the_layout_packs_big_endian_digits_of_the_fewest_bytes(degree, width):
-    layout, place = monomial_layout(3, degree)
-    assert layout.size == 3 * width
-    assert place == [1 << (16 * width), 1 << (8 * width), 1]
+def test_the_layout_packs_little_endian_digits_of_the_fewest_bytes(degree, width):
+    layout, bits = monomial_layout(3, degree)
+    assert (layout.size, bits) == (3 * width, 8 * width)
     one = min(degree, 1)
-    corners = [(degree, 0, 0), (0, degree, 0), (0, 0, degree), (0, one, degree - one)]
+    corners = [(degree, 0, 0), (0, degree, 0), (0, 0, degree), (degree - one, one, 0)]
     vectors = list(dict.fromkeys(corners))
-    keys = [sum(e * p for e, p in zip(vec, place)) for vec in vectors]
-    assert [int.from_bytes(layout.pack(*vec), "big") for vec in vectors] == keys
-    assert _unpack(dict(zip(keys, range(4))), layout) == dict(zip(vectors, range(4)))
-    # int order on keys is lexicographic order on exponent vectors
-    assert [vec for _, vec in sorted(zip(keys, vectors))] == sorted(vectors)
+    keys = [sum(e << bits * v for v, e in enumerate(vec)) for vec in vectors]
+    assert [int.from_bytes(layout.pack(*vec), "little") for vec in vectors] == keys
+    assert [layout.unpack(k.to_bytes(layout.size, "little")) for k in keys] == vectors
+    # the kernel numbers column indices 4, 0, 2 of 6 as variables 0, 1, 2
+    power = {4: 1, 0: 1 << bits, 2: 1 << 2 * bits}
+    assert _unpack(dict(zip(keys, range(4))), power, degree, 6) == {
+        (b, 0, c, 0, a, 0): i for i, (a, b, c) in enumerate(vectors)
+    }
 
 
 def repetition(n):
@@ -115,3 +118,21 @@ def test_transform_with_two_byte_digits():
     assert dual.terms == {
         (n - k, 0, k, 0): Fraction(math.comb(n, k)) for k in range(0, n + 1, 2)
     }
+
+
+def test_a_masked_table_over_z128_spends_memory_on_columns_in_use():
+    """2^14 column indices, of which a word and the mask use at most 6: the
+    keys of the walk carry a digit for each column index in use only, so
+    memory goes to the table's 128 entries of 2^14 columns (17 MB), not to
+    a place value per column index (2^14 ints of up to 16 KB, 134 MB)."""
+    z128 = modular_ring(128)
+    code = LinearCode(z128, 6, ((1, 2, 64, 3, 0, 127),))
+    mask = (1, 1, 0, 0, 1, 0)
+    tracemalloc.start()
+    try:
+        table = jacobi_table(code, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert table == literal_counts(z128, [code.words], (mask,))
