@@ -9,7 +9,10 @@ composition: the column symbol tuples of each word tuple in a product of
 word lists, with fixed words such as a mask; each distribution table is
 one call.  It walks every word tuple, or, for two or more lists built as
 direct sums plus glue, cuts the positions in half and sums products of
-half tables over the glue cosets, each composition one packed int.
+half tables over the glue cosets, each composition one packed int with
+a digit per column index in use, renumbered at the end into the bytes of
+`polynomials.monomial_layout`; a form makes the dense table of them
+(`dense_terms`, the default) or, for the enumerators, a polynomial.
 The single-code tables, `comp_table` and `jacobi_table`, take another
 route when the ring has order 2: each word is an int with bit i for
 position i, and its composition is its popcount in each class of
@@ -25,11 +28,12 @@ import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import getitem
+from itertools import compress
+from operator import getitem, itemgetter
 from pathlib import Path
 
 from .budget import BudgetExceeded, check_budget, enumeration_budget
-from .polynomials import monomial_layout
+from .polynomials import dense_terms, monomial_layout
 from .rings import RingSpec, ring_from_json, ring_to_json
 
 __all__ = [
@@ -255,8 +259,9 @@ def _echelon(ring: RingSpec, rows, ncols: int):
 SPLIT_FLOOR = 1024
 
 
-def _tuple_counts(ring: RingSpec, word_lists, fixed=()) -> dict[tuple[int, ...], int]:
-    """{composition: multiplicity} over word_lists[0] x ... x word_lists[k-1].
+def _tuple_counts(ring: RingSpec, word_lists, fixed=(), form=None):
+    """{composition: multiplicity} over word_lists[0] x ... x word_lists[k-1],
+    or what form makes of it (see `_renumber`).
 
     Position i of a word tuple (u_1, ..., u_k) counts at the column index
     ((u_1[i] * q + u_2[i]) * q + ...) * q + f_m[i], f_1 ... f_m being the
@@ -292,8 +297,8 @@ def _tuple_counts(ring: RingSpec, word_lists, fixed=()) -> dict[tuple[int, ...],
             math.prod(sum(len(lefts) for lefts, _ in cs) for cs in cosets)
             + math.prod(sum(len(rights) for _, rights in cs) for cs in cosets)
         ) <= tuples:
-            return _split_counts(ring, cosets, fixed, n)
-    return _direct_counts(ring, word_lists, fixed)
+            return _split_counts(ring, cosets, fixed, n, form)
+    return _direct_counts(ring, word_lists, fixed, form)
 
 
 def _glue_cosets(words, h: int):
@@ -318,17 +323,17 @@ def _glue_cosets(words, h: int):
     return list(groups.values())
 
 
-def _direct_counts(ring: RingSpec, word_lists, fixed=()) -> dict[tuple[int, ...], int]:
+def _direct_counts(ring: RingSpec, word_lists, fixed=(), form=None):
     """The table of `_tuple_counts` by the walk over every word tuple, with
     no check and no charge; the r-th column index met gets digit r."""
     n = len(word_lists[0][0])
     bits = monomial_layout(0, n)[1]
     power: defaultdict = defaultdict(lambda: 1 << bits * len(power))
     sums = _packed_counts(ring, word_lists, fixed, power)
-    return _unpack(sums, power, n, ring.order ** (len(word_lists) + len(fixed)))
+    return _renumber(sums, power, n, ring.order ** (len(word_lists) + len(fixed)), form)
 
 
-def _split_counts(ring: RingSpec, cosets, fixed, n: int) -> dict[tuple[int, ...], int]:
+def _split_counts(ring: RingSpec, cosets, fixed, n: int, form=None):
     """The table of `_tuple_counts` from the cosets of each list: for each
     tuple of cosets, every composition of its left halves against the
     fixed words' left halves adds to every one of its right halves, and
@@ -344,7 +349,7 @@ def _split_counts(ring: RingSpec, cosets, fixed, n: int) -> dict[tuple[int, ...]
         right = _packed_counts(ring, [b for _, b in parts], right_fixed, power)
         for x, mx in left.items():
             sums.update({x + y: mx * my for y, my in right.items()})
-    return _unpack(sums, power, n, ring.order ** (len(cosets) + len(fixed)))
+    return _renumber(sums, power, n, ring.order ** (len(cosets) + len(fixed)), form)
 
 
 def _packed_counts(ring: RingSpec, word_lists, fixed, power) -> Counter:
@@ -374,34 +379,48 @@ def _packed_counts(ring: RingSpec, word_lists, fixed, power) -> Counter:
     return sums
 
 
-def _unpack(sums, power, n: int, nvars: int) -> dict[tuple[int, ...], int]:
-    """{composition: multiplicity} from packed compositions: one struct
-    unpack per key; then per block of entries (bounding the extra memory)
-    zip to digit tuples per column index in power and back over all nvars."""
-    layout, _ = monomial_layout(len(power), n)
-    rows = map(layout.unpack, (k.to_bytes(layout.size, "little") for k in sums))
-    mults = iter(sums.values())
-    table: dict[tuple[int, ...], int] = {}
-    while block := list(itertools.islice(rows, 256)):
-        columns = dict(zip(power, zip(*block)))
-        zeros = (0,) * len(block)
-        table.update(zip(zip(*(columns.get(i, zeros) for i in range(nvars))), mults))
-    return table
+def _renumber(sums, power, n: int, nvars: int, form=None):
+    """form(table, layout), dense_terms by default: the walk's keys, digit r
+    for the r-th column index in power, as the bytes of the layout
+    monomial_layout(nvars, n).  With half the column indices or more in
+    use, one itemgetter gathers each key's bytes and a zero byte for the
+    rest; else each key's nonzero digits go into a row of zero bytes."""
+    layout = monomial_layout(nvars, n)
+    walked, bits = monomial_layout(len(power), n)
+    width, size = bits // 8, walked.size
+    if nvars <= 2 * len(power):
+        first = dict(zip(power, range(0, size, width)))
+        # big-endian byte j of a digit is byte width - 1 - j of its little-endian one
+        gather = itemgetter(*[
+            first[v] + width - 1 - j if v in first else size
+            for v in range(nvars) for j in range(width)
+        ])
+        rows = [bytes(gather(k.to_bytes(size + 1, "little"))) for k in sums]
+    else:
+        rows = []
+        # read big-endian, the walk's digit r comes at len(power) - 1 - r
+        places = [width * v for v in reversed(power)]
+        for digits in map(walked.unpack, (k.to_bytes(size, "big") for k in sums)):
+            row = bytearray(layout[0].size)
+            for p, e in zip(compress(places, digits), compress(digits, digits)):
+                row[p:p + width] = e.to_bytes(width, "big")
+            rows.append(bytes(row))
+    return (form or dense_terms)(dict(zip(rows, sums.values())), layout)
 
 
-def _code_counts(code: LinearCode, fixed) -> dict[tuple[int, ...], int]:
+def _code_counts(code: LinearCode, fixed, form=None):
     """The table of `_tuple_counts` over one code's words: by popcount
     (`_bit_counts`) when the ring has order 2, by the kernel otherwise."""
     if code.ring.order != 2:
-        return _tuple_counts(code.ring, [code.words], fixed)
+        return _tuple_counts(code.ring, [code.words], fixed, form)
     # charged before the masks are checked, in the kernel route's order
     bits = code._bits
     for f in fixed:
         check_mask(code.ring, code.n, f)
-    return _bit_counts(bits, code.n, fixed)
+    return _bit_counts(bits, code.n, fixed, form)
 
 
-def _bit_counts(bits, n: int, fixed) -> dict[tuple[int, ...], int]:
+def _bit_counts(bits, n: int, fixed, form=None):
     """The table of `_tuple_counts` over one list of words of a ring of
     order 2, each packed as an int with bit i for position i.
 
@@ -421,14 +440,15 @@ def _bit_counts(bits, n: int, fixed) -> dict[tuple[int, ...], int]:
         zip(*[map(int.bit_count, map(classes[r].__and__, bits)) for r in used])
     )
     ones_at = len(classes)
-    table: dict[tuple[int, ...], int] = {}
+    layout = monomial_layout(2 * ones_at, n)
+    table = {}
     for key, mult in keys.items():
         counts = [0] * (2 * ones_at)
         for r, ones in zip(used, key):
             counts[r] = classes[r].bit_count() - ones
             counts[ones_at + r] = ones
-        table[tuple(counts)] = mult
-    return table
+        table[layout[0].pack(*counts)] = mult
+    return (form or dense_terms)(table, layout)
 
 
 def _pack(flags) -> int:

@@ -24,17 +24,9 @@ import math
 import operator
 from fractions import Fraction
 
-from .codes import (
-    LinearCode,
-    _tuple_counts,
-    check_budget,
-    check_pair,
-    comp_table,
-    jacobi_table,
-    joint_jacobi_table,
-)
+from .codes import LinearCode, _code_counts, _tuple_counts, check_budget, check_pair
 from .exactnum import CyclotomicResidues, integer_coefficients
-from .polynomials import SparsePolynomial, monomial_layout
+from .polynomials import SparsePolynomial
 
 __all__ = [
     "cwe",
@@ -50,9 +42,17 @@ __all__ = [
 ]
 
 
+def _enumerator(ring, arity: int):
+    """The form that makes a kernel's table a polynomial, its keys read as ints."""
+    read = functools.partial(int.from_bytes, byteorder="big")
+    return lambda table, layout: SparsePolynomial.from_packed(
+        ring, arity, dict(zip(map(read, table), table.values())), layout
+    )
+
+
 def cwe(code: LinearCode) -> SparsePolynomial:
     """Complete weight enumerator: one monomial per codeword."""
-    return SparsePolynomial(code.ring, 1, comp_table(code))
+    return _code_counts(code, (), _enumerator(code.ring, 1))
 
 
 def cwe_genus(code: LinearCode, genus: int) -> SparsePolynomial:
@@ -61,25 +61,27 @@ def cwe_genus(code: LinearCode, genus: int) -> SparsePolynomial:
         raise ValueError("genus must be at least 1")
     # |C|^g, charged before the g copies of the word list are made
     check_budget(len(code.words), "tuples of codewords", power=genus)
-    counts = _tuple_counts(code.ring, [code.words] * genus)
-    return SparsePolynomial(code.ring, genus, counts)
+    words = [code.words] * genus
+    return _tuple_counts(code.ring, words, (), _enumerator(code.ring, genus))
 
 
 def jacobi(code: LinearCode, w) -> SparsePolynomial:
     """Jacobi polynomial of a code with respect to a fixed mask word."""
-    return SparsePolynomial(code.ring, 2, jacobi_table(code, w))
+    return _code_counts(code, (w,), _enumerator(code.ring, 2))
 
 
 def joint_cwe(code_c: LinearCode, code_d: LinearCode) -> SparsePolynomial:
     """Joint complete weight enumerator over pairs in C x D."""
     check_pair(code_c, code_d)
-    counts = _tuple_counts(code_c.ring, [code_c.words, code_d.words])
-    return SparsePolynomial(code_c.ring, 2, counts)
+    words = [code_c.words, code_d.words]
+    return _tuple_counts(code_c.ring, words, (), _enumerator(code_c.ring, 2))
 
 
 def joint_jacobi(code_c: LinearCode, code_d: LinearCode, w) -> SparsePolynomial:
     """Joint Jacobi polynomial of a pair of codes against a mask word."""
-    return SparsePolynomial(code_c.ring, 3, joint_jacobi_table(code_c, code_d, w))
+    check_pair(code_c, code_d)
+    words = [code_c.words, code_d.words]
+    return _tuple_counts(code_c.ring, words, (w,), _enumerator(code_c.ring, 3))
 
 
 def collapse(poly: SparsePolynomial, keep_slots) -> SparsePolynomial:
@@ -130,9 +132,10 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     one monomial of the group's variables, depends only on the group's
     exponents and is computed once per call.
 
-    A term is one int in the layout of polynomials.monomial_layout for the
-    top degree; a group image is kept with its digits at the first group's
-    and shifted into each group's.
+    Terms are the polynomial's packed keys, in its layout, whose digits hold
+    every exponent formed; a term's degree, its digit sum, is at most
+    2^bits - 1, so casting out 2^bits - 1 finds it.  A group image is kept
+    with its digits at the last group's and shifted into each group's.
     Coefficients and characters go over one common denominator den and
     are carried as exactnum.CyclotomicResidues, ints mod Phi_m(2^b) with
     zeta_m -> 2^b, so F2 and Z[zeta_m] run the same int code.  Every
@@ -148,14 +151,14 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     q = ring.order
     stride = q ** (poly.arity - 1 - slot)
     chars = [ring.chi(ring.mul(a, b)) for a in range(q) for b in range(q)]
-    m, den, rows = integer_coefficients([*poly.terms.values(), *chars])
-    degrees = [sum(key) for key in poly.terms]
+    m, den, rows = integer_coefficients([*poly.packed.values(), *chars])
+    nvars, bits = poly.nvars, poly.layout[1]
+    digit_mask = (1 << bits) - 1
+    degrees = [(k - 1) % digit_mask + 1 if k else 0 for k in poly.packed]
     paths = sum(sum(map(abs, row)) * q**d for row, d in zip(rows, degrees))
     res = CyclotomicResidues(m, paths)
     modulus, encode = res.modulus, res.encode
-    layout, bits = monomial_layout(poly.nvars, max(degrees, default=0))
-    digit_mask = (1 << bits) - 1
-    place = [1 << (a * stride * bits) for a in range(q)]
+    place = [1 << (q - 1 - a) * stride * bits for a in range(q)]
     group_mask = digit_mask * sum(place)
     # the characters are units: den divides their rows exactly
     units = [encode([c // den for c in row]) for row in rows[len(degrees):]]
@@ -177,14 +180,11 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
         return list(prod.items())
 
     images: dict = {}
-    terms = {
-        int.from_bytes(layout.pack(*key), "little"): encode(row)
-        for key, row in zip(poly.terms, rows)
-    }
+    terms = dict(zip(poly.packed, map(encode, rows)))
     # a term's degree in each group is fixed, so groups no term uses stay so
     used = functools.reduce(operator.or_, terms, 0)
-    for base in range(poly.nvars):
-        shift = base * bits
+    for base in range(nvars):
+        shift = (nvars - 1 - base - (q - 1) * stride) * bits
         if (base // stride) % q or not used >> shift & group_mask:
             continue
         buckets: dict = {}
@@ -211,8 +211,8 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     scale = Fraction(1, size) / den
     # enumerator coefficients repeat, so each distinct one is decoded once
     scalar = functools.lru_cache(maxsize=None)(lambda c: res.to_scalar(c, scale))
-    keys = map(layout.unpack, (k.to_bytes(layout.size, "little") for k in terms))
-    return SparsePolynomial(ring, poly.arity, dict(zip(keys, map(scalar, terms.values()))))
+    terms = dict(zip(terms, map(scalar, terms.values())))
+    return SparsePolynomial.from_packed(ring, poly.arity, terms, poly.layout)
 
 
 def macwilliams_single(poly: SparsePolynomial, size: int) -> SparsePolynomial:

@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over alphabet-indexed variables.
 
-Variables are x_a for a in R^arity (arity 1, 2, or 3 in practice).
-Internally a monomial is a dense exponent vector over all
-order^arity variables listed in omega-order, which makes the
-canonical term order plain lexicographic comparison of keys.
+Variables are x_a for a in R^arity (arity 1, 2, or 3 in practice) in
+omega-order.  A monomial is one int packed by `monomial_layout`, variable 0
+the most significant digit, so canonical term order (lexicographic on
+exponent vectors) is int order; the algebra runs on the dense view `terms`.
 Coefficients are Fraction or Cyclotomic; zero terms are never stored
 and rational-valued cyclotomics are collapsed to Fraction.
 """
@@ -11,49 +11,67 @@ and rational-valued cyclotomics are collapsed to Fraction.
 from __future__ import annotations
 
 import struct
-from array import array
 from fractions import Fraction
+from itertools import compress
 
 from .exactnum import fraction_str, scalar_text, scalar_to_json, simplify
 from .rings import RingSpec
 
-__all__ = ["SparsePolynomial", "monomial_layout"]
+__all__ = ["SparsePolynomial", "dense_terms", "monomial_layout"]
 
 
 def monomial_layout(nvars: int, degree: int) -> tuple[struct.Struct, int]:
-    """A monomial packed as one int, variable v's exponent at 1 << bits * v,
+    """A monomial as one int, variable v's exponent at 1 << bits * (nvars - 1 - v),
     in digits of the fewest of 1, 2, 4 or 8 bytes that hold degree (sums
-    within degree carry nothing); the struct unpacks key.to_bytes(size, "little")."""
+    within degree carry nothing); the struct unpacks key.to_bytes(size, "big")."""
     formats = {1: "B", 2: "H", 4: "I", 8: "Q"}
     width = next(w for w in formats if degree >> (8 * w) == 0)
-    return struct.Struct(f"<{nvars}{formats[width]}"), 8 * width
+    return struct.Struct(f">{nvars}{formats[width]}"), 8 * width
+
+
+def dense_terms(rows, layout) -> dict:
+    """{exponent tuple: value} of {a monomial's bytes in layout: value}."""
+    return dict(zip(map(layout[0].unpack, rows), rows.values()))
 
 
 class SparsePolynomial:
-    """Polynomial with exact coefficients in variables indexed by tuples."""
+    """{packed monomial: exact coefficient}, digits holding the top degree."""
 
-    __slots__ = ("ring", "arity", "terms")
+    __slots__ = ("ring", "arity", "packed", "layout")
 
     def __init__(self, ring: RingSpec, arity: int, terms=None) -> None:
         if arity < 1:
             raise ValueError("arity must be positive")
-        self.ring = ring
-        self.arity = arity
-        clean = {}
-        if terms:
-            nvars = ring.order**arity
-            for exps, coeff in terms.items():
-                key = tuple(exps)
-                if len(key) != nvars:
-                    raise ValueError("exponent vector has wrong length")
-                try:
-                    array("Q", key)  # takes only ints (by __index__) in [0, 2^64)
-                except (TypeError, OverflowError):
-                    raise ValueError("exponents must be ints from 0 to 2^64 - 1") from None
-                c = simplify(coeff)
-                if c:
-                    clean[key] = c
-        self.terms = clean
+        terms = terms or {}
+        nvars = ring.order**arity
+        keys = [tuple(exps) for exps in terms]
+        for key in keys:
+            if len(key) != nvars:
+                raise ValueError("exponent vector has wrong length")
+            if {*map(type, key)} - {int} or min(key) < 0 or sum(key) >> 64:
+                raise ValueError("exponents must be ints from 0, summing below 2^64")
+        layout = monomial_layout(nvars, max(map(sum, keys), default=0))
+        self.ring, self.arity, self.layout = ring, arity, layout
+        self.packed = {
+            int.from_bytes(layout[0].pack(*key), "big"): c
+            for key, coeff in zip(keys, terms.values())
+            if (c := simplify(coeff))
+        }
+
+    @classmethod
+    def from_packed(cls, ring: RingSpec, arity: int, packed, layout) -> "SparsePolynomial":
+        """{key: nonzero coefficient}, keys taken unchecked in the layout
+        monomial_layout(ring.order**arity, d), d at least their degrees."""
+        poly = cls(ring, arity)
+        poly.layout, poly.packed = layout, {k: simplify(c) for k, c in packed.items()}
+        return poly
+
+    @property
+    def terms(self) -> dict:
+        """The dense view {exponent tuple: coefficient}, decoded on each access."""
+        size = self.layout[0].size
+        rows = {k.to_bytes(size, "big"): c for k, c in self.packed.items()}
+        return dense_terms(rows, self.layout)
 
     # ---- variable indexing -------------------------------------------
 
@@ -63,11 +81,7 @@ class SparsePolynomial:
 
     def var_tuple(self, index: int) -> tuple[int, ...]:
         q = self.ring.order
-        digits = []
-        for _ in range(self.arity):
-            digits.append(index % q)
-            index //= q
-        return tuple(reversed(digits))
+        return tuple(index // q**i % q for i in reversed(range(self.arity)))
 
     def var_index(self, symbols) -> int:
         q = self.ring.order
@@ -146,14 +160,13 @@ class SparsePolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.arity == other.arity
-            and self.terms == other.terms
+        return (self.ring, self.arity) == (other.ring, other.arity) and (
+            self.packed == other.packed if self.layout[1] == other.layout[1]
+            else self.terms == other.terms  # digits of other widths
         )
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def total_degree(self) -> int | None:
         """Common total degree if homogeneous, else None; zero poly gives None."""
@@ -221,39 +234,35 @@ class SparsePolynomial:
         """Terms sorted lexicographically by full exponent vector."""
         return sorted(self.terms.items())
 
-    def _var_names(self, template: str, sep: str) -> list[str]:
-        """The name of every variable: template filled with its symbols
-        joined by sep, built once per rendering."""
-        return [
-            template.format(sep.join(map(str, self.var_tuple(v))))
-            for v in range(self.nvars)
-        ]
+    def _canonical_digits(self, template: str, sep: str):
+        """Each variable's name, template filled with its symbols joined by
+        sep, and each term's (coefficient, digits) in canonical order."""
+        variables, (layout, _), packed = range(self.nvars), self.layout, self.packed
+        names = [template.format(sep.join(map(str, self.var_tuple(v)))) for v in variables]
+        keys = sorted(packed)
+        digits = (layout.unpack(k.to_bytes(layout.size, "big")) for k in keys)
+        return names, variables, zip(map(packed.get, keys), digits)
 
     def render_text(self) -> str:
-        if not self.terms:
-            return "0"
-        names = self._var_names("x_({})", " ")
+        names, variables, terms = self._canonical_digits("x_({})", " ")
         parts = []
-        for key, coeff in self.canonical_items():
-            factors = [f"{names[v]}^{e}" for v, e in enumerate(key) if e > 0]
-            if factors:
-                parts.append(f"{scalar_text(coeff)} * " + " ".join(factors))
-            else:
-                parts.append(scalar_text(coeff))
-        return " + ".join(parts)
+        for coeff, exps in terms:
+            text = " ".join([f"{names[v]}^{exps[v]}" for v in compress(variables, exps)])
+            parts.append(f"{scalar_text(coeff)} * {text}" if text else scalar_text(coeff))
+        return " + ".join(parts) or "0"
 
     def to_json_obj(self):
-        names = self._var_names("({})", ",")
-        out = []
-        for key, coeff in self.canonical_items():
-            exps = {names[v]: e for v, e in enumerate(key) if e > 0}
-            out.append({"exps": exps, "coeff": scalar_to_json(coeff)})
-        return out
+        names, variables, terms = self._canonical_digits("({})", ",")
+        return [
+            {"exps": {names[v]: exps[v] for v in compress(variables, exps)},
+             "coeff": scalar_to_json(coeff)}
+            for coeff, exps in terms
+        ]
 
     def __repr__(self) -> str:
         return (
             f"SparsePolynomial({self.ring.label()}, arity={self.arity}, "
-            f"{len(self.terms)} terms)"
+            f"{len(self.packed)} terms)"
         )
 
     __hash__ = None

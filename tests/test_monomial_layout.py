@@ -15,13 +15,13 @@ from jacweight.codes import (
     _direct_counts,
     _glue_cosets,
     _split_counts,
+    _renumber,
     _tuple_counts,
-    _unpack,
     comp_table,
     jacobi_table,
 )
 from jacweight.enumerators import jacobi, macwilliams_single
-from jacweight.polynomials import monomial_layout
+from jacweight.polynomials import dense_terms, monomial_layout
 from jacweight.rings import field_ring, modular_ring
 from test_tuple_counts import literal_counts
 
@@ -33,19 +33,25 @@ F2 = field_ring(2)
     [(0, 1), (255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4), (2**32, 8)],
 )
 def test_the_layout_packs_little_endian_digits_of_the_fewest_bytes(degree, width):
+    """The walk's keys hold digit r, of the layout's width, at 1 << bits * r
+    for the r-th column index in use (little-endian); renumbered, they are
+    keys of the layout, variable 0 the most significant digit."""
     layout, bits = monomial_layout(3, degree)
     assert (layout.size, bits) == (3 * width, 8 * width)
     one = min(degree, 1)
     corners = [(degree, 0, 0), (0, degree, 0), (0, 0, degree), (degree - one, one, 0)]
     vectors = list(dict.fromkeys(corners))
-    keys = [sum(e << bits * v for v, e in enumerate(vec)) for vec in vectors]
-    assert [int.from_bytes(layout.pack(*vec), "little") for vec in vectors] == keys
-    assert [layout.unpack(k.to_bytes(layout.size, "little")) for k in keys] == vectors
-    # the kernel numbers column indices 4, 0, 2 of 6 as variables 0, 1, 2
+    keys = [sum(e << bits * (2 - v) for v, e in enumerate(vec)) for vec in vectors]
+    assert [int.from_bytes(layout.pack(*vec), "big") for vec in vectors] == keys
+    assert [layout.unpack(k.to_bytes(layout.size, "big")) for k in keys] == vectors
+    # the kernel numbers column indices 4, 0, 2 of 6 as digits 0, 1, 2
+    walked = [sum(e << bits * r for r, e in enumerate(vec)) for vec in vectors]
     power = {4: 1, 0: 1 << bits, 2: 1 << 2 * bits}
-    assert _unpack(dict(zip(keys, range(4))), power, degree, 6) == {
-        (b, 0, c, 0, a, 0): i for i, (a, b, c) in enumerate(vectors)
-    }
+    sums = dict(zip(walked, range(4)))
+    table, layout6 = _renumber(sums, power, degree, 6, lambda *made: made)
+    assert layout6[1] == bits
+    dense = {(b, 0, c, 0, a, 0): i for i, (a, b, c) in enumerate(vectors)}
+    assert dense_terms(table, layout6) == _renumber(sums, power, degree, 6) == dense
 
 
 def repetition(n):

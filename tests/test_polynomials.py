@@ -57,6 +57,12 @@ def test_exponents_must_be_nonnegative_ints(key):
         SparsePolynomial(F2, 1, {key: Fraction(1), (0, 1): Fraction(3)})
 
 
+@pytest.mark.parametrize("key", [(True, 0), (0, False)])
+def test_bool_exponents_are_refused(key):
+    with pytest.raises(ValueError, match="exponents must be ints"):
+        SparsePolynomial(F2, 1, {key: Fraction(1), (0, 1): Fraction(3)})
+
+
 def test_arithmetic_small():
     x0 = SparsePolynomial.variable(F2, 1, 0)
     x1 = SparsePolynomial.variable(F2, 1, 1)
