@@ -380,11 +380,11 @@ def _packed_counts(ring: RingSpec, word_lists, fixed, power) -> Counter:
 
 
 def _renumber(sums, power, n: int, nvars: int, form=None):
-    """form(table, layout), dense_terms by default: the walk's keys, digit r
-    for the r-th column index in power, as the bytes of the layout
-    monomial_layout(nvars, n).  With half the column indices or more in
-    use, one itemgetter gathers each key's bytes and a zero byte for the
-    rest; else each key's nonzero digits go into a row of zero bytes."""
+    """form(pairs, layout), dense_terms by default: the walk's keys (digit r
+    for the r-th column index in power), each made in turn the bytes of the
+    layout monomial_layout(nvars, n), paired with their counts.  With half
+    the column indices or more in use, one itemgetter gathers a key's bytes
+    and zero bytes; else its nonzero digits go into a row of zero bytes."""
     layout = monomial_layout(nvars, n)
     walked, bits = monomial_layout(len(power), n)
     width, size = bits // 8, walked.size
@@ -395,17 +395,17 @@ def _renumber(sums, power, n: int, nvars: int, form=None):
             first[v] + width - 1 - j if v in first else size
             for v in range(nvars) for j in range(width)
         ])
-        rows = [bytes(gather(k.to_bytes(size + 1, "little"))) for k in sums]
+        rows = (bytes(gather(k.to_bytes(size + 1, "little"))) for k in sums)
     else:
-        rows = []
         # read big-endian, the walk's digit r comes at len(power) - 1 - r
         places = [width * v for v in reversed(power)]
-        for digits in map(walked.unpack, (k.to_bytes(size, "big") for k in sums)):
-            row = bytearray(layout[0].size)
+        def row(digits):
+            out = bytearray(layout[0].size)
             for p, e in zip(compress(places, digits), compress(digits, digits)):
-                row[p:p + width] = e.to_bytes(width, "big")
-            rows.append(bytes(row))
-    return (form or dense_terms)(dict(zip(rows, sums.values())), layout)
+                out[p:p + width] = e.to_bytes(width, "big")
+            return bytes(out)
+        rows = map(row, map(walked.unpack, (k.to_bytes(size, "big") for k in sums)))
+    return (form or dense_terms)(zip(rows, sums.values()), layout)
 
 
 def _code_counts(code: LinearCode, fixed, form=None):
@@ -448,7 +448,7 @@ def _bit_counts(bits, n: int, fixed, form=None):
             counts[r] = classes[r].bit_count() - ones
             counts[ones_at + r] = ones
         table[layout[0].pack(*counts)] = mult
-    return (form or dense_terms)(table, layout)
+    return (form or dense_terms)(table.items(), layout)
 
 
 def _pack(flags) -> int:

@@ -44,9 +44,8 @@ __all__ = [
 
 def _enumerator(ring, arity: int):
     """The form that makes a kernel's table a polynomial, its keys read as ints."""
-    read = functools.partial(int.from_bytes, byteorder="big")
-    return lambda table, layout: SparsePolynomial.from_packed(
-        ring, arity, dict(zip(map(read, table), table.values())), layout
+    return lambda pairs, layout: SparsePolynomial.from_packed(
+        ring, arity, {int.from_bytes(k, "big"): m for k, m in pairs}, layout
     )
 
 

@@ -29,9 +29,10 @@ def monomial_layout(nvars: int, degree: int) -> tuple[struct.Struct, int]:
     return struct.Struct(f">{nvars}{formats[width]}"), 8 * width
 
 
-def dense_terms(rows, layout) -> dict:
-    """{exponent tuple: value} of {a monomial's bytes in layout: value}."""
-    return dict(zip(map(layout[0].unpack, rows), rows.values()))
+def dense_terms(pairs, layout) -> dict:
+    """{exponent tuple: value} of (a monomial's bytes in layout, value) pairs."""
+    unpack = layout[0].unpack
+    return {unpack(row): value for row, value in pairs}
 
 
 class SparsePolynomial:
@@ -62,16 +63,17 @@ class SparsePolynomial:
     def from_packed(cls, ring: RingSpec, arity: int, packed, layout) -> "SparsePolynomial":
         """{key: nonzero coefficient}, keys taken unchecked in the layout
         monomial_layout(ring.order**arity, d), d at least their degrees."""
-        poly = cls(ring, arity)
-        poly.layout, poly.packed = layout, {k: simplify(c) for k, c in packed.items()}
+        poly = cls.__new__(cls)
+        poly.ring, poly.arity, poly.layout = ring, arity, layout
+        poly.packed = {k: simplify(c) for k, c in packed.items()}
         return poly
 
     @property
     def terms(self) -> dict:
         """The dense view {exponent tuple: coefficient}, decoded on each access."""
         size = self.layout[0].size
-        rows = {k.to_bytes(size, "big"): c for k, c in self.packed.items()}
-        return dense_terms(rows, self.layout)
+        pairs = ((k.to_bytes(size, "big"), c) for k, c in self.packed.items())
+        return dense_terms(pairs, self.layout)
 
     # ---- variable indexing -------------------------------------------
 

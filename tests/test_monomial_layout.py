@@ -48,10 +48,10 @@ def test_the_layout_packs_little_endian_digits_of_the_fewest_bytes(degree, width
     walked = [sum(e << bits * r for r, e in enumerate(vec)) for vec in vectors]
     power = {4: 1, 0: 1 << bits, 2: 1 << 2 * bits}
     sums = dict(zip(walked, range(4)))
-    table, layout6 = _renumber(sums, power, degree, 6, lambda *made: made)
+    pairs, layout6 = _renumber(sums, power, degree, 6, lambda *made: made)
     assert layout6[1] == bits
     dense = {(b, 0, c, 0, a, 0): i for i, (a, b, c) in enumerate(vectors)}
-    assert dense_terms(table, layout6) == _renumber(sums, power, degree, 6) == dense
+    assert dense_terms(pairs, layout6) == _renumber(sums, power, degree, 6) == dense
 
 
 def repetition(n):

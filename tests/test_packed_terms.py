@@ -35,9 +35,9 @@ from jacweight.rings import field_ring, modular_ring
 from test_tuple_counts import RINGS, literal_counts
 
 
-def keep(table, layout):
+def keep(pairs, layout):
     """The form that keeps the kernel's packed table and its layout."""
-    return table, layout
+    return dict(pairs), layout
 
 
 def pack_all(dense, layout):
@@ -73,7 +73,7 @@ def check_packed(table, layout, dense):
     order, and sorts as the dense keys do."""
     struct_, bits = layout
     assert all(type(k) is bytes and len(k) == struct_.size for k in table)
-    assert list(dense_terms(table, layout).items()) == list(dense.items())
+    assert list(dense_terms(table.items(), layout).items()) == list(dense.items())
     assert [struct_.unpack(k) for k in sorted(table)] == sorted(dense)
     # as ints, variable 0 is the most significant digit
     nvars = len(next(iter(dense)))
@@ -93,7 +93,7 @@ def test_packed_tables_decode_to_the_direct_and_literal_counts(case):
     assert direct == literal
     check_packed(*_direct_counts(ring, word_lists, fixed, keep), direct)
     table, layout = _tuple_counts(ring, word_lists, fixed, keep)
-    assert dense_terms(table, layout) == literal
+    assert dense_terms(table.items(), layout) == literal
     if len(pair) == 1:
         # the route of the single-code tables, by popcount over F2
         check_packed(*_code_counts(pair[0], fixed, keep), direct)
@@ -126,7 +126,7 @@ def test_two_byte_digits_on_long_codes(n):
     row = LinearCode(z16, n, (tuple(rng.randrange(16) for _ in range(n)),))
     literal = literal_counts(z16, [row.words], (mask,))
     table, layout = _tuple_counts(z16, [row.words], (mask,), keep)
-    assert layout[1] == 16 and dense_terms(table, layout) == literal
+    assert layout[1] == 16 and dense_terms(table.items(), layout) == literal
 
 
 def test_transform_at_a_degree_filling_the_digits():
