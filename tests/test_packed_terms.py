@@ -104,9 +104,10 @@ F2 = field_ring(2)
 
 @pytest.mark.parametrize("n", [256, 300])
 def test_two_byte_digits_on_long_codes(n):
-    """An F2 code by popcount, by the walk and paired with itself, and a
-    one-row Z16 code with a mask, whose 256 column indices are mostly not
-    in use, so that its keys are written into rows of zero bytes."""
+    """An F2 code by popcount, by the walk and paired with three of its
+    words, and a one-row Z16 code with a mask, whose 256 column indices are
+    mostly not in use, so that its keys are written into rows of zero
+    bytes."""
     rng = random.Random(f"two-byte-{n}")
     rows = tuple(tuple(rng.randrange(2) for _ in range(n)) for _ in range(3))
     code = LinearCode(F2, n, rows)
