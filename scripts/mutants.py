@@ -37,16 +37,14 @@ MUTANTS = {
         [('struct.Struct(f">', 'struct.Struct(f"<'), ('"big"', '"little"')],
         ["tests/test_packed_terms.py", "tests/test_polynomials.py"],
     ),
-    "renumbering by itemgetter shifted by one column": (
+    "renumbering shifted by one column": (
         "codes.py",
-        [("for v in range(nvars) for j in range(width)",
-          "for v in range(1, nvars + 1) for j in range(width)")],
+        [("rows[width * (v + 1) - 1 - j::out]", "rows[width * ((v + 1) % nvars + 1) - 1 - j::out]")],
         ["tests/test_packed_terms.py", "tests/test_monomial_layout.py"],
     ),
-    "renumbering into zero rows shifted by one column": (
+    "renumbering keeping a digit's bytes little-endian": (
         "codes.py",
-        [("places = [width * v for v in reversed(power)]",
-          "places = [width * ((v + 1) % nvars) for v in reversed(power)]")],
+        [("rows[width * (v + 1) - 1 - j::out]", "rows[width * v + j::out]")],
         ["tests/test_packed_terms.py", "tests/test_monomial_layout.py"],
     ),
     "render dropping the last nonzero digit": (

@@ -9,10 +9,9 @@ composition: the column symbol tuples of each word tuple in a product of
 word lists, with fixed words such as a mask; each distribution table is
 one call.  It walks every word tuple, or, for two or more lists built as
 direct sums plus glue, cuts the positions in half and sums products of
-half tables over the glue cosets, each composition one packed int with
-a digit per column index in use, renumbered at the end into the bytes of
-`polynomials.monomial_layout`; a form makes the dense table of them
-(`dense_terms`, the default) or, for the enumerators, a polynomial.
+half tables over the glue cosets, each composition one packed int,
+renumbered at the end into a key of `polynomials.monomial_layout` and
+handed to a form (see `_renumber`).
 The single-code tables, `comp_table` and `jacobi_table`, take another
 route when the ring has order 2: each word is an int with bit i for
 position i, and its composition is its popcount in each class of
@@ -28,8 +27,7 @@ import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
-from operator import getitem, itemgetter
+from operator import getitem
 from pathlib import Path
 
 from .budget import BudgetExceeded, check_budget, enumeration_budget
@@ -380,32 +378,21 @@ def _packed_counts(ring: RingSpec, word_lists, fixed, power) -> Counter:
 
 
 def _renumber(sums, power, n: int, nvars: int, form=None):
-    """form(pairs, layout), dense_terms by default: the walk's keys (digit r
-    for the r-th column index in power), each made in turn the bytes of the
-    layout monomial_layout(nvars, n), paired with their counts.  With half
-    the column indices or more in use, one itemgetter gathers a key's bytes
-    and zero bytes; else its nonzero digits go into a row of zero bytes."""
+    """form(pairs, layout), dense_terms by default: each of the walk's keys
+    (digit r for the r-th column index in power) as the bytes of a key of
+    the layout monomial_layout(nvars, n), with its count.  One strided slice
+    moves a digit byte of every key from the walk's little-endian rows into
+    big-endian rows of zero bytes."""
     layout = monomial_layout(nvars, n)
     walked, bits = monomial_layout(len(power), n)
-    width, size = bits // 8, walked.size
-    if nvars <= 2 * len(power):
-        first = dict(zip(power, range(0, size, width)))
-        # big-endian byte j of a digit is byte width - 1 - j of its little-endian one
-        gather = itemgetter(*[
-            first[v] + width - 1 - j if v in first else size
-            for v in range(nvars) for j in range(width)
-        ])
-        rows = (bytes(gather(k.to_bytes(size + 1, "little"))) for k in sums)
-    else:
-        # read big-endian, the walk's digit r comes at len(power) - 1 - r
-        places = [width * v for v in reversed(power)]
-        def row(digits):
-            out = bytearray(layout[0].size)
-            for p, e in zip(compress(places, digits), compress(digits, digits)):
-                out[p:p + width] = e.to_bytes(width, "big")
-            return bytes(out)
-        rows = map(row, map(walked.unpack, (k.to_bytes(size, "big") for k in sums)))
-    return (form or dense_terms)(zip(rows, sums.values()), layout)
+    width, size, out = bits // 8, walked.size, layout[0].size
+    walked_rows = b"".join([k.to_bytes(size, "little") for k in sums])
+    rows = bytearray(len(sums) * out)
+    for r, v in enumerate(power):
+        for j in range(width):
+            rows[width * (v + 1) - 1 - j::out] = walked_rows[width * r + j::size]
+    keys = (rows[i:i + out] for i in range(0, len(rows), out))
+    return (form or dense_terms)(zip(keys, sums.values()), layout)
 
 
 def _code_counts(code: LinearCode, fixed, form=None):
@@ -457,30 +444,29 @@ def _pack(flags) -> int:
     return int("0" + "".join(["1" if x else "0" for x in reversed(flags)]), 2)
 
 
-def comp_table(code: LinearCode) -> dict[tuple[int, ...], int]:
+def comp_table(code: LinearCode, form=None):
     """Composition distribution A_L, counted once per code: do not mutate it.
+    With a form (see `_renumber`), what the form makes of it, counted anew.
 
     Over a ring of order 2 it is counted by popcount from the packed
     words (`_bit_counts`), else by `_tuple_counts`; the tables are equal,
     key order included."""
-    return code._comp_table
+    return code._comp_table if form is None else _code_counts(code, (), form)
 
 
-def jacobi_table(code: LinearCode, w) -> dict[tuple[int, ...], int]:
+def jacobi_table(code: LinearCode, w, form=None):
     """Jacobi composition distribution B_R of a code against mask w.
 
     Over a ring of order 2 the mask's zeros and ones are two classes of
     positions, and each word's key is its popcount in each (`_bit_counts`);
     over any other ring `_tuple_counts` walks the words."""
-    return _code_counts(code, (w,))
+    return _code_counts(code, (w,), form)
 
 
-def joint_jacobi_table(
-    code_c: LinearCode, code_d: LinearCode, w
-) -> dict[tuple[int, ...], int]:
+def joint_jacobi_table(code_c: LinearCode, code_d: LinearCode, w, form=None):
     """Joint composition distribution B_H over all pairs in C x D."""
     check_pair(code_c, code_d)
-    return _tuple_counts(code_c.ring, [code_c.words, code_d.words], (w,))
+    return _tuple_counts(code_c.ring, [code_c.words, code_d.words], (w,), form)
 
 
 # ---- code files ------------------------------------------------------------

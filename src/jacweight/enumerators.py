@@ -24,7 +24,15 @@ import math
 import operator
 from fractions import Fraction
 
-from .codes import LinearCode, _code_counts, _tuple_counts, check_budget, check_pair
+from .codes import (
+    LinearCode,
+    _tuple_counts,
+    check_budget,
+    check_pair,
+    comp_table,
+    jacobi_table,
+    joint_jacobi_table,
+)
 from .exactnum import CyclotomicResidues, integer_coefficients
 from .polynomials import SparsePolynomial
 
@@ -42,16 +50,9 @@ __all__ = [
 ]
 
 
-def _enumerator(ring, arity: int):
-    """The form that makes a kernel's table a polynomial, its keys read as ints."""
-    return lambda pairs, layout: SparsePolynomial.from_packed(
-        ring, arity, {int.from_bytes(k, "big"): m for k, m in pairs}, layout
-    )
-
-
 def cwe(code: LinearCode) -> SparsePolynomial:
     """Complete weight enumerator: one monomial per codeword."""
-    return _code_counts(code, (), _enumerator(code.ring, 1))
+    return comp_table(code, functools.partial(SparsePolynomial.from_rows, code.ring, 1))
 
 
 def cwe_genus(code: LinearCode, genus: int) -> SparsePolynomial:
@@ -60,27 +61,26 @@ def cwe_genus(code: LinearCode, genus: int) -> SparsePolynomial:
         raise ValueError("genus must be at least 1")
     # |C|^g, charged before the g copies of the word list are made
     check_budget(len(code.words), "tuples of codewords", power=genus)
-    words = [code.words] * genus
-    return _tuple_counts(code.ring, words, (), _enumerator(code.ring, genus))
+    form = functools.partial(SparsePolynomial.from_rows, code.ring, genus)
+    return _tuple_counts(code.ring, [code.words] * genus, (), form)
 
 
 def jacobi(code: LinearCode, w) -> SparsePolynomial:
     """Jacobi polynomial of a code with respect to a fixed mask word."""
-    return _code_counts(code, (w,), _enumerator(code.ring, 2))
+    return jacobi_table(code, w, functools.partial(SparsePolynomial.from_rows, code.ring, 2))
 
 
 def joint_cwe(code_c: LinearCode, code_d: LinearCode) -> SparsePolynomial:
     """Joint complete weight enumerator over pairs in C x D."""
     check_pair(code_c, code_d)
-    words = [code_c.words, code_d.words]
-    return _tuple_counts(code_c.ring, words, (), _enumerator(code_c.ring, 2))
+    form = functools.partial(SparsePolynomial.from_rows, code_c.ring, 2)
+    return _tuple_counts(code_c.ring, [code_c.words, code_d.words], (), form)
 
 
 def joint_jacobi(code_c: LinearCode, code_d: LinearCode, w) -> SparsePolynomial:
     """Joint Jacobi polynomial of a pair of codes against a mask word."""
-    check_pair(code_c, code_d)
-    words = [code_c.words, code_d.words]
-    return _tuple_counts(code_c.ring, words, (w,), _enumerator(code_c.ring, 3))
+    form = functools.partial(SparsePolynomial.from_rows, code_c.ring, 3)
+    return joint_jacobi_table(code_c, code_d, w, form)
 
 
 def collapse(poly: SparsePolynomial, keep_slots) -> SparsePolynomial:
@@ -210,7 +210,7 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     scale = Fraction(1, size) / den
     # enumerator coefficients repeat, so each distinct one is decoded once
     scalar = functools.lru_cache(maxsize=None)(lambda c: res.to_scalar(c, scale))
-    terms = dict(zip(terms, map(scalar, terms.values())))
+    terms = zip(terms, map(scalar, terms.values()))
     return SparsePolynomial.from_packed(ring, poly.arity, terms, poly.layout)
 
 

@@ -51,8 +51,9 @@ class SparsePolynomial:
                 raise ValueError("exponent vector has wrong length")
             if {*map(type, key)} - {int} or min(key) < 0 or sum(key) >> 64:
                 raise ValueError("exponents must be ints from 0, summing below 2^64")
-        layout = monomial_layout(nvars, max(map(sum, keys), default=0))
-        self.ring, self.arity, self.layout = ring, arity, layout
+        self.ring = ring
+        self.arity = arity
+        self.layout = layout = monomial_layout(nvars, max(map(sum, keys), default=0))
         self.packed = {
             int.from_bytes(layout[0].pack(*key), "big"): c
             for key, coeff in zip(keys, terms.values())
@@ -60,13 +61,21 @@ class SparsePolynomial:
         }
 
     @classmethod
-    def from_packed(cls, ring: RingSpec, arity: int, packed, layout) -> "SparsePolynomial":
-        """{key: nonzero coefficient}, keys taken unchecked in the layout
+    def from_packed(cls, ring: RingSpec, arity: int, pairs, layout) -> "SparsePolynomial":
+        """(key, nonzero coefficient) pairs, keys taken unchecked in the layout
         monomial_layout(ring.order**arity, d), d at least their degrees."""
         poly = cls.__new__(cls)
-        poly.ring, poly.arity, poly.layout = ring, arity, layout
-        poly.packed = {k: simplify(c) for k, c in packed.items()}
+        poly.ring = ring
+        poly.arity = arity
+        poly.layout = layout
+        poly.packed = {k: simplify(c) for k, c in pairs}
         return poly
+
+    @classmethod
+    def from_rows(cls, ring: RingSpec, arity: int, pairs, layout) -> "SparsePolynomial":
+        """from_packed of (a key's bytes in layout, coefficient) pairs."""
+        packed = ((int.from_bytes(row, "big"), c) for row, c in pairs)
+        return cls.from_packed(ring, arity, packed, layout)
 
     @property
     def terms(self) -> dict:
@@ -83,7 +92,11 @@ class SparsePolynomial:
 
     def var_tuple(self, index: int) -> tuple[int, ...]:
         q = self.ring.order
-        return tuple(index // q**i % q for i in reversed(range(self.arity)))
+        digits = []
+        for _ in range(self.arity):
+            digits.append(index % q)
+            index //= q
+        return tuple(reversed(digits))
 
     def var_index(self, symbols) -> int:
         q = self.ring.order
@@ -239,11 +252,12 @@ class SparsePolynomial:
     def _canonical_digits(self, template: str, sep: str):
         """Each variable's name, template filled with its symbols joined by
         sep, and each term's (coefficient, digits) in canonical order."""
-        variables, (layout, _), packed = range(self.nvars), self.layout, self.packed
+        variables = range(self.nvars)
         names = [template.format(sep.join(map(str, self.var_tuple(v)))) for v in variables]
-        keys = sorted(packed)
+        layout = self.layout[0]
+        keys = sorted(self.packed)
         digits = (layout.unpack(k.to_bytes(layout.size, "big")) for k in keys)
-        return names, variables, zip(map(packed.get, keys), digits)
+        return names, variables, zip(map(self.packed.get, keys), digits)
 
     def render_text(self) -> str:
         names, variables, terms = self._canonical_digits("x_({})", " ")
