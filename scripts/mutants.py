@@ -66,10 +66,31 @@ MUTANTS = {
     ),
     "popcounts written into swapped digits": (
         "codes.py",
-        [("counts[r] = classes[r].bit_count() - ones\n"
-          "            counts[ones_at + r] = ones",
-          "counts[ones_at + r] = classes[r].bit_count() - ones\n"
-          "            counts[r] = ones")],
+        [("sum(map(int.__mul__, sizes, place))", "sum(map(int.__mul__, sizes, place[ones_at:]))"),
+         ("step = place[ones_at + r] - place[r]", "step = place[r] - place[ones_at + r]")],
+        ["tests/test_tuple_counts.py", "tests/test_packed_terms.py"],
+    ),
+    "kept-generator scan run forwards": (
+        "codes.py",
+        [("for gen in reversed(self.generators):", "for gen in self.generators:"),
+         ("return tuple(reversed(kept))", "return tuple(kept)")],
+        ["tests/test_tuple_counts.py", "tests/test_packed_terms.py"],
+    ),
+    "bit-sliced carry stopping after one plane": (
+        "codes.py",
+        [("while carry:", "if carry:")],
+        ["tests/test_tuple_counts.py", "tests/test_packed_terms.py"],
+    ),
+    "cells not sorted by their lowest set bit": (
+        "codes.py",
+        [("cells.append(((mask & -mask).bit_length(), key, mask.bit_count()))",
+          "cells.append((mask.bit_length(), key, mask.bit_count()))")],
+        ["tests/test_tuple_counts.py", "tests/test_packed_terms.py"],
+    ),
+    "a signature's multiplicity taken as 1": (
+        "codes.py",
+        [("columns[r].append((_column(patterns, symbols), mult))",
+          "columns[r].append((_column(patterns, symbols), 1))")],
         ["tests/test_tuple_counts.py", "tests/test_packed_terms.py"],
     ),
     # The group shift alone from the old layout, base * bits, is an equivalent

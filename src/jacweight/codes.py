@@ -13,9 +13,11 @@ half tables over the glue cosets, each composition one packed int,
 renumbered at the end into a key of `polynomials.monomial_layout` and
 handed to a form (see `_renumber`).
 The single-code tables, `comp_table` and `jacobi_table`, take another
-route when the ring has order 2: each word is an int with bit i for
-position i, and its composition is its popcount in each class of
-positions with equal fixed-word symbols, so no word tuple is built.
+route when the ring has order 2, and build no word: one |C|-bit int per
+distinct column of the kept generators holds bit j for word j, and a
+bit-sliced counter sums those columns, so that every word's popcount in
+each class of positions with equal fixed-word symbols is counted at once
+(see `_bit_counts`).
 """
 
 from __future__ import annotations
@@ -153,13 +155,32 @@ class LinearCode:
         """The words of a code over a ring of order 2 as ints, bit i for
         position i, in the order of `words`: the same walk, each multiple
         of a generator added by an XOR with its bit mask, and charged the
-        same |C| * n codeword symbols before a word is built."""
+        same |C| * n codeword symbols before a word is built.  The design
+        scans read them; the tables count from `_kept` instead."""
         check_budget(self.size * self.n, "codeword symbols")
         words = [0]
         for gen in self.generators:
             mask = _pack(gen)
             words = list(dict.fromkeys(x for u in words for x in (u, u ^ mask)))
         return tuple(words)
+
+    @cached_property
+    def _kept(self) -> tuple[tuple[int, ...], ...]:
+        """Over a ring of order 2, the generators not in the span of those
+        after them, in order, found by one backward scan over an XOR basis.
+        A word's lex-least coefficients are 0 on every other generator, so
+        `words` is the walk over these alone, with no repeat: word j is the
+        sum of those whose bits are set in j, the last one bit 0."""
+        basis: dict[int, int] = {}
+        kept = []
+        for gen in reversed(self.generators):
+            x = _pack(gen)
+            while x and (top := x.bit_length()) in basis:
+                x ^= basis[top]
+            if x:
+                basis[top] = x
+                kept.append(gen)
+        return tuple(reversed(kept))
 
     @cached_property
     def _comp_table(self) -> dict[tuple[int, ...], int]:
@@ -396,46 +417,111 @@ def _renumber(sums, power, n: int, nvars: int, form=None):
 
 
 def _code_counts(code: LinearCode, fixed, form=None):
-    """The table of `_tuple_counts` over one code's words: by popcount
-    (`_bit_counts`) when the ring has order 2, by the kernel otherwise."""
+    """The table of `_tuple_counts` over one code's words: bit-sliced from
+    the kept generators (`_bit_counts`) when the ring has order 2, by the
+    kernel otherwise.  Both charge the |C| * n codeword symbols first."""
     if code.ring.order != 2:
         return _tuple_counts(code.ring, [code.words], fixed, form)
-    # charged before the masks are checked, in the kernel route's order
-    bits = code._bits
+    kept = code._kept
+    check_budget(code.n << len(kept), "codeword symbols")
     for f in fixed:
         check_mask(code.ring, code.n, f)
-    return _bit_counts(bits, code.n, fixed, form)
+    return _bit_counts(kept, code.n, fixed, form)
 
 
-def _bit_counts(bits, n: int, fixed, form=None):
-    """The table of `_tuple_counts` over one list of words of a ring of
-    order 2, each packed as an int with bit i for position i.
+def _bit_counts(kept, n: int, fixed, form=None):
+    """The table of `_tuple_counts` over the words of a code over a ring of
+    order 2, from its kept generators (`LinearCode._kept`), no word built.
 
-    Position i falls in class r, r being its fixed-word column
-    (f_1[i], ..., f_m[i]) read in base 2, so that a mask gives at most two
-    classes.  A word with k ones in class r counts k at column index
-    2^m + r and the rest of the class at r.  Its key is its popcount in
-    each class in use; equal keys mean equal compositions, so the table
-    keeps the first-occurrence order of the direct walk.
+    Word j of `words` is the sum of the kept generators whose bits are set
+    in j, so a position's column, bit j set when word j has a 1 there, is
+    the XOR of the index patterns (`_patterns`) of the kept generators
+    with a 1 there.  Positions with the same kept-generator and fixed-word
+    symbols share a column and a class, r being the fixed-word column
+    (f_1[i], ..., f_m[i]) read in base 2.  Each class sums its distinct
+    columns, times their multiplicities, in a bit-sliced counter: plane t
+    holds bit t of every word's count of ones in the class.  Splitting the
+    words by every plane of every class leaves one cell per composition,
+    a mask of its words; a word with k ones in class r counts k at column
+    index 2^m + r and the rest of the class at r, and each cell carries
+    its key packed in the layout.  The cells are ordered by their first
+    word, the first-occurrence order of the direct walk.
     """
-    index = [0] * n
-    for f in fixed:
-        index = [2 * r + s for r, s in zip(index, f)]
-    classes = [_pack([x == r for x in index]) for r in range(2 ** len(fixed))]
-    used = [r for r, c in enumerate(classes) if c]
-    keys = Counter(
-        zip(*[map(int.bit_count, map(classes[r].__and__, bits)) for r in used])
-    )
-    ones_at = len(classes)
+    patterns = _patterns(len(kept))
+    ones_at = 1 << len(fixed)
+    sizes = [0] * ones_at
+    columns = [[] for _ in sizes]
+    # zip() of no rows is empty: the zero code has one signature, at all n
+    signatures = Counter(zip(*kept, *fixed)) if kept or fixed else {(): n}
+    for symbols, mult in signatures.items():
+        r = 0
+        for s in symbols[len(kept):]:
+            r = 2 * r + s
+        sizes[r] += mult
+        columns[r].append((_column(patterns, symbols), mult))
     layout = monomial_layout(2 * ones_at, n)
-    table = {}
-    for key, mult in keys.items():
-        counts = [0] * (2 * ones_at)
-        for r, ones in zip(used, key):
-            counts[r] = classes[r].bit_count() - ones
-            counts[ones_at + r] = ones
-        table[layout[0].pack(*counts)] = mult
-    return (form or dense_terms)(table.items(), layout)
+    # column index v is the digit at place[v]; every word starts with no
+    # ones, each class r all at digit r
+    place = [1 << layout[1] * v for v in reversed(range(2 * ones_at))]
+    splits = []
+    for r, size in enumerate(sizes):
+        planes = [0] * size.bit_length()
+        for column, mult in columns[r]:
+            # mult copies of the column: one added at plane t per bit t of mult
+            for t in range(mult.bit_length()):
+                carry, i = column if mult >> t & 1 else 0, t
+                while carry:
+                    planes[i], carry = planes[i] ^ carry, planes[i] & carry
+                    i += 1
+        # a one at plane t moves 2^t of the class from digit r to 2^m + r
+        step = place[ones_at + r] - place[r]
+        splits += [(step << t, plane) for t, plane in enumerate(planes) if plane]
+    # depth first, so that only one path of masks is held at a time
+    depth, cells = len(splits), []
+    stack = [((1 << (1 << len(kept))) - 1, sum(map(int.__mul__, sizes, place)), 0)]
+    while stack:
+        mask, key, i = stack.pop()
+        if i == depth:
+            cells.append(((mask & -mask).bit_length(), key, mask.bit_count()))
+            continue
+        step, plane = splits[i]
+        ones = mask & plane
+        if ones:
+            stack.append((ones, key + step, i + 1))
+        if ones != mask:
+            stack.append((mask ^ ones, key, i + 1))
+    cells.sort()
+    width = layout[0].size
+    pairs = [(key.to_bytes(width, "big"), count) for _, key, count in cells]
+    return (form or dense_terms)(pairs, layout)
+
+
+def _patterns(k: int) -> list[int]:
+    """The 2^k-bit index pattern of each of k kept generators: bit j set
+    just when the generator is in word j, the last generator bit 0 of j.
+    For bit b of j that is the upper half of every run of 2^(b + 1) bits,
+    full // (2^(2^(b + 1)) - 1) * ((2^(2^b) - 1) << 2^b); each is made from
+    the one before by a shift and an XOR, since that division is quadratic
+    in 2^k (1.5 s at k = 20)."""
+    full = (1 << (1 << k)) - 1
+    patterns = []
+    low = full >> (1 << k >> 1)
+    for b in reversed(range(k)):
+        # low: bit j set just when bit b of j is clear; one shift by 2^(b - 1)
+        # and an XOR give the same for bit b - 1
+        patterns.append(full ^ low)
+        low ^= low << (1 << b >> 1)
+    return patterns
+
+
+def _column(patterns, symbols) -> int:
+    """Bit j set just when word j has a 1 where the kept generators read
+    symbols: the XOR of the patterns of those that read 1."""
+    column = 0
+    for pattern, s in zip(patterns, symbols):
+        if s:
+            column ^= pattern
+    return column
 
 
 def _pack(flags) -> int:
@@ -448,9 +534,9 @@ def comp_table(code: LinearCode, form=None):
     """Composition distribution A_L, counted once per code: do not mutate it.
     With a form (see `_renumber`), what the form makes of it, counted anew.
 
-    Over a ring of order 2 it is counted by popcount from the packed
-    words (`_bit_counts`), else by `_tuple_counts`; the tables are equal,
-    key order included."""
+    Over a ring of order 2 it is counted bit-sliced from the kept
+    generators' columns (`_bit_counts`), no word built, else by
+    `_tuple_counts`; the tables are equal, key order included."""
     return code._comp_table if form is None else _code_counts(code, (), form)
 
 
@@ -458,7 +544,8 @@ def jacobi_table(code: LinearCode, w, form=None):
     """Jacobi composition distribution B_R of a code against mask w.
 
     Over a ring of order 2 the mask's zeros and ones are two classes of
-    positions, and each word's key is its popcount in each (`_bit_counts`);
+    positions, and every word's popcount in each is counted at once by a
+    bit-sliced counter over the kept generators' columns (`_bit_counts`);
     over any other ring `_tuple_counts` walks the words."""
     return _code_counts(code, (w,), form)
 

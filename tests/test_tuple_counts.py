@@ -1,7 +1,7 @@
 """Every composition table, joint enumerator and brute average against a
 literal count, word tuple by word tuple; the split route of the counting
-kernel against its direct route; and the popcount route of binary codes'
-single-list tables against both."""
+kernel against its direct route; and the bit-sliced route of binary
+codes' single-list tables against both."""
 
 import itertools
 import math
@@ -20,8 +20,10 @@ from jacweight.codes import (
     SPLIT_FLOOR,
     LinearCode,
     _bit_counts,
+    _column,
     _direct_counts,
     _glue_cosets,
+    _patterns,
     _split_counts,
     _tuple_counts,
     comp_table,
@@ -317,7 +319,24 @@ def test_d24plus_pair_table_splits(splits):
     assert len(table) == 364
 
 
-# ---- the popcount route ----------------------------------------------------
+# ---- the bit-sliced route of binary codes ---------------------------------
+
+
+def test_the_walk_reads_only_the_kept_generators():
+    """f2_dep's rows are B + C, A, B, 0, C, A, D: the first is in the span
+    of the rows after it, the zero row and the second A add nothing, so
+    words are the walk over B, C, A, D, with D bit 0 of a word's index."""
+    code = codes_module.load_code("f2_dep")
+    kept = code._kept
+    assert kept == tuple(code.generators[i] for i in (2, 4, 5, 6))
+    assert list(code.words) == [
+        tuple(sum(g[p] for b, g in enumerate(reversed(kept)) if j >> b & 1) % 2
+              for p in range(code.n))
+        for j in range(16)
+    ]
+    for fixed in ((), ((1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0),)):
+        direct = _direct_counts(code.ring, [code.words], fixed)
+        assert list(_bit_counts(kept, code.n, fixed).items()) == list(direct.items())
 
 
 @st.composite
@@ -356,8 +375,16 @@ def test_popcount_tables_match_the_direct_and_literal_counts(case):
         assert table == direct == literal
         assert list(table) == list(direct) == list(literal)
     fixed = (w, *more)
-    table = _bit_counts(code._bits, n, fixed)
+    table = _bit_counts(code._kept, n, fixed)
     assert list(table.items()) == list(_direct_counts(ring, [code.words], fixed).items())
+    # bit j of a position's column is word j's symbol there
+    kept = code._kept
+    assert len(code.words) == 1 << len(kept)
+    patterns = _patterns(len(kept))
+    for p in range(n):
+        column = _column(patterns, [g[p] for g in kept])
+        assert column >> len(code.words) == 0
+        assert [column >> j & 1 for j in range(len(code.words))] == [u[p] for u in code.words]
 
 
 def test_binary_single_tables_take_the_popcount_route(monkeypatch):
@@ -372,6 +399,7 @@ def test_binary_single_tables_take_the_popcount_route(monkeypatch):
         tables[name] = cwe(code).terms, jacobi(code, w).terms
         code.weight_distribution()
         assert "words" not in code.__dict__
+        assert "_bits" not in code.__dict__
     assert calls == []
     monkeypatch.undo()
     for name, (cwe_terms, jacobi_terms) in tables.items():
