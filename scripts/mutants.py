@@ -66,8 +66,8 @@ MUTANTS = {
     ),
     "popcounts written into swapped digits": (
         "codes.py",
-        [("sum(map(int.__mul__, sizes, place))", "sum(map(int.__mul__, sizes, place[ones_at:]))"),
-         ("step = place[ones_at + r] - place[r]", "step = place[r] - place[ones_at + r]")],
+        [("key += size * at_zero", "key += size * at_one"),
+         ("step = at_one - at_zero", "step = at_zero - at_one")],
         ["tests/test_tuple_counts.py", "tests/test_packed_terms.py"],
     ),
     "kept-generator scan run forwards": (
@@ -89,8 +89,8 @@ MUTANTS = {
     ),
     "a signature's multiplicity taken as 1": (
         "codes.py",
-        [("columns[r].append((_column(patterns, symbols), mult))",
-          "columns[r].append((_column(patterns, symbols), 1))")],
+        [("classes[symbols[-1]].append((_column(patterns, symbols), mult))",
+          "classes[symbols[-1]].append((_column(patterns, symbols), 1))")],
         ["tests/test_tuple_counts.py", "tests/test_packed_terms.py"],
     ),
     # The group shift alone from the old layout, base * bits, is an equivalent

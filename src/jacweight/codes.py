@@ -28,8 +28,8 @@ import math
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import getitem
+from functools import cached_property, reduce
+from operator import getitem, xor
 from pathlib import Path
 
 from .budget import BudgetExceeded, check_budget, enumeration_budget
@@ -170,7 +170,9 @@ class LinearCode:
         after them, in order, found by one backward scan over an XOR basis.
         A word's lex-least coefficients are 0 on every other generator, so
         `words` is the walk over these alone, with no repeat: word j is the
-        sum of those whose bits are set in j, the last one bit 0."""
+        sum of those whose bits are set in j, the last one bit 0.  The
+        |C| * n codeword symbols they stand for are charged, once per code,
+        before a table is counted from them."""
         basis: dict[int, int] = {}
         kept = []
         for gen in reversed(self.generators):
@@ -180,6 +182,7 @@ class LinearCode:
             if x:
                 basis[top] = x
                 kept.append(gen)
+        check_budget(self.n << len(kept), "codeword symbols")
         return tuple(reversed(kept))
 
     @cached_property
@@ -423,7 +426,6 @@ def _code_counts(code: LinearCode, fixed, form=None):
     if code.ring.order != 2:
         return _tuple_counts(code.ring, [code.words], fixed, form)
     kept = code._kept
-    check_budget(code.n << len(kept), "codeword symbols")
     for f in fixed:
         check_mask(code.ring, code.n, f)
     return _bit_counts(kept, code.n, fixed, form)
@@ -436,49 +438,48 @@ def _bit_counts(kept, n: int, fixed, form=None):
     Word j of `words` is the sum of the kept generators whose bits are set
     in j, so a position's column, bit j set when word j has a 1 there, is
     the XOR of the index patterns (`_patterns`) of the kept generators
-    with a 1 there.  Positions with the same kept-generator and fixed-word
-    symbols share a column and a class, r being the fixed-word column
-    (f_1[i], ..., f_m[i]) read in base 2.  Each class sums its distinct
-    columns, times their multiplicities, in a bit-sliced counter: plane t
-    holds bit t of every word's count of ones in the class.  Splitting the
-    words by every plane of every class leaves one cell per composition,
-    a mask of its words; a word with k ones in class r counts k at column
-    index 2^m + r and the rest of the class at r, and each cell carries
-    its key packed in the layout.  The cells are ordered by their first
-    word, the first-occurrence order of the direct walk.
+    with a 1 there.  Position i is in class r, r being its fixed-word
+    column (f_1[i], ..., f_m[i]) read in base 2, and positions with the
+    same class and kept-generator symbols share a column, so a class has at
+    most 2^k distinct ones.  Each class sums them, times their counts, in a
+    bit-sliced counter: plane t holds bit t of every word's count of ones
+    in the class, each copy added by a ripple carry.  Splitting the words
+    by every plane of every class leaves one cell per composition, a mask
+    of its words; a word with k ones in class r counts k at column index
+    2^m + r and the rest of the class at r, and each cell carries its key
+    packed in the layout.  The cells are ordered by their first word, the
+    first-occurrence order of the direct walk.
     """
     patterns = _patterns(len(kept))
+    index = [0] * n
+    for f in fixed:
+        index = [2 * r + s for r, s in zip(index, f)]
+    classes = defaultdict(list)
+    for symbols, mult in Counter(zip(*kept, index)).items():
+        classes[symbols[-1]].append((_column(patterns, symbols), mult))
     ones_at = 1 << len(fixed)
-    sizes = [0] * ones_at
-    columns = [[] for _ in sizes]
-    # zip() of no rows is empty: the zero code has one signature, at all n
-    signatures = Counter(zip(*kept, *fixed)) if kept or fixed else {(): n}
-    for symbols, mult in signatures.items():
-        r = 0
-        for s in symbols[len(kept):]:
-            r = 2 * r + s
-        sizes[r] += mult
-        columns[r].append((_column(patterns, symbols), mult))
     layout = monomial_layout(2 * ones_at, n)
-    # column index v is the digit at place[v]; every word starts with no
-    # ones, each class r all at digit r
-    place = [1 << layout[1] * v for v in reversed(range(2 * ones_at))]
-    splits = []
-    for r, size in enumerate(sizes):
+    key, splits = 0, []
+    for r, columns in classes.items():
+        size = index.count(r)
         planes = [0] * size.bit_length()
-        for column, mult in columns[r]:
-            # mult copies of the column: one added at plane t per bit t of mult
+        for column, mult in columns:
+            # one copy of the column added at plane t per bit t of mult
             for t in range(mult.bit_length()):
                 carry, i = column if mult >> t & 1 else 0, t
                 while carry:
                     planes[i], carry = planes[i] ^ carry, planes[i] & carry
                     i += 1
-        # a one at plane t moves 2^t of the class from digit r to 2^m + r
-        step = place[ones_at + r] - place[r]
+        # every word starts with the whole class at digit r, and a one at
+        # plane t moves 2^t of it to digit 2^m + r
+        at_one = 1 << layout[1] * (ones_at - 1 - r)
+        at_zero = at_one << layout[1] * ones_at
+        key += size * at_zero
+        step = at_one - at_zero
         splits += [(step << t, plane) for t, plane in enumerate(planes) if plane]
     # depth first, so that only one path of masks is held at a time
     depth, cells = len(splits), []
-    stack = [((1 << (1 << len(kept))) - 1, sum(map(int.__mul__, sizes, place)), 0)]
+    stack = [((1 << (1 << len(kept))) - 1, key, 0)]
     while stack:
         mask, key, i = stack.pop()
         if i == depth:
@@ -517,11 +518,7 @@ def _patterns(k: int) -> list[int]:
 def _column(patterns, symbols) -> int:
     """Bit j set just when word j has a 1 where the kept generators read
     symbols: the XOR of the patterns of those that read 1."""
-    column = 0
-    for pattern, s in zip(patterns, symbols):
-        if s:
-            column ^= pattern
-    return column
+    return reduce(xor, itertools.compress(patterns, symbols), 0)
 
 
 def _pack(flags) -> int:
