@@ -153,15 +153,14 @@ class LinearCode:
     @cached_property
     def _bits(self) -> tuple[int, ...]:
         """The words of a code over a ring of order 2 as ints, bit i for
-        position i, in the order of `words`: the same walk, each multiple
-        of a generator added by an XOR with its bit mask, and charged the
-        same |C| * n codeword symbols before a word is built.  The design
-        scans read them; the tables count from `_kept` instead."""
-        check_budget(self.size * self.n, "codeword symbols")
+        position i, in the order of `words`: the walk over the kept
+        generators (`_kept`, which charges the |C| * n codeword symbols),
+        each added by an XOR with its bit mask.  The design scans read
+        them; the tables are counted from `_kept` alone."""
         words = [0]
-        for gen in self.generators:
+        for gen in self._kept:
             mask = _pack(gen)
-            words = list(dict.fromkeys(x for u in words for x in (u, u ^ mask)))
+            words = [x for u in words for x in (u, u ^ mask)]
         return tuple(words)
 
     @cached_property
