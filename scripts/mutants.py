@@ -66,7 +66,7 @@ MUTANTS = {
     ),
     "popcounts written into swapped digits": (
         "codes.py",
-        [("key += size * at_zero", "key += size * at_one"),
+        [("start += size * at_zero", "start += size * at_one"),
          ("step = at_one - at_zero", "step = at_zero - at_one")],
         ["tests/test_tuple_counts.py", "tests/test_packed_terms.py"],
     ),

@@ -424,6 +424,7 @@ def _code_counts(code: LinearCode, fixed, form=None):
     kernel otherwise.  Both charge the |C| * n codeword symbols first."""
     if code.ring.order != 2:
         return _tuple_counts(code.ring, [code.words], fixed, form)
+    # charged before the masks are checked, in the kernel route's order
     kept = code._kept
     for f in fixed:
         check_mask(code.ring, code.n, f)
@@ -458,7 +459,7 @@ def _bit_counts(kept, n: int, fixed, form=None):
         classes[symbols[-1]].append((_column(patterns, symbols), mult))
     ones_at = 1 << len(fixed)
     layout = monomial_layout(2 * ones_at, n)
-    key, splits = 0, []
+    start, splits = 0, []
     for r, columns in classes.items():
         size = index.count(r)
         planes = [0] * size.bit_length()
@@ -473,12 +474,12 @@ def _bit_counts(kept, n: int, fixed, form=None):
         # plane t moves 2^t of it to digit 2^m + r
         at_one = 1 << layout[1] * (ones_at - 1 - r)
         at_zero = at_one << layout[1] * ones_at
-        key += size * at_zero
+        start += size * at_zero
         step = at_one - at_zero
         splits += [(step << t, plane) for t, plane in enumerate(planes) if plane]
     # depth first, so that only one path of masks is held at a time
     depth, cells = len(splits), []
-    stack = [((1 << (1 << len(kept))) - 1, key, 0)]
+    stack = [((1 << (1 << len(kept))) - 1, start, 0)]
     while stack:
         mask, key, i = stack.pop()
         if i == depth:
