@@ -121,6 +121,50 @@ MUTANTS = {
         [("if self.layout[1] == other.layout[1]", "if True")],
         ["tests/test_packed_terms.py", "tests/test_polynomials.py"],
     ),
+    "rank counter skipping the pivot XOR into the free rows": (
+        "averages.py",
+        [("rows[ix] ^= moved[low]", "rows[ix] ^= moved[low] & 0")],
+        ["tests/test_averages.py"],
+    ),
+    "rank elimination stopped one row early": (
+        "averages.py",
+        [("for r in range(len(rows) - 1):", "for r in range(len(rows) - 2):")],
+        ["tests/test_averages.py"],
+    ),
+    "rank columns one dtype too narrow at its edge": (
+        "averages.py",
+        [("if width <= np.iinfo(t).bits)", "if width <= np.iinfo(t).bits + 1)")],
+        ["tests/test_averages.py"],
+    ),
+    "rank counter taking all of K as free rows": (
+        "averages.py",
+        [("free = [j for j in range(len(keep)) if j not in lows]",
+          "free = list(range(len(keep)))")],
+        ["tests/test_averages.py"],
+    ),
+    "span counter reading C's rows on K, not sigma(K)": (
+        "averages.py",
+        [("tuple(g[sigma[i]] for i in keep)", "tuple(g[i] for i in keep)")],
+        ["tests/test_averages.py"],
+    ),
+    "span counter leaving out D's rows": (
+        "averages.py",
+        [("LinearCode(ring, s, moved + fixed)", "LinearCode(ring, s, moved)")],
+        ["tests/test_averages.py"],
+    ),
+    "key counter with searchsorted sides swapped": (
+        "averages.py",
+        [('right = np.searchsorted(keys_d, keys, side="right")',
+          'right = np.searchsorted(keys_d, keys, side="left")'),
+         ('left = np.searchsorted(keys_d, keys, side="left")',
+          'left = np.searchsorted(keys_d, keys, side="right")')],
+        ["tests/test_averages.py"],
+    ),
+    "key table counting each cell once": (
+        "averages.py",
+        [("table[cells] = counts", "table[cells] = 1")],
+        ["tests/test_averages.py"],
+    ),
 }
 
 

@@ -24,7 +24,8 @@ for an injection when it is set in the AND of the masks along its path.
 The Monte Carlo path is one sampling loop that picks its stream by width
 (numpy's, or random.Random shuffles once |K| symbols pass 62 bits) and its
 counter by ring: over F2 while |K| <= 64 a GF(2) rank per sample of C's
-rows reduced modulo D's by byte tables built once, else span sizes on the
+rows reduced modulo D's, taken over the columns of C gathered at sigma(K)
+with D's reduction as a fixed XOR of those columns, else span sizes on the
 shuffles and base-q keys of the words on numpy's stream.
 
 The average joint Jacobi polynomial evaluated at the point that is
@@ -467,7 +468,8 @@ def monte_carlo_delta(
     once q^|K| reaches 2^62 or |K| symbols of the bit length of q - 1 pass
     62 bits.  The counter is chosen by ring: over F2 with |K| <= 64 it is
     |C| |D| / 2^(r_D + rank), r_D the rank of D's rows on K, taken once, and
-    rank that of C's moved rows reduced modulo them (`_rank_counter`);
+    rank that of C's moved rows reduced modulo them, the column rank of C's
+    packed columns at sigma(K) with D's pivots XORed in (`_rank_counter`);
     otherwise |C| |D| / |P_sigma + Q| on the shuffles (`_span_counter`) and
     base-q keys of the words on numpy's stream.  Only the keys enumerate
     words.  The statistics are numpy float64 on numpy's stream and Python
@@ -539,58 +541,77 @@ def _weights(perms, keep, powers):
     return weights
 
 
-def _rank_counter(code_c: LinearCode, code_d: LinearCode, keep):
-    """Per-permutation counts over F2 for b permutations, as a (b, n) array
-    or a list of lists: |C| |D| >> (r_D + rank), with bit j of each packed
-    row for kept slot j; bit 63 is the sign bit, so |K| may reach 64.
-
-    D's rows on K are put once in fully reduced echelon form, no pivot's
-    lowest set bit set in another, so r_D is their count and reducing a row
-    modulo their span, XORing in the pivots whose lowest bits it has, is
-    linear: a 256-entry table per byte of K, applied to C's moved rows as
-    uint64 with one gather and XOR per byte.  The rank of the reduced rows
-    is taken for all b permutations at once, row by row: each row pivots on
-    its lowest set bit, which is cleared from the rows below, and the rows
-    left nonzero are independent.
-    """
-    import numpy as np
-
-    pivots = []
-    for g in code_d.generators:
-        x = sum(1 << j for j, i in enumerate(keep) if g[i])
-        for p in pivots:
+def _f2_basis(rows):
+    """A basis of the F2 span of rows, given as ints, in fully reduced echelon
+    form: no element's lowest set bit is set in another."""
+    basis = []
+    for x in rows:
+        for p in basis:
             if x & p & -p:
                 x ^= p
         if x:
-            pivots = [p ^ x if p & x & -x else p for p in pivots] + [x]
-    # table j holds the reductions of the 256 values of byte j, built by
-    # doubling over its bits: entry v + 2^b is entry v XOR bit b's reduction
-    by_low = {p & -p: p for p in pivots}
-    tables = np.zeros((-(-len(keep) // 8), 1), dtype=np.uint64)
-    for b in range(8):
-        units = [1 << (8 * j + b) for j in range(len(tables))]
-        column = np.array([x ^ by_low.get(x, 0) for x in units], dtype=np.uint64)
-        tables = np.hstack([tables, tables ^ column[:, None]])
-    powers = np.left_shift(1, np.arange(len(keep), dtype=np.int64))
-    gens_c = np.array(code_c.generators, dtype=np.int64).reshape(-1, code_c.n)
-    keep = np.array(keep, dtype=np.int64)
+            basis = [p ^ x if p & x & -x else p for p in basis] + [x]
+    return basis
+
+
+def _rank_counter(code_c: LinearCode, code_d: LinearCode, keep):
+    """Per-permutation counts over F2 for b permutations, as a (b, n) array
+    or a list of lists: |C| |D| >> (r_D + rank), by the transposed matrix.
+
+    D's rows on K (bit j for kept slot j) are put once in fully reduced
+    echelon form, so r_D is their count; a pivot's lowest set bit is its low
+    slot, and the other slots of K are free.  Reducing C's moved rows modulo
+    their span XORs in the pivots whose low slots they have, so column f of
+    the reduced rows, for a free slot f, is the column of C on sigma(keep[f])
+    XOR those on sigma(keep[low(p)]) for every pivot p with bit f, and rank
+    is its column rank.  C's generators are reduced to an XOR basis once, and
+    cols[i] is an int with bit r set when basis row r is 1 at position i,
+    held in the narrowest unsigned dtype of dim C bits (object past 64).  A
+    batch gathers cols at sigma(K) once, XORs each pivot's low row into the
+    free rows it touches, and eliminates the free rows for all b
+    permutations at once: each row pivots on its lowest set bit, which is
+    cleared from the rows below, and the rows left nonzero are independent.
+    """
+    import numpy as np
+
+    pivots = _f2_basis(sum(1 << j for j, i in enumerate(keep) if g[i])
+                       for g in code_d.generators)
+    lows = [(p & -p).bit_length() - 1 for p in pivots]
+    free = [j for j in range(len(keep)) if j not in lows]
+    slot = {j: f for f, j in enumerate(free)}
+    # a pivot's bits above its low slot are all free
+    touched = [
+        (low, np.array([slot[j] for j in range(low + 1, len(keep)) if p >> j & 1],
+                       dtype=np.intp))
+        for p, low in zip(pivots, lows)
+    ]
+    basis = _f2_basis(sum(1 << i for i, a in enumerate(g) if a)
+                      for g in code_c.generators)
+    cols = [0] * code_c.n
+    for r, x in enumerate(basis):
+        while x:
+            low = x & -x
+            cols[low.bit_length() - 1] |= 1 << r
+            x ^= low
+    width = len(basis)
+    dtype = next((t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                  if width <= np.iinfo(t).bits), object)
+    cols = np.array(cols, dtype=dtype)
+    keep = np.array(keep, dtype=np.intp)
+    free = np.array(free, dtype=np.intp)
     # |C| |D| is a power of two, so each count is exact as a float
     bits = (code_c.size * code_d.size).bit_length() - 1 - len(pivots)
 
     def count(perms):
-        perms = np.asarray(perms, dtype=np.int64)
-        moved = (gens_c @ _weights(perms, keep, powers).T).view(np.uint64)
-        rows = np.zeros_like(moved)
-        for j, table in enumerate(tables):
-            rows ^= table[(moved >> 8 * j) & 255]
-        rows = rows.view(np.int64)
-        rank = np.zeros(len(perms), dtype=np.int64)
-        for r, x in enumerate(rows):
-            low = x & -x
+        moved = cols[np.asarray(perms)[:, keep].T]
+        rows = moved[free]
+        for low, ix in touched:
+            rows[ix] ^= moved[low]
+        for r in range(len(rows) - 1):
+            x = rows[r]
             rest = rows[r + 1 :]
-            rest ^= ((rest & low) != 0) * x
-            rank += x != 0
-        return np.ldexp(1.0, bits - rank)
+            rest ^= ((rest & (x & -x)) != 0) * x
+        return np.ldexp(1.0, bits - np.count_nonzero(rows, axis=0))
 
     return count
 

@@ -804,6 +804,71 @@ def test_rank_reduction_at_the_byte_edges(case):
     assert count([list(p) for p in perms]).tolist() == ranked.tolist()
 
 
+# dim C at the edges of _rank_counter's column dtypes: none, and one below,
+# at and one past 8, 16, 32 and 64 bits (object columns past 64)
+WIDTH_EDGES = (0, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65)
+
+
+@st.composite
+def width_edge_cases(draw):
+    """Two F2 codes of one length n <= 72 with dim C in WIDTH_EDGES, a mask
+    with 0 <= |K| <= 64 zeros, and permutations of range(n).
+
+    C's rows are dim C independent rows, each the only one with a 1 at a
+    position of its own, mixed with a sum of two of them, a repeated row
+    and a zero row.  D has up to six random rows, and may be rank-deficient
+    by a sum of two rows, a repeated row and a zero row.  The bits come from
+    a seeded random.Random: 65 rows of 72 bits are past what hypothesis
+    draws one by one.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    dim = draw(st.sampled_from(WIDTH_EDGES))
+    n = draw(st.integers(max(1, dim), 72))
+    s = draw(st.sampled_from([0, min(n, 64)]) | st.integers(0, min(n, 64)))
+    density = draw(st.sampled_from([0.1, 0.5]))
+
+    def bits():
+        return [int(rnd.random() < density) for _ in range(n)]
+
+    def dependents(rows):
+        if len(rows) > 1 and draw(st.booleans()):
+            rows.append(tuple(a ^ b for a, b in zip(rows[0], rows[1])))
+        if rows and draw(st.booleans()):
+            rows.append(draw(st.sampled_from(rows)))
+        if draw(st.booleans()):
+            rows.append((0,) * n)
+        rnd.shuffle(rows)
+        return tuple(rows)
+
+    own = rnd.sample(range(n), dim)
+    rows_c = []
+    for i in own:
+        row = bits()
+        for j in own:
+            row[j] = int(j == i)
+        rows_c.append(tuple(row))
+    code_c = LinearCode(F2, n, dependents(rows_c))
+    rows_d = [tuple(bits()) for _ in range(draw(st.integers(0, 6)))]
+    code_d = LinearCode(F2, n, dependents(rows_d))
+    keep = set(rnd.sample(range(n), s))
+    w = tuple(int(i not in keep) for i in range(n))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    return code_c, code_d, w, perms
+
+
+@given(width_edge_cases())
+@settings(max_examples=100, deadline=None)
+def test_rank_counts_at_the_column_width_edges(case):
+    code_c, code_d, w, perms = case
+    keep = [i for i, m in enumerate(w) if m == 0]
+    count = _rank_counter(code_c, code_d, keep)
+    ranked = count(np.array(perms, dtype=np.int64)).tolist()
+    assert count([list(p) for p in perms]).tolist() == ranked
+    assert ranked == _span_counter(code_c, code_d, keep)(perms)
+    if code_c.size * code_d.size <= 1 << 16:
+        assert ranked == list(_agreements(code_c, code_d, w, perms))
+
+
 SPAN_RINGS = (F2, F3, F4, F8, F9, Z4, Z6, Z8)
 
 
