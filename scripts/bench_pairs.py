@@ -15,20 +15,53 @@ quartiles, the pairs the change won, and the parent's quartile spread;
 with the seeds, the core count, the Python and numpy versions, and the
 line count of ``src/`` in both checkouts.
 
+``startup`` times whole fresh processes, one command line per
+subcommand (``STARTUP_COMMANDS``), run as the ``jacweight`` entry point
+runs them with the checkout's ``src`` on the path and the environment
+otherwise as it is, so the interpreter's bytecode setting holds on both
+sides.  Each of ``STARTUP_ROUNDS`` rounds runs every command once on
+each side, the parent first on even rounds and the change first on odd
+ones.  It writes each side's median and quartiles in milliseconds, and
+the exit code both sides gave, into the BENCH file as its ``startup``
+object, keeping what the file already holds; a command whose exit codes
+differ stops it.
+
     python3 scripts/bench_pairs.py run --parent P --change C \\
         --workload enumeration --seeds 501-510 --runs runs.jsonl
     python3 scripts/bench_pairs.py summarize --parent P --change C \\
         --runs runs.jsonl --out BENCH_5.json
+    python3 scripts/bench_pairs.py startup --parent P --change C \\
+        --out BENCH_5.json
 """
 
 import argparse
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+# one command line per subcommand for ``startup``
+STARTUP_COMMANDS = [
+    "cwe e8",
+    "cwe-g e8 -g 2",
+    "jacobi e8 --w-weight 1",
+    "joint-cwe e8 e8",
+    "joint-jacobi e8 e8 --w-weight 1",
+    "macwilliams e8 --side single --w-weight 2",
+    "avg-jacobi e8 --w-weight 1",
+    "avg-joint-jacobi e8 e8 --w-weight 1",
+    "delta e8 e8 --w-weight 1",
+    "design-check e8 --weight 4 --t 3",
+    "homogeneous e8 --t 3",
+    "repro-paper --conjecture",
+]
+STARTUP_ROUNDS = 15
+ENTRY_POINT = "import sys; from jacweight.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def seed_range(text):
@@ -120,6 +153,40 @@ def summarize(args):
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
 
 
+def fresh_process(checkout, command):
+    """(exit code, wall seconds) of one command in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(checkout, "src"))}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_POINT, *shlex.split(command)],
+        cwd=checkout, env=env, capture_output=True,
+    )
+    return proc.returncode, time.perf_counter() - start
+
+
+def startup(args):
+    ms = {command: {"parent": [], "change": []} for command in STARTUP_COMMANDS}
+    codes = {}
+    for i in range(STARTUP_ROUNDS):
+        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for command in STARTUP_COMMANDS:
+            for side in sides:
+                rc, seconds = fresh_process(getattr(args, side), command)
+                if codes.setdefault(command, rc) != rc:
+                    raise SystemExit(f"{command!r} exited {rc} on the {side} side, "
+                                     f"{codes[command]} before")
+                ms[command][side].append(seconds * 1000)
+    commands = {}
+    for command, times in ms.items():
+        parent, change = quartiles(times["parent"]), quartiles(times["change"])
+        commands[command] = {"exit": codes[command], "parent": parent, "change": change,
+                             "change_over_parent": change["median"] / parent["median"]}
+    out_path = Path(args.out)
+    out = json.loads(out_path.read_text()) if out_path.exists() else {}
+    out["startup"] = {"unit": "ms", "rounds": STARTUP_ROUNDS, "commands": commands}
+    out_path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -130,10 +197,14 @@ def main():
     p = sub.add_parser("summarize")
     p.add_argument("--out", required=True)
     p.set_defaults(func=summarize)
-    for p in sub.choices.values():
+    p = sub.add_parser("startup")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=startup)
+    for name, p in sub.choices.items():
         p.add_argument("--parent", required=True, help="parent checkout")
         p.add_argument("--change", required=True, help="change checkout")
-        p.add_argument("--runs", required=True, help="JSON lines, one per run")
+        if name != "startup":
+            p.add_argument("--runs", required=True, help="JSON lines, one per run")
     args = ap.parse_args()
     args.func(args)
 

@@ -100,14 +100,25 @@ MUTANTS = {
     "transform group shift and places from the old layout": (
         "enumerators.py",
         [("shift = (nvars - 1 - base - (q - 1) * stride) * bits", "shift = base * bits"),
-         ("place = [1 << (q - 1 - a) * stride * bits for a in range(q)]",
-          "place = [1 << a * stride * bits for a in range(q)]")],
+         ("shifts = [(q - 1 - a) * stride * bits for a in range(q)]",
+          "shifts = [a * stride * bits for a in range(q)]")],
         ["tests/test_packed_terms.py", "tests/test_enumerators.py"],
     ),
     "transform group places from the old layout": (
         "enumerators.py",
-        [("place = [1 << (q - 1 - a) * stride * bits for a in range(q)]",
-          "place = [1 << a * stride * bits for a in range(q)]")],
+        [("shifts = [(q - 1 - a) * stride * bits for a in range(q)]",
+          "shifts = [a * stride * bits for a in range(q)]")],
+        ["tests/test_packed_terms.py", "tests/test_enumerators.py"],
+    ),
+    "transform characters indexed by a + b": (
+        "enumerators.py",
+        [("units[ring.mul(a, b)]", "units[ring.add(a, b)]")],
+        ["tests/test_packed_terms.py", "tests/test_enumerators.py"],
+    ),
+    "group image exponents read one digit off": (
+        "enumerators.py",
+        [("exps = [packed >> s & digit_mask for s in shifts]",
+          "exps = [packed >> s + bits & digit_mask for s in shifts]")],
         ["tests/test_packed_terms.py", "tests/test_enumerators.py"],
     ),
     "term degree of 2^bits - 1 cast out to 0": (

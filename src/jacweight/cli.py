@@ -18,6 +18,16 @@ replaced by their duals.  The table and `SIDES` call library functions
 through lambdas that look up this module's globals when a command runs,
 so a tracer that replaces those globals after the parser is built and
 cached still sees every call.
+
+Only what every command needs is imported with this module.  The last
+column of `COMMANDS` names the modules of `LAZY` a command needs beyond
+that (the averages, the design scans, the reference values, `random`),
+and `main` binds their names into this module's globals when the command
+runs, each only where no value is bound yet: a name that a tracer or a
+test spy replaced keeps its replacement.  A module `__getattr__` binds
+them the same way on first access from outside, so a tracer or
+`monkeypatch.setattr` finds each of them before any command has run,
+and what it puts in place is what the command calls.
 """
 
 from __future__ import annotations
@@ -25,24 +35,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import re
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from importlib import import_module
 
-from .averages import (
-    all_ones_point,
-    avg_jacobi,
-    avg_joint_jacobi,
-    avg_joint_jacobi_value,
-    delta,
-    delta_closed,
-    intersection_point,
-)
 from .budget import check_budget
 from .codes import BudgetExceeded, CodeFormatError, LinearCode, load_code, weight
-from .designs import is_t_design, is_t_homogeneous, supports
 from .enumerators import (
     cwe,
     cwe_genus,
@@ -55,12 +55,44 @@ from .enumerators import (
     macwilliams_single,
 )
 from .exactnum import NonRationalValue, fraction_str
-from .refvalues import (
-    CONJECTURE_TARGETS,
-    REFERENCE_ROWS,
-    matches_reference,
-    reference_string,
-)
+
+# modules imported when a command that needs them runs, and the names each
+# binds into this module
+LAZY = {
+    ".averages": (
+        "all_ones_point",
+        "avg_jacobi",
+        "avg_joint_jacobi",
+        "avg_joint_jacobi_value",
+        "delta",
+        "delta_closed",
+        "intersection_point",
+    ),
+    ".designs": ("is_t_design", "is_t_homogeneous", "supports"),
+    ".refvalues": (
+        "CONJECTURE_TARGETS",
+        "REFERENCE_ROWS",
+        "matches_reference",
+        "reference_string",
+    ),
+    "random": ("Random",),
+}
+
+
+def _bind(modules) -> None:
+    """Bind the names of these modules of LAZY where none is bound yet."""
+    for module in modules:
+        imported = import_module(module, __package__)
+        for name in LAZY[module]:
+            globals().setdefault(name, getattr(imported, name))
+
+
+def __getattr__(name):
+    for module, lazy in LAZY.items():
+        if name in lazy:
+            _bind((module,))
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 SPOT_CHECK_SEED = 271828
 SPOT_CHECKS_PER_ROW = 5
@@ -290,7 +322,7 @@ def cmd_homogeneous(args) -> int:
     return 0
 
 
-def _spot_masks(n: int, k: int, rng: random.Random):
+def _spot_masks(n: int, k: int, rng: Random):
     masks = []
     for _ in range(SPOT_CHECKS_PER_ROW):
         pos = set(rng.sample(range(n), k))
@@ -299,7 +331,7 @@ def _spot_masks(n: int, k: int, rng: random.Random):
 
 
 def cmd_repro_paper(args) -> int:
-    rng = random.Random(SPOT_CHECK_SEED)
+    rng = Random(SPOT_CHECK_SEED)
     rows = []
     all_ok = True
     for name_c, name_d, k, printed in REFERENCE_ROWS:
@@ -361,33 +393,35 @@ def cmd_repro_paper(args) -> int:
 
 
 CODE, PAIR = ("code",), ("code_c", "code_d")
+AVG, REF, DESIGNS = (".averages",), (".averages", ".refvalues"), (".designs",)
 
-# name, help, code arguments, takes a mask, handler, and the enumerator
-# cmd_poly prints, called with the arguments, the codes and the mask
+# name, help, code arguments, takes a mask, handler, the enumerator cmd_poly
+# prints, called with the arguments, the codes and the mask, and the
+# modules of LAZY the command needs
 COMMANDS = (
     ("cwe", "complete weight enumerator", CODE, False, cmd_poly,
-     lambda args, *ops: cwe(*ops)),
+     lambda args, *ops: cwe(*ops), ()),
     ("cwe-g", "genus-g weight enumerator", CODE, False, cmd_poly,
-     lambda args, code: cwe_genus(code, args.genus)),
+     lambda args, code: cwe_genus(code, args.genus), ()),
     ("jacobi", "Jacobi polynomial", CODE, True, cmd_poly,
-     lambda args, *ops: jacobi(*ops)),
+     lambda args, *ops: jacobi(*ops), ()),
     ("joint-cwe", "joint complete weight enumerator", PAIR, False, cmd_poly,
-     lambda args, *ops: joint_cwe(*ops)),
+     lambda args, *ops: joint_cwe(*ops), ()),
     ("joint-jacobi", "joint Jacobi polynomial", PAIR, True, cmd_poly,
-     lambda args, *ops: joint_jacobi(*ops)),
+     lambda args, *ops: joint_jacobi(*ops), ()),
     ("macwilliams", "duality transform with independent cross-check",
-     ("code_c",), True, cmd_macwilliams, None),
+     ("code_c",), True, cmd_macwilliams, None, ()),
     ("avg-jacobi", "average Jacobi polynomial", CODE, True, cmd_poly,
-     lambda args, *ops: avg_jacobi(*ops)),
+     lambda args, *ops: avg_jacobi(*ops), AVG),
     ("avg-joint-jacobi", "average joint Jacobi polynomial", PAIR, True,
-     cmd_avg_joint_jacobi, lambda args, *ops: avg_joint_jacobi(*ops)),
-    ("delta", "average intersection number", PAIR, True, cmd_delta, None),
+     cmd_avg_joint_jacobi, lambda args, *ops: avg_joint_jacobi(*ops), AVG),
+    ("delta", "average intersection number", PAIR, True, cmd_delta, None, REF),
     ("design-check", "coverage scan of one weight class", CODE, False,
-     cmd_design_check, None),
+     cmd_design_check, None, DESIGNS),
     ("homogeneous", "design check of every weight class", CODE, False,
-     cmd_homogeneous, None),
+     cmd_homogeneous, None, DESIGNS),
     ("repro-paper", "recompute the published reference table", (), False,
-     cmd_repro_paper, None),
+     cmd_repro_paper, None, (*REF, "random")),
 )
 
 
@@ -415,13 +449,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="jacweight", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
     p = {}
-    for name, text, codes, masked, handler, poly in COMMANDS:
+    for name, text, codes, masked, handler, poly, needs in COMMANDS:
         p[name] = sub.add_parser(
             name, parents=[common, mask] if masked else [common], help=text
         )
         for code in codes:
             p[name].add_argument(code)
-        p[name].set_defaults(func=handler, codes=codes, masked=masked, poly=poly)
+        p[name].set_defaults(
+            func=handler, codes=codes, masked=masked, poly=poly, needs=needs
+        )
 
     p["cwe-g"].add_argument("-g", "--genus", type=int, required=True)
     p["macwilliams"].add_argument("code_d", nargs="?", default=None)
@@ -462,6 +498,7 @@ def main(argv=None) -> int:
     try:
         # charged before any work, also by commands that print no decimal
         check_budget(args.digits, "decimal digits")
+        _bind(args.needs)
         return args.func(args)
     except (
         CliError,

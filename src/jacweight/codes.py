@@ -592,11 +592,14 @@ def code_to_json(code: LinearCode):
     }
 
 
+# the default resolved once at import, as a realpath per lookup costs more
+# than the lookup; JF_FIXTURES is still read on every call
+FIXTURES = Path(__file__).resolve().parents[2] / "fixtures"
+
+
 def fixtures_dir() -> Path:
     env = os.environ.get("JF_FIXTURES")
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[2] / "fixtures"
+    return Path(env) if env else FIXTURES
 
 
 def resolve_code_path(spec: str) -> Path:

@@ -149,7 +149,8 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     ring = poly.ring
     q = ring.order
     stride = q ** (poly.arity - 1 - slot)
-    chars = [ring.chi(ring.mul(a, b)) for a in range(q) for b in range(q)]
+    # one character per ring element; chi(ab) is read by ring.mul(a, b)
+    chars = [ring.chi(x) for x in range(q)]
     m, den, rows = integer_coefficients([*poly.packed.values(), *chars])
     nvars, bits = poly.nvars, poly.layout[1]
     digit_mask = (1 << bits) - 1
@@ -157,15 +158,16 @@ def _macwilliams(poly: SparsePolynomial, slot: int, size) -> SparsePolynomial:
     paths = sum(sum(map(abs, row)) * q**d for row, d in zip(rows, degrees))
     res = CyclotomicResidues(m, paths)
     modulus, encode = res.modulus, res.encode
-    place = [1 << (q - 1 - a) * stride * bits for a in range(q)]
+    shifts = [(q - 1 - a) * stride * bits for a in range(q)]
+    place = [1 << s for s in shifts]
     group_mask = digit_mask * sum(place)
     # the characters are units: den divides their rows exactly
     units = [encode([c // den for c in row]) for row in rows[len(degrees):]]
-    forms = [[(place[b], units[a * q + b]) for b in range(q)] for a in range(q)]
+    forms = [[(place[b], units[ring.mul(a, b)]) for b in range(q)] for a in range(q)]
 
     def group_image(packed):
         # each of the d products below expands at most comb(d + q - 1, q - 1) terms
-        exps = [packed // p & digit_mask for p in place]
+        exps = [packed >> s & digit_mask for s in shifts]
         d = sum(exps)
         check_budget(d * q * math.comb(d + q - 1, q - 1), "group image steps")
         prod = {0: 1}

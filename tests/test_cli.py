@@ -335,6 +335,28 @@ def test_macwilliams_both_charges_every_step(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv, steps",
+    [
+        (("macwilliams", "z128_row", "--side", "single", "--w", "110010"), 137379840),
+        (("macwilliams", "z64_row", "--side", "single", "--w-weight", "5"), 3335720960),
+    ],
+)
+def test_macwilliams_over_large_rings_is_refused_before_the_characters_cost(
+    argv, steps, monkeypatch
+):
+    # q characters, one per ring element, so the refusal comes at once; with
+    # the q^2 characters chi(ab) built first, Z_128 took seconds to refuse
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    start = time.perf_counter()
+    rc, out, err = run(*argv)
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": f"{steps} group image steps exceed the budget 67108864"
+    }
+
+
+@pytest.mark.parametrize(
     "ring, message",
     [
         ({"kind": "modring", "k": 4.5}, "'k' must be an integer, got 4.5"),
