@@ -344,8 +344,8 @@ def test_macwilliams_both_charges_every_step(tmp_path, monkeypatch):
 def test_macwilliams_over_large_rings_is_refused_before_the_characters_cost(
     argv, steps, monkeypatch
 ):
-    # q characters, one per ring element, so the refusal comes at once; with
-    # the q^2 characters chi(ab) built first, Z_128 took seconds to refuse
+    # the transform builds one character per ring element before its first
+    # charge, so even over Z_128 the refusal comes at once
     monkeypatch.delenv("JF_BUDGET", raising=False)
     start = time.perf_counter()
     rc, out, err = run(*argv)
