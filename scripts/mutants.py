@@ -176,6 +176,27 @@ MUTANTS = {
         [("table[cells] = counts", "table[cells] = 1")],
         ["tests/test_averages.py"],
     ),
+    # a negative index reads a factorial from the end of the list, not 0
+    "closed delta without the comp_a < col0_a guard": (
+        "averages.py",
+        [("if comp[a] < c:", "if False:")],
+        ["tests/test_averages.py"],
+    ),
+    "closed delta with the mask weight L taken as n": (
+        "averages.py",
+        [("Fraction(total * fact[ell], fact[n])", "Fraction(total * fact[n], fact[n])")],
+        ["tests/test_averages.py"],
+    ),
+    "streamed value without a split's multinomial": (
+        "averages.py",
+        [("key, weight = 0, multinomial(cell, parts)", "key, weight = 0, 1")],
+        ["tests/test_averages.py"],
+    ),
+    "streamed value without a split's point power": (
+        "averages.py",
+        [("weight *= point[b * m + r] ** e", "weight *= 1")],
+        ["tests/test_averages.py"],
+    ),
 }
 
 

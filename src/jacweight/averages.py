@@ -6,8 +6,10 @@ body.  The closed forms, single and joint, are one placement kernel: the
 fixed side is a table of cell vectors (the mask's composition, or the
 fixed code's Jacobi distribution against the mask), and each nonzero
 cell is split over the averaged code's symbols with multinomial weights,
-which needs only the averaged code's composition counts.  The streamed
-value splits the same cells over the symbols where its point is nonzero.
+which needs only the averaged code's composition counts.  The exact
+delta-type values sum ints over compositions: the streamed value convolves
+the same cells, split over the symbols where its point is nonzero, and
+`delta_closed` lists no split, by Vandermonde's identity.
 The exhaustive polynomial averages share one loop over S_n.
 
 An intersection count is the number of pairs (u, v) in C x D with u^sigma
@@ -145,13 +147,11 @@ def intersection_point(ring: RingSpec):
     a3 = 0, and 1 otherwise.
     """
     q = ring.order
-    point = []
-    for a1 in range(q):
-        for a2 in range(q):
-            for a3 in range(q):
-                zero = a1 != a2 and a3 == 0
-                point.append(Fraction(0) if zero else Fraction(1))
-    return tuple(point)
+    zero, one = Fraction(0), Fraction(1)
+    # one run of q entries per (a1, a2), all of them these two Fractions
+    same, differ = (one,) * q, (zero,) + (one,) * (q - 1)
+    runs = (same if a1 == a2 else differ for a1 in range(q) for a2 in range(q))
+    return tuple(itertools.chain.from_iterable(runs))
 
 
 def all_ones_point(ring: RingSpec, arity: int):
@@ -348,96 +348,94 @@ def _split_plans(ring: RingSpec, point):
     Splits that would place mass on a variable where the point is zero
     are pruned.
     """
-    q = ring.order
-    m = q * q
-    return [[b for b in range(q) if point[b * m + r] != 0] for r in range(m)]
+    m = ring.order**2
+    return [[b for b, x in enumerate(point[r::m]) if x] for r in range(m)]
 
 
 def avg_joint_jacobi_value(code_c: LinearCode, code_d: LinearCode, w, point):
     """Value of the average joint Jacobi polynomial at a point.
 
-    Avoids building the polynomial: splits that touch a variable with
-    point value zero are pruned before they are generated.
+    Each nonzero cell of D's Jacobi table is split over the symbols where
+    the point is nonzero, a split weighing its multinomial times its point
+    powers, and the cells are convolved one by one into {partial
+    composition, packed n.bit_length() bits a symbol: weight}.  A finished
+    composition counts C's words of it times prod_a comp_a!, and n! divides
+    once; the sums are ints when every entry of the point is an integer.
     """
     _check_pair(code_c, code_d, w)
-    ring = code_c.ring
-    q = ring.order
+    q = code_c.ring.order
     m = q * q
     n = code_c.n
     if len(point) != q**3:
         raise ValueError("point length must cover all three-slot variables")
-    table_a = comp_table(code_c)
     table_b = jacobi_table(code_d, w)
-    plans = _split_plans(ring, point)
+    plans = _split_plans(code_c.ring, point)
     _charge_splits(table_b, [len(allowed) for allowed in plans])
-    total = Fraction(0)
+    if all(getattr(x, "denominator", None) == 1 for x in point):
+        point = [int(x) for x in point]
+    bits = n.bit_length()
+    fact = [math.factorial(i) for i in range(n + 1)]
+    arranged = {}
+    for comp, mult in comp_table(code_c).items():
+        key = sum(c << a * bits for a, c in enumerate(comp))
+        arranged[key] = mult * math.prod(fact[c] for c in comp)
+    cell_splits = {}
+    total = 0
     for r_key, bcnt in table_b.items():
-        cells = [r for r, cell in enumerate(r_key) if cell]
-        split_lists = [_sparse_splits(r_key[r], plans[r], q) for r in cells]
-        for splits in itertools.product(*split_lists):
-            comp_l = tuple(map(sum, zip(*splits)))
-            mult = table_a.get(comp_l)
-            if not mult:
+        partial = {0: 1}
+        for r, cell in enumerate(r_key):
+            if not cell:
                 continue
-            ways = 1
-            value = Fraction(1)
-            for r, sp in zip(cells, splits):
-                ways *= multinomial(r_key[r], sp)
-                for b, e in enumerate(sp):
-                    if e:
-                        value = value * point[b * m + r] ** e
-            total += Fraction(mult * bcnt * ways, multinomial(n, comp_l)) * value
-    return total
-
-
-def _sparse_splits(total: int, allowed, bins: int):
-    """Compositions of total over bins, supported only on allowed bins."""
-    out = []
-    for parts in compositions(total, len(allowed)):
-        sp = [0] * bins
-        for b, p in zip(allowed, parts):
-            sp[b] = p
-        out.append(tuple(sp))
-    return out
+            splits = cell_splits.get((r, cell))
+            if splits is None:
+                splits = cell_splits[r, cell] = []
+                for parts in compositions(cell, len(plans[r])):
+                    key, weight = 0, multinomial(cell, parts)
+                    for b, e in zip(plans[r], parts):
+                        key += e << b * bits
+                        weight *= point[b * m + r] ** e
+                    splits.append((key, weight))
+            grown = Counter()
+            for key, weight in partial.items():
+                for split, ways in splits:
+                    grown[key + split] += weight * ways
+            partial = grown
+        total += bcnt * sum(arranged.get(key, 0) * weight
+                            for key, weight in partial.items())
+    return Fraction(total) / fact[n]
 
 
 def delta_closed(code_c: LinearCode, code_d: LinearCode, w) -> Fraction:
-    """Average intersection number in closed form.
+    """Average intersection number in closed form, by Vandermonde's identity.
 
-    Groups the fixed code's Jacobi distribution by its zero-mask
-    column; within the mask support the averaged code's symbols are
-    placed multinomially, and outside it they must copy the fixed
-    word, which contributes no placement factor.
+    D's Jacobi table is grouped by its zero-mask column col0, which C's
+    symbols must copy; the splits of the rest over the L mask-support
+    positions sum to multinomial(L, comp - col0), comp a composition of C.
+    So delta = L!/n! sum bcnt mult prod_a comp_a!/(comp_a - col0_a)!, a term
+    0 if some comp_a < col0_a, over the groups times C's compositions.
     """
     _check_pair(code_c, code_d, w)
-    ring = code_c.ring
-    q = ring.order
+    q = code_c.ring.order
     n = code_c.n
-    ell = composition(ring, w)
     table_a = comp_table(code_c)
-    table_b = jacobi_table(code_d, w)
     groups: Counter = Counter()
-    for r_key, mult in table_b.items():
-        col0 = tuple(r_key[a * q + 0] for a in range(q))
-        groups[col0] += mult
-    support_classes = [b for b in range(1, q) if ell[b]]
-    support_cells = [ell[b] for b in support_classes]
-    _charge_splits([support_cells] * len(groups), itertools.repeat(q))
-    per_class = [list(compositions(cell, q)) for cell in support_cells]
-    total = Fraction(0)
+    for r_key, mult in jacobi_table(code_d, w).items():
+        groups[r_key[::q]] += mult
+    check_budget(len(groups) * len(table_a), "composition pairs")
+    fact = [math.factorial(i) for i in range(n + 1)]
+    total = 0
     for col0, bcnt in groups.items():
-        for rest in itertools.product(*per_class):
-            comp_l = tuple(
-                col0[a] + sum(col[a] for col in rest) for a in range(q)
-            )
-            mult = table_a.get(comp_l)
-            if not mult:
-                continue
-            ways = 1
-            for b, col in zip(support_classes, rest):
-                ways *= multinomial(ell[b], col)
-            total += Fraction(mult * bcnt * ways, multinomial(n, comp_l))
-    return total
+        need = [(a, c) for a, c in enumerate(col0) if c]
+        for comp, mult in table_a.items():
+            term = bcnt * mult
+            for a, c in need:
+                if comp[a] < c:
+                    break
+                term *= fact[comp[a]] // fact[comp[a] - c]
+            else:
+                total += term
+    ell = n - len(_zero_positions(w))
+    return Fraction(total * fact[ell], fact[n])
 
 
 # ---- sampling --------------------------------------------------------------

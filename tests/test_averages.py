@@ -279,6 +279,58 @@ def test_brute_delta_on_e8_at_every_front_mask():
         assert brute_delta(e8, e8, w) == delta_closed(e8, e8, w)
 
 
+@st.composite
+def one_row_cases(draw):
+    """Two one-row codes of length n <= 6 over Z_64 or Z_128, whose splits
+    the closed form never walks, and any mask."""
+    ring = draw(st.sampled_from((modular_ring(64), modular_ring(128))))
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, ring.order - 1), min_size=n, max_size=n).map(tuple)
+    code_c = LinearCode(ring, n, (draw(row),))
+    code_d = LinearCode(ring, n, (draw(row),))
+    w = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return code_c, code_d, tuple(w)
+
+
+@given(brute_cases() | one_row_cases())
+@settings(max_examples=200, deadline=None)
+def test_delta_closed_equals_brute_delta(case):
+    code_c, code_d, w = case
+    assert delta_closed(code_c, code_d, w) == brute_delta(code_c, code_d, w)
+
+
+@st.composite
+def value_cases(draw):
+    """Codes over one of BRUTE_RINGS, n <= 3 over the rings of order 8 and
+    9 and n <= 5 otherwise, with a point of small rationals of which about
+    a third are zero."""
+    ring = draw(st.sampled_from(BRUTE_RINGS))
+    q = ring.order
+    n = draw(st.integers(1, 3 if q >= 8 else 5))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
+    code_c = LinearCode(ring, n, tuple(draw(st.lists(row, max_size=2))))
+    code_d = LinearCode(ring, n, tuple(draw(st.lists(row, max_size=2))))
+    w = tuple(draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))
+    rng = draw(st.randoms(use_true_random=False))
+    point = [
+        Fraction(0) if rng.random() < 1 / 3
+        else Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+        for _ in range(q**3)
+    ]
+    return code_c, code_d, w, point
+
+
+@given(value_cases())
+@settings(max_examples=150, deadline=None)
+def test_streamed_value_equals_the_evaluated_polynomial(case):
+    code_c, code_d, w, point = case
+    value = avg_joint_jacobi_value(code_c, code_d, w, point)
+    assert value == avg_joint_jacobi(code_c, code_d, w).evaluate(point)
+    # at the intersection point the sums run in ints and give delta
+    at = intersection_point(code_c.ring)
+    assert avg_joint_jacobi_value(code_c, code_d, w, at) == delta_closed(code_c, code_d, w)
+
+
 def test_pair_validation():
     a = LinearCode(F2, 3, ((1, 1, 0),))
     b = LinearCode(F3, 3, ((1, 1, 0),))
@@ -341,18 +393,21 @@ def test_closed_forms_charge_their_splits(monkeypatch, tmp_path):
     code = LinearCode(F9, 6, ((1,) * 6,))
     w = (1,) * 6
     point = intersection_point(F9)
+    # delta_closed walks no splits: it charges the zero-mask groups of a
+    # two-row code times its compositions, 81 * 21 = 1701 composition pairs
+    wide = LinearCode(F9, 6, ((1,) * 6, (0, 1, 2, 3, 4, 5)))
     calls = [
-        lambda: avg_jacobi(code, w),
-        lambda: avg_joint_jacobi(code, code, w),
-        lambda: avg_joint_jacobi_value(code, code, w, point),
-        lambda: delta_closed(code, code, w),
+        (lambda: avg_jacobi(code, w), "composition splits"),
+        (lambda: avg_joint_jacobi(code, code, w), "composition splits"),
+        (lambda: avg_joint_jacobi_value(code, code, w, point), "composition splits"),
+        (lambda: delta_closed(wide, wide, (0, 0, 0, 0, 1, 1)), "composition pairs"),
     ]
     # the words cost 9 * 6 codeword symbols and no table charges a product;
     # a cell of 6 split over 9 symbols has C(14, 6) = 3003 splits, once for
     # the mask alone and once per word of the fixed code against it
     monkeypatch.setenv("JF_BUDGET", "1000")
-    for call in calls:
-        with pytest.raises(BudgetExceeded, match="composition splits"):
+    for call, charge in calls:
+        with pytest.raises(BudgetExceeded, match=charge):
             call()
     path = tmp_path / "f9.json"
     path.write_text(json.dumps(code_to_json(code)))
@@ -363,7 +418,7 @@ def test_closed_forms_charge_their_splits(monkeypatch, tmp_path):
     assert out.getvalue() == ""
     assert "composition splits exceed the budget 1000" in err.getvalue()
     monkeypatch.setenv("JF_BUDGET", str(9 * 3003))
-    for call in calls:
+    for call, _ in calls:
         call()
 
 

@@ -356,6 +356,31 @@ def test_macwilliams_over_large_rings_is_refused_before_the_characters_cost(
     }
 
 
+def test_z128_value_at_intersection_is_refused_soon(monkeypatch):
+    # the point's q^3 = 2097152 entries share one Fraction(0) and one
+    # Fraction(1), so the split charge is reached well within the bound
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    start = time.perf_counter()
+    rc, out, err = run("avg-joint-jacobi", "z128_row", "z128_row", "--w", "110010",
+                       "--value-at", "intersection")
+    assert time.perf_counter() - start < 1.5
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "265655680 composition splits exceed the budget 67108864"
+    }
+
+
+def test_z128_delta_closed_sums_compositions_at_once(monkeypatch):
+    # 126 zero-mask groups times 128 compositions of the one-row code; the
+    # split walk this replaces had 45.8M charged splits and ran for minutes
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    start = time.perf_counter()
+    rc, out, err = run("delta", "z128_row", "z128_row", "--w", "110010",
+                       "--method", "closed")
+    assert time.perf_counter() - start < 1
+    assert (rc, out, err) == (0, "43/15  2.86666666667\n", "")
+
+
 @pytest.mark.parametrize(
     "ring, message",
     [
