@@ -282,7 +282,7 @@ def test_brute_delta_on_e8_at_every_front_mask():
 @st.composite
 def one_row_cases(draw):
     """Two one-row codes of length n <= 6 over Z_64 or Z_128, whose splits
-    the closed form never walks, and any mask."""
+    the closed form never walks, and a mask of zeros and ones."""
     ring = draw(st.sampled_from((modular_ring(64), modular_ring(128))))
     n = draw(st.integers(1, 6))
     row = st.lists(st.integers(0, ring.order - 1), min_size=n, max_size=n).map(tuple)

@@ -372,7 +372,7 @@ def test_z128_value_at_intersection_is_refused_soon(monkeypatch):
 
 def test_z128_delta_closed_sums_compositions_at_once(monkeypatch):
     # 126 zero-mask groups times 128 compositions of the one-row code; the
-    # split walk this replaces had 45.8M charged splits and ran for minutes
+    # split walk this replaces had 45077760 charged splits and ran for minutes
     monkeypatch.delenv("JF_BUDGET", raising=False)
     start = time.perf_counter()
     rc, out, err = run("delta", "z128_row", "z128_row", "--w", "110010",
