@@ -76,6 +76,46 @@ MUTANTS = {
          ("return tuple(reversed(kept))", "return tuple(kept)")],
         ["tests/test_tuple_counts.py", "tests/test_packed_terms.py"],
     ),
+    "binary words read with their bit order reversed": (
+        "codes.py",
+        [("format(x, digits)[::-1]", "format(x, digits)")],
+        ["tests/test_tuple_counts.py", "tests/test_codes.py"],
+    ),
+    "packed counts without the final flush": (
+        "codes.py",
+        [("            keys = []\n    sums.update(keys)\n", "            keys = []\n")],
+        ["tests/test_tuple_counts.py"],
+    ),
+    "split convolution starting a new key at 1": (
+        "codes.py",
+        [("sums[k] = get(k, 0) + mx * my", "sums[k] = get(k, 1) + mx * my")],
+        ["tests/test_tuple_counts.py"],
+    ),
+    "split convolution ignoring the right halves' multiplicities": (
+        "codes.py",
+        [("sums[k] = get(k, 0) + mx * my", "sums[k] = get(k, 0) + mx")],
+        ["tests/test_tuple_counts.py"],
+    ),
+    "glue cosets taken from a list that repeats a word": (
+        "codes.py",
+        [("if len(key) < len(lefts):", "if False:")],
+        ["tests/test_tuple_counts.py"],
+    ),
+    "glue cosets keyed by their right half alone": (
+        "codes.py",
+        [("groups.setdefault(key, (lefts, []))", "groups.setdefault(right, (lefts, []))")],
+        ["tests/test_tuple_counts.py"],
+    ),
+    "split rule without its factor of 8": (
+        "codes.py",
+        [("if None not in cosets and 8 * (", "if None not in cosets and 1 * (")],
+        ["tests/test_tuple_counts.py"],
+    ),
+    "kernel counts made Fractions under one memo key": (
+        "polynomials.py",
+        [("fractions.get(c) or made(c, Fraction(c))", "fractions.get(0) or made(0, Fraction(c))")],
+        ["tests/test_tuple_counts.py", "tests/test_packed_terms.py"],
+    ),
     "bit-sliced carry stopping after one plane": (
         "codes.py",
         [("while carry:", "if carry:")],

@@ -223,9 +223,11 @@ def cmd_macwilliams(args) -> int:
             )
         )
     else:
-        print(f"transform: {transformed.render_text()}")
+        text = transformed.render_text()
+        print(f"transform: {text}")
         if direct is not None:
-            print(f"direct: {direct.render_text()}")
+            # equal polynomials render alike, so an EQUAL pair renders once
+            print(f"direct: {text if verdict == 'EQUAL' else direct.render_text()}")
             print(verdict)
     return 0 if verdict in (None, "EQUAL") else 1
 

@@ -11,13 +11,17 @@ one call.  It walks every word tuple, or, for two or more lists built as
 direct sums plus glue, cuts the positions in half and sums products of
 half tables over the glue cosets, each composition one packed int,
 renumbered at the end into a key of `polynomials.monomial_layout` and
-handed to a form (see `_renumber`).
+handed to a form (see `_renumber`).  The walk counts its keys in chunks,
+one Counter.update per COUNT_CHUNK keys, and the products of half tables
+are summed into a plain dict, so that the interpreter's cost is paid per
+chunk and per product, not per call.
 The single-code tables, `comp_table` and `jacobi_table`, take another
 route when the ring has order 2, and build no word: one |C|-bit int per
 distinct column of the kept generators holds bit j for word j, and a
 bit-sliced counter sums those columns, so that every word's popcount in
 each class of positions with equal fixed-word symbols is counted at once
-(see `_bit_counts`).
+(see `_bit_counts`).  Over such a ring `words` too is read from packed
+ints, the XOR walk over the kept generators (`_bits`).
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ __all__ = [
     "jacobi_table",
     "joint_jacobi_table",
 ]
+
+# the binary digits '0' and '1' as the bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class CodeFormatError(ValueError):
     """A code file or code object violates the input schema."""
@@ -128,13 +136,22 @@ class LinearCode:
     def words(self) -> tuple[tuple[int, ...], ...]:
         """All codewords, first occurrence in coefficient-lex order.
 
-        The words of generators 1..j are extended by the q multiples of
-        generator j + 1, repeats dropped at each stage.  A word kept at a
-        stage comes from the lex-least coefficients that give it, so
-        every stage keeps the first-occurrence order of the full walk.
-        The budget is charged for the |C| * n symbols of the result, known
-        exactly from the echelon form before a word is built.
+        Over a ring of order 2 they are the packed words of `_bits` read
+        back, bit i as the symbol at position i, one word from one string
+        of binary digits.  Over any other ring the words of generators
+        1..j are extended by the q multiples of generator j + 1, repeats
+        dropped at each stage.  A word kept at a stage comes from the
+        lex-least coefficients that give it, so every stage keeps the
+        first-occurrence order of the full walk.  Both charge the |C| * n
+        symbols of the result, known exactly before a word is built: from
+        the echelon form, or as the kept generators' n * 2^k.
         """
+        if self.ring.order == 2:
+            digits = f"0{self.n}b"
+            return tuple(
+                tuple(format(x, digits)[::-1].encode().translate(_DIGIT_BYTES))
+                for x in self._bits
+            )
         q = self.ring.order
         check_budget(self.size * self.n, "codeword symbols")
         add = self.ring.add_table
@@ -155,8 +172,8 @@ class LinearCode:
         """The words of a code over a ring of order 2 as ints, bit i for
         position i, in the order of `words`: the walk over the kept
         generators (`_kept`, which charges the |C| * n codeword symbols),
-        each added by an XOR with its bit mask.  The design scans read
-        them; the tables are counted from `_kept` alone."""
+        each added by an XOR with its bit mask.  `words` and the design
+        scans read them; the tables are counted from `_kept` alone."""
         words = [0]
         for gen in self._kept:
             mask = _pack(gen)
@@ -358,19 +375,29 @@ def _split_counts(ring: RingSpec, cosets, fixed, n: int, form=None):
     """The table of `_tuple_counts` from the cosets of each list: for each
     tuple of cosets, every composition of its left halves against the
     fixed words' left halves adds to every one of its right halves, and
-    the multiplicities multiply."""
+    the multiplicities multiply.  The products are summed into a plain
+    dict, each key inserted where it is first met."""
     h = n // 2
     left_fixed = [f[:h] for f in fixed]
     right_fixed = [f[h:] for f in fixed]
     bits = monomial_layout(0, n)[1]
     power: defaultdict = defaultdict(lambda: 1 << bits * len(power))
-    sums: Counter = Counter()
+    sums: dict[int, int] = {}
+    get = sums.get
     for parts in itertools.product(*cosets):
         left = _packed_counts(ring, [a for a, _ in parts], left_fixed, power)
         right = _packed_counts(ring, [b for _, b in parts], right_fixed, power)
+        right_items = right.items()
         for x, mx in left.items():
-            sums.update({x + y: mx * my for y, my in right.items()})
+            for y, my in right_items:
+                k = x + y
+                sums[k] = get(k, 0) + mx * my
     return _renumber(sums, power, n, ring.order ** (len(cosets) + len(fixed)), form)
+
+
+# keys a list collects before one Counter.update counts them: few enough to
+# bound the memory of a long walk, enough that the call's cost is shared
+COUNT_CHUNK = 4096
 
 
 def _packed_counts(ring: RingSpec, word_lists, fixed, power) -> Counter:
@@ -378,7 +405,10 @@ def _packed_counts(ring: RingSpec, word_lists, fixed, power) -> Counter:
 
     Each tuple from the first k - 1 lists is summed with the fixed words
     into a prefix once, so that for each prefix a place-value table per
-    position makes a word of the last list one sum.
+    position makes a word of the last list one sum.  The sums of each
+    prefix are appended to one list, counted by one Counter.update once
+    it holds COUNT_CHUNK keys and once more at the end, so that the keys
+    keep their first-occurrence order and at most a chunk of them is held.
     """
     q = ring.order
     base = (0,) * len(word_lists[0][0])
@@ -393,10 +423,15 @@ def _packed_counts(ring: RingSpec, word_lists, fixed, power) -> Counter:
     steps = [s * place // q for s in range(q)]
     column = list.__getitem__
     sums: Counter = Counter()
+    keys: list[int] = []
     for rows in itertools.product(*scaled):
         prefix = map(sum, zip(base, *rows))
         cols = [[power[x + step] for step in steps] for x in prefix]
-        sums.update(sum(map(column, cols, u)) for u in word_lists[-1])
+        keys.extend(sum(map(column, cols, u)) for u in word_lists[-1])
+        if len(keys) >= COUNT_CHUNK:
+            sums.update(keys)
+            keys = []
+    sums.update(keys)
     return sums
 
 

@@ -73,9 +73,16 @@ class SparsePolynomial:
 
     @classmethod
     def from_rows(cls, ring: RingSpec, arity: int, pairs, layout) -> "SparsePolynomial":
-        """from_packed of (a key's bytes in layout, coefficient) pairs."""
-        packed = ((int.from_bytes(row, "big"), c) for row, c in pairs)
-        return cls.from_packed(ring, arity, packed, layout)
+        """from_packed of (a key's bytes in layout, positive int count) pairs,
+        each distinct count made a Fraction once: a table has few."""
+        fractions: dict[int, Fraction] = {}
+        made = fractions.setdefault
+        poly = cls.from_packed(ring, arity, (), layout)
+        poly.packed = {
+            int.from_bytes(row, "big"): fractions.get(c) or made(c, Fraction(c))
+            for row, c in pairs
+        }
+        return poly
 
     @property
     def terms(self) -> dict:

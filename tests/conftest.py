@@ -1,5 +1,7 @@
-"""Shared fixtures: bundled codes and seeded random code builders."""
+"""Shared fixtures: bundled codes, seeded random code builders and the
+literal walk over coefficient vectors that every word order is held to."""
 
+import itertools
 import random
 
 import pytest
@@ -53,3 +55,16 @@ def random_code(ring: RingSpec, n: int, rows: int, rng: random.Random) -> Linear
 
 def random_mask(ring: RingSpec, n: int, rng: random.Random):
     return tuple(rng.randrange(ring.order) for _ in range(n))
+
+
+def literal_words(code):
+    """Every coefficient vector in lex order, keeping first occurrences."""
+    ring = code.ring
+    words = []
+    for coeffs in itertools.product(range(ring.order), repeat=len(code.generators)):
+        word = (0,) * code.n
+        for c, gen in zip(coeffs, code.generators):
+            word = tuple(ring.add(x, ring.mul(c, y)) for x, y in zip(word, gen))
+        if word not in words:
+            words.append(word)
+    return tuple(words)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import get_code, random_code
+from conftest import get_code, literal_words, random_code
 from jacweight.budget import check_budget
 from jacweight.codes import (
     BudgetExceeded,
@@ -209,6 +209,17 @@ def test_words_budget_charges_the_codeword_symbols(monkeypatch):
     assert "words" not in dual.__dict__
 
 
+def test_binary_words_charge_the_codeword_symbols_before_a_word(monkeypatch):
+    """f2_wide's 40 rows are independent: 2^40 words of 72 symbols."""
+    monkeypatch.delenv("JF_BUDGET", raising=False)
+    code = load_code("f2_wide")
+    with pytest.raises(BudgetExceeded) as info:
+        _ = code.words
+    assert str(info.value) == "79164837199872 codeword symbols exceed the budget 67108864"
+    assert "words" not in code.__dict__
+    assert "_bits" not in code.__dict__
+
+
 def test_binary_tables_charge_the_codeword_symbols(monkeypatch):
     code = get_code("e8").permute(range(8))
     monkeypatch.setenv("JF_BUDGET", str(16 * 8 - 1))
@@ -374,19 +385,6 @@ def test_size_matches_rank():
     code = get_code("g24")
     assert code.size == 2**12
     assert math.prod([2] * 12) == 4096
-
-
-def literal_words(code):
-    """Every coefficient vector in lex order, keeping first occurrences."""
-    ring = code.ring
-    words = []
-    for coeffs in itertools.product(range(ring.order), repeat=len(code.generators)):
-        word = (0,) * code.n
-        for c, gen in zip(coeffs, code.generators):
-            word = tuple(ring.add(x, ring.mul(c, y)) for x, y in zip(word, gen))
-        if word not in words:
-            words.append(word)
-    return tuple(words)
 
 
 @pytest.mark.parametrize("name", sorted(WORD_ORDER_RINGS))

@@ -1,7 +1,8 @@
 """Every composition table, joint enumerator and brute average against a
 literal count, word tuple by word tuple; the split route of the counting
-kernel against its direct route; and the bit-sliced route of binary
-codes' single-list tables against both."""
+kernel against its direct route, also when its keys are counted in
+chunks of one to three; and the bit-sliced route of binary codes'
+single-list tables and their words read from packed bits against both."""
 
 import itertools
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jacweight.codes as codes_module
-from conftest import get_code, random_code, random_mask
+from conftest import get_code, literal_words, random_code, random_mask
 from jacweight.averages import brute_avg_jacobi, brute_avg_joint_jacobi
 from jacweight.codes import (
     SPLIT_FLOOR,
@@ -157,12 +158,12 @@ TUPLE_LIMIT = 4096
 
 
 @st.composite
-def glued_cases(draw):
-    """Two or three codes of one length n <= 7 over one ring, each spanned
-    by rows on the first n // 2 positions, rows on the rest and glue rows on
-    all of them, with at most TUPLE_LIMIT word tuples; and up to two fixed
-    words, while a composition has at most 1024 column indices."""
-    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+def glued_cases(draw, rings=tuple(RINGS)):
+    """Two or three codes of one length n <= 7 over one of rings, each
+    spanned by rows on the first n // 2 positions, rows on the rest and glue
+    rows on all of them, with at most TUPLE_LIMIT word tuples; and up to two
+    fixed words, while a composition has at most 1024 column indices."""
+    ring = RINGS[draw(st.sampled_from(sorted(rings)))]
     n = draw(st.integers(1, 7))
     h = n // 2
     symbols = st.integers(0, ring.order - 1)
@@ -203,6 +204,24 @@ def test_split_route_matches_the_direct_and_literal_counts(case):
         assert sorted(glued) == sorted(words)
     # the split route whether or not the rule would take it
     assert _split_counts(ring, cosets, fixed, n) == literal
+
+
+@given(glued_cases(("F2", "F3", "F4", "Z4", "Z6")), st.sampled_from([1, 2, 3]))
+@settings(max_examples=100, deadline=None)
+def test_keys_counted_in_small_chunks_match_the_literal_counts(case, chunk):
+    """With a Counter.update every one to three keys, each route equals the
+    literal count, one list or all of them, and the direct route keeps the
+    literal first-occurrence key order."""
+    ring, word_lists, fixed = case
+    n = len(word_lists[0][0])
+    cosets = [_glue_cosets(words, n // 2) for words in word_lists]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes_module, "COUNT_CHUNK", chunk)
+        for lists in (word_lists[:1], word_lists):
+            literal = literal_counts(ring, lists, fixed)
+            assert list(_direct_counts(ring, lists, fixed).items()) == list(literal.items())
+            assert _tuple_counts(ring, lists, fixed) == literal
+        assert _split_counts(ring, cosets, fixed, n) == literal
 
 
 @pytest.fixture
@@ -359,6 +378,13 @@ def binary_codes(draw):
     w = tuple(int(i in ones) for i in range(n))
     more = draw(st.lists(bits, max_size=1))
     return code, w, more
+
+
+@given(binary_codes())
+@settings(max_examples=60, deadline=None)
+def test_binary_words_are_the_literal_walk_in_its_order(case):
+    code = case[0]
+    assert code.words == literal_words(code)
 
 
 @given(binary_codes())
