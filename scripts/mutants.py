@@ -8,10 +8,12 @@ each mutant the script copies ``src``, ``tests``, ``scripts``, ``fixtures``
 and ``perfbench`` into a temporary directory, replaces every occurrence of
 each old text in the copy (an old text that does not occur is an error of
 the script, not a survivor), and runs ``pytest -x`` on the guarding files
-there.  The mutant is killed when pytest fails.  The guarding files are
-first run once on an unchanged copy, and must pass.  One line a mutant,
-then the survivors; the exit code is 1 if any mutant survives.  Standard
-library only; nothing under ``src/`` is changed.
+there, with the hypothesis profile ``mutants`` of ``tests/conftest.py``,
+which leaves out the explain phase.  The mutant is killed when pytest
+fails.  The guarding files are first run once on an unchanged copy, and
+must pass.  One line a mutant, then the survivors; the exit code is 1 if
+any mutant survives.  Standard library only; nothing under ``src/`` is
+changed.
 
     python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py --list       # names and guarding tests
@@ -81,9 +83,10 @@ MUTANTS = {
         [("format(x, digits)[::-1]", "format(x, digits)")],
         ["tests/test_tuple_counts.py", "tests/test_codes.py"],
     ),
-    "packed counts without the final flush": (
+    "coset tables without their final chunk": (
         "codes.py",
-        [("            keys = []\n    sums.update(keys)\n", "            keys = []\n")],
+        [("        for _, chunk, table in slots:\n            table.update(chunk)\n",
+          "        for _, chunk, table in slots:\n")],
         ["tests/test_tuple_counts.py"],
     ),
     "split convolution starting a new key at 1": (
@@ -94,6 +97,17 @@ MUTANTS = {
     "split convolution ignoring the right halves' multiplicities": (
         "codes.py",
         [("sums[k] = get(k, 0) + mx * my", "sums[k] = get(k, 0) + mx")],
+        ["tests/test_tuple_counts.py"],
+    ),
+    "split groups keyed on one constant": (
+        "codes.py",
+        [("groups.setdefault(frozenset(left.items()), len(groups))",
+          "groups.setdefault(frozenset(), len(groups))")],
+        ["tests/test_tuple_counts.py"],
+    ),
+    "a split group's right tables overwriting each other": (
+        "codes.py",
+        [("rights[g].update(right)", "rights[g] = right")],
         ["tests/test_tuple_counts.py"],
     ),
     "glue cosets taken from a list that repeats a word": (
@@ -110,6 +124,11 @@ MUTANTS = {
         "codes.py",
         [("if None not in cosets and 8 * (", "if None not in cosets and 1 * (")],
         ["tests/test_tuple_counts.py"],
+    ),
+    "full-support design class covered once more": (
+        "designs.py",
+        [("counts = {len(masks)}", "counts = {len(masks) + 1}")],
+        ["tests/test_designs.py"],
     ),
     "kernel counts made Fractions under one memo key": (
         "polynomials.py",
@@ -257,7 +276,8 @@ def run_mutant(target, patches, tests):
                "PYTHONDONTWRITEBYTECODE": "1"}
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--hypothesis-profile=mutants", *tests],
             cwd=tmp, env=env, capture_output=True, text=True,
         )
         return proc.returncode != 0, time.perf_counter() - start

@@ -11,10 +11,14 @@ one call.  It walks every word tuple, or, for two or more lists built as
 direct sums plus glue, cuts the positions in half and sums products of
 half tables over the glue cosets, each composition one packed int,
 renumbered at the end into a key of `polynomials.monomial_layout` and
-handed to a form (see `_renumber`).  The walk counts its keys in chunks,
-one Counter.update per COUNT_CHUNK keys, and the products of half tables
-are summed into a plain dict, so that the interpreter's cost is paid per
-chunk and per product, not per call.
+handed to a form (see `_renumber`).  One walk (`_coset_tables`) serves
+both routes: it makes the table of every tuple of cosets, one coset from
+each list, a whole list being one coset on the direct route.  It counts
+its keys in chunks, one Counter.update per COUNT_CHUNK keys, so that the
+interpreter's cost is paid per chunk, not per call.  The split route
+walks each half once, groups the tuples of cosets by their left table,
+and convolves each distinct left table once with the sum of its group's
+right tables, into a plain dict.
 The single-code tables, `comp_table` and `jacobi_table`, take another
 route when the ring has order 2, and build no word: one |C|-bit int per
 distinct column of the kept generators holds bit j for word j, and a
@@ -310,8 +314,9 @@ def _tuple_counts(ring: RingSpec, word_lists, fixed=(), form=None):
     * the direct route (`_direct_counts`) walks every word tuple;
     * the split route (`_split_counts`) cuts each list into the product
       sets of `_glue_cosets` over the halves [0, n // 2) and [n // 2, n),
-      and sums, over the tuples of cosets, the direct tables of their left
-      halves convolved with those of their right halves.
+      and sums, over the tuples of cosets, the tables of their left halves
+      convolved with those of their right halves: one walk per half, and
+      one convolution per distinct left table.
 
     A table splits when it has two or more lists and at least SPLIT_FLOOR
     word tuples, and eight times the word tuples of all its half tables
@@ -367,7 +372,8 @@ def _direct_counts(ring: RingSpec, word_lists, fixed=(), form=None):
     n = len(word_lists[0][0])
     bits = monomial_layout(0, n)[1]
     power: defaultdict = defaultdict(lambda: 1 << bits * len(power))
-    sums = _packed_counts(ring, word_lists, fixed, power)
+    # each list as its one coset
+    (sums,) = _coset_tables(ring, [[words] for words in word_lists], fixed, power)
     return _renumber(sums, power, n, ring.order ** (len(word_lists) + len(fixed)), form)
 
 
@@ -375,24 +381,45 @@ def _split_counts(ring: RingSpec, cosets, fixed, n: int, form=None):
     """The table of `_tuple_counts` from the cosets of each list: for each
     tuple of cosets, every composition of its left halves against the
     fixed words' left halves adds to every one of its right halves, and
-    the multiplicities multiply.  The products are summed into a plain
-    dict, each key inserted where it is first met."""
+    the multiplicities multiply.
+
+    One walk per half makes the half tables of every tuple of cosets.  The
+    left tables become group ids as they stream, one group per distinct
+    left table (keyed by the frozenset of its items), and the right tables
+    of a group are added into one table as they are made; each distinct
+    left table is then convolved once with its group's sum, into a plain
+    dict."""
     h = n // 2
-    left_fixed = [f[:h] for f in fixed]
-    right_fixed = [f[h:] for f in fixed]
     bits = monomial_layout(0, n)[1]
     power: defaultdict = defaultdict(lambda: 1 << bits * len(power))
+    groups: dict[frozenset, int] = {}
+    ids = [
+        groups.setdefault(frozenset(left.items()), len(groups))
+        for left in _coset_tables(
+            ring, [[a for a, _ in cs] for cs in cosets], [f[:h] for f in fixed], power
+        )
+    ]
+    rights = [Counter() for _ in groups]
+    right_tables = _coset_tables(
+        ring, [[b for _, b in cs] for cs in cosets], [f[h:] for f in fixed], power
+    )
+    for g, right in zip(ids, right_tables):
+        rights[g].update(right)
     sums: dict[int, int] = {}
-    get = sums.get
-    for parts in itertools.product(*cosets):
-        left = _packed_counts(ring, [a for a, _ in parts], left_fixed, power)
-        right = _packed_counts(ring, [b for _, b in parts], right_fixed, power)
-        right_items = right.items()
-        for x, mx in left.items():
-            for y, my in right_items:
-                k = x + y
-                sums[k] = get(k, 0) + mx * my
+    for left, right in zip(groups, rights):
+        _convolve(sums, left, right)
     return _renumber(sums, power, n, ring.order ** (len(cosets) + len(fixed)), form)
+
+
+def _convolve(sums: dict, left, right: Counter) -> None:
+    """Add to sums, for each pair (x, mx) of left and each item (y, my) of
+    right, mx * my at the key x + y, a new key inserted where it is met."""
+    get = sums.get
+    right_items = right.items()
+    for x, mx in left:
+        for y, my in right_items:
+            k = x + y
+            sums[k] = get(k, 0) + mx * my
 
 
 # keys a list collects before one Counter.update counts them: few enough to
@@ -400,39 +427,46 @@ def _split_counts(ring: RingSpec, cosets, fixed, n: int, form=None):
 COUNT_CHUNK = 4096
 
 
-def _packed_counts(ring: RingSpec, word_lists, fixed, power) -> Counter:
-    """{packed composition: multiplicity} over every word tuple.
+def _coset_tables(ring: RingSpec, coset_lists, fixed, power):
+    """{packed composition: multiplicity} over the word tuples of each tuple
+    of cosets, one coset (a list of words) from each list, in the order of
+    itertools.product over the lists.
 
-    Each tuple from the first k - 1 lists is summed with the fixed words
-    into a prefix once, so that for each prefix a place-value table per
-    position makes a word of the last list one sum.  The sums of each
-    prefix are appended to one list, counted by one Counter.update once
-    it holds COUNT_CHUNK keys and once more at the end, so that the keys
-    keep their first-occurrence order and at most a chunk of them is held.
+    The place-value tuples of every word of the first k - 1 lists are made
+    once.  Each tuple of their words is summed with the fixed words into a
+    prefix once, so that for each prefix a place-value table per position
+    makes a word of any coset of the last list one sum.  Each coset of the
+    last list appends its sums to its own list, counted by one
+    Counter.update once it holds COUNT_CHUNK keys and once more when the
+    tuple's table is done, so that the keys keep their first-occurrence
+    order and at most a chunk of them per coset is held.
     """
     q = ring.order
-    base = (0,) * len(word_lists[0][0])
+    base = (0,) * len(coset_lists[0][0][0])
     for f in fixed:
         base = tuple(b * q + s for b, s in zip(base, f))
-    place = q ** (len(word_lists) + len(fixed))
+    place = q ** (len(coset_lists) + len(fixed))
     scaled = []
-    for words in word_lists[:-1]:
+    for cosets in coset_lists[:-1]:
         place //= q
         lookup = [s * place for s in range(q)].__getitem__
-        scaled.append([tuple(map(lookup, u)) for u in words])
+        scaled.append([[tuple(map(lookup, u)) for u in words] for words in cosets])
     steps = [s * place // q for s in range(q)]
     column = list.__getitem__
-    sums: Counter = Counter()
-    keys: list[int] = []
-    for rows in itertools.product(*scaled):
-        prefix = map(sum, zip(base, *rows))
-        cols = [[power[x + step] for step in steps] for x in prefix]
-        keys.extend(sum(map(column, cols, u)) for u in word_lists[-1])
-        if len(keys) >= COUNT_CHUNK:
-            sums.update(keys)
-            keys = []
-    sums.update(keys)
-    return sums
+    for heads in itertools.product(*scaled):
+        # each coset of the last list, its keys not yet counted, its table
+        slots = [(words, [], Counter()) for words in coset_lists[-1]]
+        for rows in itertools.product(*heads):
+            prefix = map(sum, zip(base, *rows))
+            cols = [[power[x + step] for step in steps] for x in prefix]
+            for words, chunk, table in slots:
+                chunk.extend(sum(map(column, cols, u)) for u in words)
+                if len(chunk) >= COUNT_CHUNK:
+                    table.update(chunk)
+                    chunk.clear()
+        for _, chunk, table in slots:
+            table.update(chunk)
+            yield table
 
 
 def _renumber(sums, power, n: int, nvars: int, form=None):

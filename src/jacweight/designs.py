@@ -123,7 +123,9 @@ def _coverage(n: int, k: int, t: int, masks) -> DesignReport:
     """The report at t of the blocks of size k whose supports are masks.
 
     The range of t is checked and the C(n, t) t-subsets are charged to the
-    budget first.  Column p, the bitset of the blocks holding point p, is
+    budget first.  At t = 0, and when every block is the whole point set
+    (k = n), each t-subset is covered once per block, with no scan.
+    Otherwise column p, the bitset of the blocks holding point p, is
     read off one string of every mask's n binary digits.  The scan ANDs
     each prefix of at most t - 2 points with each later point's column
     once; past a prefix of t - 2 points, the AND of each pair of those
@@ -136,14 +138,16 @@ def _coverage(n: int, k: int, t: int, masks) -> DesignReport:
     if t > n:
         raise ValueError(f"t={t} exceeds the {n} points")
     check_budget(math.comb(n, t), f"{t}-subsets of {n} points")
-    digits = "".join(map(format, masks, repeat(f"0{n}b")))
-    columns = [int(digits[n - 1 - p :: n] or "0", 2) for p in range(n)]
-    if t < 2:
-        counts = {len(masks)} if t == 0 else set(map(int.bit_count, columns))
+    if t == 0 or k == n:
+        # each block covers the empty set once, and a block of all n
+        # points covers every t-subset once: no scan
+        counts = {len(masks)}
     else:
-        counts = set()
+        digits = "".join(map(format, masks, repeat(f"0{n}b")))
+        columns = [int(digits[n - 1 - p :: n] or "0", 2) for p in range(n)]
+        counts = set(map(int.bit_count, columns)) if t == 1 else set()
         # (AND of a prefix's columns, its first later point, points to add)
-        stack = [((1 << len(masks)) - 1, 0, t)]
+        stack = [((1 << len(masks)) - 1, 0, t)] if t > 1 else []
         while stack:
             acc, start, depth = stack.pop()
             rest = list(map(acc.__and__, columns[start:]))

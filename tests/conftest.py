@@ -5,9 +5,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import Phase, settings
 
 from jacweight.codes import LinearCode, load_code
 from jacweight.rings import RingSpec
+
+# Hypothesis's explain phase reruns a failing example under a line tracer.
+# On the kernel's dense tables that held over 2 GB (a mutant of the split
+# convolution, shrunk to F8 pair tables of 512 columns), so the mutation
+# check, which only needs pass or fail, runs with this profile.
+settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.explain])
 
 _CODE_CACHE: dict[str, LinearCode] = {}
 

@@ -153,6 +153,8 @@ def test_g24_is_5_homogeneous():
     lams = {r.weight: r.lam for r in reports}
     assert lams == {8: 1, 12: 48, 16: 78, 24: 1}
     assert all(lambda_identity_holds(r) for r in reports)
+    # the all-ones word, whose class is not scanned
+    assert reports[-1] == DesignReport(24, 24, 5, 1, 1, 1, 1)
 
 
 def test_d24plus_is_1_homogeneous():
@@ -241,6 +243,32 @@ def test_coverage_scan_matches_literal_count(seed):
         "t=0", "t=k", "inner", "no blocks", "blocks", "uncovered", "covered",
         "t>n/2", "t<=n/2", "repeats",
     }
+
+
+@pytest.mark.parametrize(
+    "ring", [F2, F3, field_ring(2, 2), modular_ring(4)], ids=["F2", "F3", "F4", "Z4"]
+)
+def test_full_support_classes_match_the_literal_count(ring, monkeypatch):
+    """Classes of words with no zero symbol skip the scan; their reports at
+    every t equal the literal count, with one block per word, and the range
+    checks and the budget still refuse first."""
+    rng = random.Random(f"full-support-{ring.order}")
+    for n in range(1, 7):
+        rows = [(1,) * n]
+        for _ in range(rng.randint(0, 2)):
+            rows.append(tuple(rng.randrange(ring.order) for _ in range(n)))
+        code = LinearCode(ring, n, tuple(rows))
+        bm = supports(code, n)
+        assert len(bm.blocks) == sum(1 for u in code.words if weight(u) == n) > 0
+        for t in range(n + 1):
+            report = is_t_design(bm, t)
+            assert report == literal_report(bm, t)
+            assert report.lam == len(bm.blocks)
+        with pytest.raises(ValueError, match="exceeds"):
+            is_t_design(bm, n + 1)
+    monkeypatch.setenv("JF_BUDGET", "4")
+    with pytest.raises(BudgetExceeded, match="^20 3-subsets of 6 points"):
+        is_t_design(BlockMultiset(6, 6, ((0, 1, 2, 3, 4, 5),)), 3)
 
 
 RANDOM_CODE_RINGS = [field_ring(3), field_ring(2, 2), modular_ring(4)]

@@ -1,8 +1,9 @@
 """Every composition table, joint enumerator and brute average against a
 literal count, word tuple by word tuple; the split route of the counting
-kernel against its direct route, also when its keys are counted in
-chunks of one to three; and the bit-sliced route of binary codes'
-single-list tables and their words read from packed bits against both."""
+kernel against its direct route, also on repeated lists whose tuples of
+cosets share left tables, and when its keys are counted in chunks of one
+to three; and the bit-sliced route of binary codes' single-list tables
+and their words read from packed bits against both."""
 
 import itertools
 import math
@@ -159,9 +160,11 @@ TUPLE_LIMIT = 4096
 
 @st.composite
 def glued_cases(draw, rings=tuple(RINGS)):
-    """Two or three codes of one length n <= 7 over one of rings, each
-    spanned by rows on the first n // 2 positions, rows on the rest and glue
-    rows on all of them, with at most TUPLE_LIMIT word tuples; and up to two
+    """Two to four lists of words of one length n <= 7 over one of rings,
+    each the words of a code spanned by rows on the first n // 2 positions,
+    rows on the rest and glue rows on all of them, with at most TUPLE_LIMIT
+    word tuples; or, as in a genus-g table, one such code repeated, where
+    tuples of cosets more often share a left table.  Then up to two
     fixed words, while a composition has at most 1024 column indices."""
     ring = RINGS[draw(st.sampled_from(sorted(rings)))]
     n = draw(st.integers(1, 7))
@@ -172,17 +175,20 @@ def glued_cases(draw, rings=tuple(RINGS)):
         return st.tuples(*[symbols if lo <= i < hi else st.just(0) for i in range(n)])
 
     row = st.one_of(rows_on(0, h), rows_on(h, n), rows_on(0, n))
+    lists = draw(st.integers(2, 4))
+    repeated = draw(st.booleans())
     word_lists = []
     tuples = 1
-    for _ in range(draw(st.integers(2, 3))):
+    while len(word_lists) < lists:
+        copies = lists if repeated else 1
         code = LinearCode(ring, n, ())
         for _ in range(draw(st.integers(0, 6))):
             grown = LinearCode(ring, n, code.generators + (draw(row),))
-            if tuples * grown.size > TUPLE_LIMIT:
+            if tuples * grown.size**copies > TUPLE_LIMIT:
                 break
             code = grown
-        word_lists.append(code.words)
-        tuples *= code.size
+        word_lists.extend([code.words] * copies)
+        tuples *= code.size**copies
     arity = len(word_lists)
     while arity < len(word_lists) + 2 and ring.order ** (arity + 1) <= 1024:
         arity += 1
@@ -336,6 +342,26 @@ def test_d24plus_pair_table_splits(splits):
     assert len(splits) == 1
     assert sum(table.values()) == 4096**2
     assert len(table) == 364
+
+
+def test_genus_4_of_e8_convolves_once_per_distinct_left_table(splits, monkeypatch):
+    """e8 has 4 cosets of 2 x 2 words, so its genus-4 table splits into 256
+    tuples of cosets; their left tables take 51 distinct values, and each is
+    convolved once with the sum of its tuples' right tables."""
+    groups = []
+    convolve = codes_module._convolve
+
+    def counting(*args):
+        groups.append(args)
+        convolve(*args)
+
+    monkeypatch.setattr(codes_module, "_convolve", counting)
+    e8 = get_code("e8")
+    assert [(len(a), len(b)) for a, b in _glue_cosets(e8.words, 4)] == [(2, 2)] * 4
+    genus = cwe_genus(e8, 4)
+    assert len(splits) == 1
+    assert len(groups) == 51
+    assert genus.terms == as_fractions(_direct_counts(e8.ring, [e8.words] * 4))
 
 
 # ---- the bit-sliced route of binary codes ---------------------------------
