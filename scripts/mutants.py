@@ -238,8 +238,29 @@ MUTANTS = {
     # a negative index reads a factorial from the end of the list, not 0
     "closed delta without the comp_a < col0_a guard": (
         "averages.py",
-        [("if comp[a] < c:", "if False:")],
+        [("if have < c:", "if False:")],
         ["tests/test_averages.py"],
+    ),
+    "closed delta reading col0 one digit off": (
+        "averages.py",
+        [("bits * (q * q - 1 - a * q)", "bits * (q * q - 2 - a * q)")],
+        ["tests/test_averages.py"],
+    ),
+    "placements with the variable index of a split swapped": (
+        "averages.py",
+        [("(a * m + r)", "(r * q + a)")],
+        ["tests/test_averages.py"],
+    ),
+    "weight distribution reading the digit of symbol 1": (
+        "codes.py",
+        [("top = table.layout[1] * (self.ring.order - 1)",
+          "top = table.layout[1] * (self.ring.order - 2)")],
+        ["tests/test_tuple_counts.py", "tests/test_codes.py"],
+    ),
+    "packed digits numbered from the wrong end": (
+        "polynomials.py",
+        [("out.append((self.nvars - 1 - d, e))", "out.append((d, e))")],
+        ["tests/test_packed_terms.py", "tests/test_averages.py"],
     ),
     "closed delta with the mask weight L taken as n": (
         "averages.py",

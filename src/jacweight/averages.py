@@ -3,13 +3,13 @@
 Averaging runs over all coordinate permutations applied to the first
 code, with the mask and the second code held fixed.  Each route has one
 body.  The closed forms, single and joint, are one placement kernel: the
-fixed side is a table of cell vectors (the mask's composition, or the
-fixed code's Jacobi distribution against the mask), and each nonzero
-cell is split over the averaged code's symbols with multinomial weights,
-which needs only the averaged code's composition counts.  The exact
-delta-type values sum ints over compositions: the streamed value convolves
-the same cells, split over the symbols where its point is nonzero, and
-`delta_closed` lists no split, by Vandermonde's identity.
+fixed side is a table (the mask's composition, or the fixed code's Jacobi
+distribution against the mask), each term's nonzero digits its cells, and
+each cell is split over the averaged code's symbols with multinomial
+weights, which needs only the averaged code's composition counts.  The
+exact delta-type values sum ints over compositions: the streamed value
+convolves the same cells, split over the symbols where its point is
+nonzero, and `delta_closed` lists no split, by Vandermonde's identity.
 The exhaustive polynomial averages share one loop over S_n.
 
 An intersection count is the number of pairs (u, v) in C x D with u^sigma
@@ -48,15 +48,15 @@ from .codes import (
     LinearCode,
     _direct_counts,
     _echelon,
+    _tuple_counts,
     check_budget,
     check_mask,
     check_pair,
     comp_table,
-    composition,
     jacobi_table,
     permute_word,
 )
-from .polynomials import SparsePolynomial
+from .polynomials import SparsePolynomial, monomial_layout
 from .rings import RingSpec
 
 __all__ = [
@@ -127,14 +127,14 @@ def _check_pair(code_c: LinearCode, code_d: LinearCode, w) -> None:
     check_mask(code_c.ring, code_c.n, w)
 
 
-def _charge_splits(cell_vectors, bins) -> None:
-    """Charge the splits of every nonzero cell over its allowed bins:
-    the sum over cell vectors of the products C(cell + b - 1, cell)."""
-    count = sum(
-        math.prod(math.comb(c + b - 1, c) for c, b in zip(cells, bins) if c)
-        for cells in cell_vectors
-    )
+def _split_cells(table: SparsePolynomial, bins):
+    """([(cell r, count)], int multiplicity) of each term of a table, once
+    the splits of every cell over its bins[r] bins are charged."""
+    entries = [(table.digits(key), mult.numerator) for key, mult in table.packed.items()]
+    count = sum(math.prod(math.comb(c + bins[r] - 1, c) for r, c in cells)
+                for cells, _ in entries)
     check_budget(count, "composition splits")
+    return entries
 
 
 # ---- evaluation points -----------------------------------------------------
@@ -195,10 +195,12 @@ def _brute_average(code: LinearCode, others, w) -> SparsePolynomial:
     counts: Counter = Counter()
     for sigma in itertools.permutations(range(n)):
         permuted = [permute_word(u, sigma) for u in code.words]
-        counts.update(_direct_counts(code.ring, [permuted, *fixed_lists], (w,)))
+        table = _direct_counts(code.ring, [permuted, *fixed_lists], (w,))
+        for key, mult in table.packed.items():
+            counts[key] += mult.numerator
     total = math.factorial(n)
-    terms = {key: Fraction(mult, total) for key, mult in counts.items()}
-    return SparsePolynomial(code.ring, 2 + len(others), terms)
+    terms = ((key, Fraction(mult, total)) for key, mult in counts.items())
+    return SparsePolynomial.from_packed(code.ring, table.arity, terms, table.layout)
 
 
 def brute_avg_jacobi(code: LinearCode, w) -> SparsePolynomial:
@@ -279,120 +281,103 @@ def _injection_counts(masks, j: int, acc: int, free) -> int:
 # ---- closed forms ----------------------------------------------------------
 
 
-def _placements(code: LinearCode, fixed_table) -> dict[tuple[int, ...], Fraction]:
-    """Terms of the average over permutations of code against a fixed side.
+def _placements(code: LinearCode, fixed: SparsePolynomial) -> SparsePolynomial:
+    """The average over permutations of code against a fixed side, a table
+    of m cells per term, as a table of one more slot.
 
-    fixed_table maps a fixed-side cell vector r_key of length m to its
-    multiplicity.  Each nonzero cell r is split over the q symbols of
-    code; a split whose symbol counts form a composition of code is
-    weighted by that composition's codeword count over its number of
-    arrangements, times the multinomial placements of every cell.
-    Variable a * m + r gets the part of cell r that code gives symbol a.
+    Each nonzero cell r is split over the q symbols of code; a split whose
+    symbol counts form a composition of code is weighted by that
+    composition's codeword count over its number of arrangements, times the
+    multinomial placements of every cell.  Variable a * m + r gets the part
+    of cell r that code gives symbol a.  A split is two packed keys, its
+    symbol counts and its part of the term, so picks sum to both.
     """
-    q = code.ring.order
-    n = code.n
-    _charge_splits(fixed_table, itertools.repeat(q))
+    q, n, m = code.ring.order, code.n, fixed.nvars
+    entries = _split_cells(fixed, [q] * m)
+    table = comp_table(code)
     weights = {
-        comp: (mult, multinomial(n, comp)) for comp, mult in comp_table(code).items()
+        key: (mult.numerator, multinomial(n, [c for _, c in table.digits(key)]))
+        for key, mult in table.packed.items()
     }
-    out: dict[tuple[int, ...], Fraction] = {}
-    for r_key, fixed_mult in fixed_table.items():
-        m = len(r_key)
-        cells = [r for r, cell in enumerate(r_key) if cell]
-        choices = [
-            [(sp, multinomial(r_key[r], sp)) for sp in compositions(r_key[r], q)]
-            for r in cells
-        ]
+    symbol_bits = table.layout[1]
+    layout = monomial_layout(q * m, n)
+    bits, top = layout[1], q * m - 1
+    cell_splits: dict = {}
+    out = []
+    for cells, fixed_mult in entries:
+        choices = []
+        for r, cell in cells:
+            splits = cell_splits.get((r, cell))
+            if splits is None:
+                splits = cell_splits[r, cell] = [
+                    (sum(e << symbol_bits * (q - 1 - a) for a, e in enumerate(sp)),
+                     sum(e << bits * (top - (a * m + r)) for a, e in enumerate(sp)),
+                     multinomial(cell, sp))
+                    for sp in compositions(cell, q)
+                ]
+            choices.append(splits)
         for picks in itertools.product(*choices):
-            splits, ways = zip(*picks)
-            comp_l = tuple(map(sum, zip(*splits)))
-            hit = weights.get(comp_l)
-            if hit is None:
-                continue
-            mult, arrangements = hit
-            exps = [0] * (q * m)
-            for r, sp in zip(cells, splits):
-                exps[r::m] = sp
-            out[tuple(exps)] = Fraction(
-                mult * fixed_mult * math.prod(ways), arrangements
-            )
-    return out
+            comps, keys, ways = zip(*picks)
+            if hit := weights.get(sum(comps)):
+                mult, arrangements = hit
+                coeff = Fraction(mult * fixed_mult * math.prod(ways), arrangements)
+                out.append((sum(keys), coeff))
+    return SparsePolynomial.from_packed(code.ring, fixed.arity + 1, out, layout)
 
 
 def avg_jacobi(code: LinearCode, w) -> SparsePolynomial:
-    """Average Jacobi polynomial from composition counts alone.
-
-    The fixed side is the mask alone: each mask class is a cell that
-    the averaged code's symbols fill multinomially.
-    """
+    """Average Jacobi polynomial from composition counts alone: the fixed
+    side is the mask's composition, each mask class a cell."""
     check_mask(code.ring, code.n, w)
-    terms = _placements(code, {composition(code.ring, w): 1})
-    return SparsePolynomial(code.ring, 2, terms)
+    return _placements(code, _tuple_counts(code.ring, [[w]]))
 
 
 def avg_joint_jacobi(code_c: LinearCode, code_d: LinearCode, w) -> SparsePolynomial:
-    """Average joint Jacobi polynomial without enumerating pairs.
-
-    The fixed side is the Jacobi distribution of the fixed code against
-    the mask; each of its cells is split over the averaged code's symbols.
-    """
+    """Average joint Jacobi polynomial without enumerating pairs: the fixed
+    side is the Jacobi distribution of the fixed code against the mask."""
     _check_pair(code_c, code_d, w)
-    terms = _placements(code_c, jacobi_table(code_d, w))
-    return SparsePolynomial(code_c.ring, 3, terms)
-
-
-def _split_plans(ring: RingSpec, point):
-    """Per cell (a1, a2) of the fixed side, the first-slot symbols b whose
-    variable (b, a1, a2) is nonzero at the point.
-
-    Splits that would place mass on a variable where the point is zero
-    are pruned.
-    """
-    m = ring.order**2
-    return [[b for b, x in enumerate(point[r::m]) if x] for r in range(m)]
+    return _placements(code_c, jacobi_table(code_d, w))
 
 
 def avg_joint_jacobi_value(code_c: LinearCode, code_d: LinearCode, w, point):
     """Value of the average joint Jacobi polynomial at a point.
 
-    Each nonzero cell of D's Jacobi table is split over the symbols where
-    the point is nonzero, a split weighing its multinomial times its point
-    powers, and the cells are convolved one by one into {partial
-    composition, packed n.bit_length() bits a symbol: weight}.  A finished
-    composition counts C's words of it times prod_a comp_a!, and n! divides
-    once; the sums are ints when every entry of the point is an integer.
+    Each nonzero cell (a1, a2) of D's Jacobi table is split over the
+    symbols b where the point is nonzero at (b, a1, a2), a split weighing
+    its multinomial times its point powers, and the cells are convolved one
+    by one into {partial composition, packed as C's table: weight}.  A finished composition counts C's words of it times
+    prod_a comp_a!, and n! divides once; the sums are ints when every entry
+    of the point is an integer.
     """
     _check_pair(code_c, code_d, w)
-    q = code_c.ring.order
+    q, n = code_c.ring.order, code_c.n
     m = q * q
-    n = code_c.n
     if len(point) != q**3:
         raise ValueError("point length must cover all three-slot variables")
     table_b = jacobi_table(code_d, w)
-    plans = _split_plans(code_c.ring, point)
-    _charge_splits(table_b, [len(allowed) for allowed in plans])
+    plans = [[b for b, x in enumerate(point[r::m]) if x] for r in range(m)]
+    entries = _split_cells(table_b, [len(allowed) for allowed in plans])
     if all(getattr(x, "denominator", None) == 1 for x in point):
         point = [int(x) for x in point]
-    bits = n.bit_length()
     fact = [math.factorial(i) for i in range(n + 1)]
-    arranged = {}
-    for comp, mult in comp_table(code_c).items():
-        key = sum(c << a * bits for a, c in enumerate(comp))
-        arranged[key] = mult * math.prod(fact[c] for c in comp)
+    table_c = comp_table(code_c)
+    bits = table_c.layout[1]
+    arranged = {
+        key: mult.numerator * math.prod(fact[c] for _, c in table_c.digits(key))
+        for key, mult in table_c.packed.items()
+    }
     cell_splits = {}
     total = 0
-    for r_key, bcnt in table_b.items():
+    for cells, bcnt in entries:
         partial = {0: 1}
-        for r, cell in enumerate(r_key):
-            if not cell:
-                continue
+        for r, cell in cells:
             splits = cell_splits.get((r, cell))
             if splits is None:
                 splits = cell_splits[r, cell] = []
                 for parts in compositions(cell, len(plans[r])):
                     key, weight = 0, multinomial(cell, parts)
                     for b, e in zip(plans[r], parts):
-                        key += e << b * bits
+                        key += e << bits * (q - 1 - b)
                         weight *= point[b * m + r] ** e
                     splits.append((key, weight))
             grown = Counter()
@@ -412,26 +397,33 @@ def delta_closed(code_c: LinearCode, code_d: LinearCode, w) -> Fraction:
     symbols must copy; the splits of the rest over the L mask-support
     positions sum to multinomial(L, comp - col0), comp a composition of C.
     So delta = L!/n! sum bcnt mult prod_a comp_a!/(comp_a - col0_a)!, a term
-    0 if some comp_a < col0_a, over the groups times C's compositions.
+    0 if some comp_a < col0_a, over the groups times C's compositions.  A
+    group is D's keys ANDed with the digits of col0, the variables (a, 0);
+    comp_a is digit a of C's key, of the same width.
     """
     _check_pair(code_c, code_d, w)
-    q = code_c.ring.order
-    n = code_c.n
+    q, n = code_c.ring.order, code_c.n
     table_a = comp_table(code_c)
+    table_b = jacobi_table(code_d, w)
+    bits = table_b.layout[1]
+    digit = (1 << bits) - 1
+    col0 = sum(digit << bits * (q * q - 1 - a * q) for a in range(q))
     groups: Counter = Counter()
-    for r_key, mult in jacobi_table(code_d, w).items():
-        groups[r_key[::q]] += mult
-    check_budget(len(groups) * len(table_a), "composition pairs")
+    for key, mult in table_b.packed.items():
+        groups[key & col0] += mult.numerator
+    check_budget(len(groups) * len(table_a.packed), "composition pairs")
     fact = [math.factorial(i) for i in range(n + 1)]
+    comps = [(key, mult.numerator) for key, mult in table_a.packed.items()]
     total = 0
-    for col0, bcnt in groups.items():
-        need = [(a, c) for a, c in enumerate(col0) if c]
-        for comp, mult in table_a.items():
+    for zeros, bcnt in groups.items():
+        need = [(bits * (q - 1 - v // q), c) for v, c in table_b.digits(zeros)]
+        for comp, mult in comps:
             term = bcnt * mult
-            for a, c in need:
-                if comp[a] < c:
+            for shift, c in need:
+                have = comp >> shift & digit
+                if have < c:
                     break
-                term *= fact[comp[a]] // fact[comp[a] - c]
+                term *= fact[have] // fact[have - c]
             else:
                 total += term
     ell = n - len(_zero_positions(w))

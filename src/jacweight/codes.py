@@ -7,11 +7,11 @@ from the ring's tables alone, gives every dual and every code size over
 fields and Z_k alike, with no word enumerated.  One kernel counts every
 composition: the column symbol tuples of each word tuple in a product of
 word lists, with fixed words such as a mask; each distribution table is
-one call.  It walks every word tuple, or, for two or more lists built as
-direct sums plus glue, cuts the positions in half and sums products of
-half tables over the glue cosets, each composition one packed int,
-renumbered at the end into a key of `polynomials.monomial_layout` and
-handed to a form (see `_renumber`).  One walk (`_coset_tables`) serves
+one call, and is the enumerator polynomial of its counts.  It walks every
+word tuple, or, for two or more lists built as direct sums plus glue,
+cuts the positions in half and sums products of half tables over the glue
+cosets, each composition one packed int, renumbered at the end into a key
+of `polynomials.monomial_layout` (see `_renumber`).  One walk (`_coset_tables`) serves
 both routes: it makes the table of every tuple of cosets, one coset from
 each list, a whole list being one coset on the direct route.  It counts
 its keys in chunks, one Counter.update per COUNT_CHUNK keys, so that the
@@ -41,7 +41,7 @@ from operator import getitem, xor
 from pathlib import Path
 
 from .budget import BudgetExceeded, check_budget, enumeration_budget
-from .polynomials import dense_terms, monomial_layout
+from .polynomials import SparsePolynomial, monomial_layout
 from .rings import RingSpec, ring_from_json, ring_to_json
 
 __all__ = [
@@ -113,8 +113,7 @@ def composition(ring: RingSpec, *words) -> tuple[int, ...]:
     The tuple (a, b, ...) is counted at its omega-order index
     (a * q + b) * q + ...; one word gives the count of each symbol.
     """
-    ((key, _),) = _tuple_counts(ring, [words[:1]], words[1:]).items()
-    return key
+    return next(iter(_tuple_counts(ring, [words[:1]], words[1:]).terms))
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,7 @@ class LinearCode:
         return tuple(reversed(kept))
 
     @cached_property
-    def _comp_table(self) -> dict[tuple[int, ...], int]:
+    def _comp_table(self) -> SparsePolynomial:
         return _code_counts(self, ())
 
     @cached_property
@@ -226,12 +225,14 @@ class LinearCode:
 
     def weight_distribution(self) -> dict[int, int]:
         """{weight: codewords}, in the first-occurrence order of the words:
-        a composition of weight n less its count of symbol 0 first occurs
-        at the first word of that weight."""
+        a composition of weight n less its count of symbol 0, the top digit
+        of its key, first occurs at the first word of that weight."""
+        table = comp_table(self)
+        top = table.layout[1] * (self.ring.order - 1)
         dist: dict[int, int] = {}
-        for comp, mult in comp_table(self).items():
-            w = self.n - comp[0]
-            dist[w] = dist.get(w, 0) + mult
+        for key, mult in table.packed.items():
+            w = self.n - (key >> top)
+            dist[w] = dist.get(w, 0) + mult.numerator
         return dist
 
     def permute(self, sigma) -> "LinearCode":
@@ -301,9 +302,10 @@ def _echelon(ring: RingSpec, rows, ncols: int):
 SPLIT_FLOOR = 1024
 
 
-def _tuple_counts(ring: RingSpec, word_lists, fixed=(), form=None):
-    """{composition: multiplicity} over word_lists[0] x ... x word_lists[k-1],
-    or what form makes of it (see `_renumber`).
+def _tuple_counts(ring: RingSpec, word_lists, fixed=()) -> SparsePolynomial:
+    """The enumerator polynomial of arity k + m, keys in
+    monomial_layout(q^(k + m), n), whose coefficient of a composition is the
+    number of its word tuples in word_lists[0] x ... x word_lists[k-1].
 
     Position i of a word tuple (u_1, ..., u_k) counts at the column index
     ((u_1[i] * q + u_2[i]) * q + ...) * q + f_m[i], f_1 ... f_m being the
@@ -340,8 +342,8 @@ def _tuple_counts(ring: RingSpec, word_lists, fixed=(), form=None):
             math.prod(sum(len(lefts) for lefts, _ in cs) for cs in cosets)
             + math.prod(sum(len(rights) for _, rights in cs) for cs in cosets)
         ) <= tuples:
-            return _split_counts(ring, cosets, fixed, n, form)
-    return _direct_counts(ring, word_lists, fixed, form)
+            return _split_counts(ring, cosets, fixed, n)
+    return _direct_counts(ring, word_lists, fixed)
 
 
 def _glue_cosets(words, h: int):
@@ -366,7 +368,7 @@ def _glue_cosets(words, h: int):
     return list(groups.values())
 
 
-def _direct_counts(ring: RingSpec, word_lists, fixed=(), form=None):
+def _direct_counts(ring: RingSpec, word_lists, fixed=()):
     """The table of `_tuple_counts` by the walk over every word tuple, with
     no check and no charge; the r-th column index met gets digit r."""
     n = len(word_lists[0][0])
@@ -374,10 +376,10 @@ def _direct_counts(ring: RingSpec, word_lists, fixed=(), form=None):
     power: defaultdict = defaultdict(lambda: 1 << bits * len(power))
     # each list as its one coset
     (sums,) = _coset_tables(ring, [[words] for words in word_lists], fixed, power)
-    return _renumber(sums, power, n, ring.order ** (len(word_lists) + len(fixed)), form)
+    return _renumber(ring, len(word_lists) + len(fixed), sums, power, n)
 
 
-def _split_counts(ring: RingSpec, cosets, fixed, n: int, form=None):
+def _split_counts(ring: RingSpec, cosets, fixed, n: int):
     """The table of `_tuple_counts` from the cosets of each list: for each
     tuple of cosets, every composition of its left halves against the
     fixed words' left halves adds to every one of its right halves, and
@@ -408,7 +410,7 @@ def _split_counts(ring: RingSpec, cosets, fixed, n: int, form=None):
     sums: dict[int, int] = {}
     for left, right in zip(groups, rights):
         _convolve(sums, left, right)
-    return _renumber(sums, power, n, ring.order ** (len(cosets) + len(fixed)), form)
+    return _renumber(ring, len(cosets) + len(fixed), sums, power, n)
 
 
 def _convolve(sums: dict, left, right: Counter) -> None:
@@ -469,12 +471,12 @@ def _coset_tables(ring: RingSpec, coset_lists, fixed, power):
             yield table
 
 
-def _renumber(sums, power, n: int, nvars: int, form=None):
-    """form(pairs, layout), dense_terms by default: each of the walk's keys
-    (digit r for the r-th column index in power) as the bytes of a key of
-    the layout monomial_layout(nvars, n), with its count.  One strided slice
+def _renumber(ring: RingSpec, arity: int, sums, power, n: int) -> SparsePolynomial:
+    """The table of the walk's keys (digit r for the r-th column index in
+    power), each as a key of monomial_layout(q^arity, n).  One strided slice
     moves a digit byte of every key from the walk's little-endian rows into
-    big-endian rows of zero bytes."""
+    big-endian rows of zero bytes, read back as ints."""
+    nvars = ring.order**arity
     layout = monomial_layout(nvars, n)
     walked, bits = monomial_layout(len(power), n)
     width, size, out = bits // 8, walked.size, layout[0].size
@@ -483,24 +485,24 @@ def _renumber(sums, power, n: int, nvars: int, form=None):
     for r, v in enumerate(power):
         for j in range(width):
             rows[width * (v + 1) - 1 - j::out] = walked_rows[width * r + j::size]
-    keys = (rows[i:i + out] for i in range(0, len(rows), out))
-    return (form or dense_terms)(zip(keys, sums.values()), layout)
+    keys = (int.from_bytes(rows[i:i + out], "big") for i in range(0, len(rows), out))
+    return SparsePolynomial.from_counts(ring, arity, zip(keys, sums.values()), layout)
 
 
-def _code_counts(code: LinearCode, fixed, form=None):
+def _code_counts(code: LinearCode, fixed):
     """The table of `_tuple_counts` over one code's words: bit-sliced from
     the kept generators (`_bit_counts`) when the ring has order 2, by the
     kernel otherwise.  Both charge the |C| * n codeword symbols first."""
     if code.ring.order != 2:
-        return _tuple_counts(code.ring, [code.words], fixed, form)
+        return _tuple_counts(code.ring, [code.words], fixed)
     # charged before the masks are checked, in the kernel route's order
     kept = code._kept
     for f in fixed:
         check_mask(code.ring, code.n, f)
-    return _bit_counts(kept, code.n, fixed, form)
+    return _bit_counts(code.ring, kept, code.n, fixed)
 
 
-def _bit_counts(kept, n: int, fixed, form=None):
+def _bit_counts(ring: RingSpec, kept, n: int, fixed):
     """The table of `_tuple_counts` over the words of a code over a ring of
     order 2, from its kept generators (`LinearCode._kept`), no word built.
 
@@ -561,9 +563,8 @@ def _bit_counts(kept, n: int, fixed, form=None):
         if ones != mask:
             stack.append((mask ^ ones, key, i + 1))
     cells.sort()
-    width = layout[0].size
-    pairs = [(key.to_bytes(width, "big"), count) for _, key, count in cells]
-    return (form or dense_terms)(pairs, layout)
+    pairs = ((key, count) for _, key, count in cells)
+    return SparsePolynomial.from_counts(ring, 1 + len(fixed), pairs, layout)
 
 
 def _patterns(k: int) -> list[int]:
@@ -596,30 +597,30 @@ def _pack(flags) -> int:
     return int("0" + "".join(["1" if x else "0" for x in reversed(flags)]), 2)
 
 
-def comp_table(code: LinearCode, form=None):
-    """Composition distribution A_L, counted once per code: do not mutate it.
-    With a form (see `_renumber`), what the form makes of it, counted anew.
+def comp_table(code: LinearCode) -> SparsePolynomial:
+    """Composition distribution A_L, the complete weight enumerator, counted
+    once per code: do not mutate it.
 
     Over a ring of order 2 it is counted bit-sliced from the kept
     generators' columns (`_bit_counts`), no word built, else by
     `_tuple_counts`; the tables are equal, key order included."""
-    return code._comp_table if form is None else _code_counts(code, (), form)
+    return code._comp_table
 
 
-def jacobi_table(code: LinearCode, w, form=None):
+def jacobi_table(code: LinearCode, w) -> SparsePolynomial:
     """Jacobi composition distribution B_R of a code against mask w.
 
     Over a ring of order 2 the mask's zeros and ones are two classes of
     positions, and every word's popcount in each is counted at once by a
     bit-sliced counter over the kept generators' columns (`_bit_counts`);
     over any other ring `_tuple_counts` walks the words."""
-    return _code_counts(code, (w,), form)
+    return _code_counts(code, (w,))
 
 
-def joint_jacobi_table(code_c: LinearCode, code_d: LinearCode, w, form=None):
+def joint_jacobi_table(code_c: LinearCode, code_d: LinearCode, w) -> SparsePolynomial:
     """Joint composition distribution B_H over all pairs in C x D."""
     check_pair(code_c, code_d)
-    return _tuple_counts(code_c.ring, [code_c.words, code_d.words], (w,), form)
+    return _tuple_counts(code_c.ring, [code_c.words, code_d.words], (w,))
 
 
 # ---- code files ------------------------------------------------------------

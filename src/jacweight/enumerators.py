@@ -3,8 +3,8 @@
 Enumerator polynomials carry one variable per symbol tuple: complete
 weight enumerators use tuples of length one, Jacobi and joint complete
 weight enumerators length two, joint Jacobi polynomials length three,
-and genus-g enumerators length g.  Every enumerator's coefficients come
-from the one column-tuple counting kernel in codes.py, over the word
+and genus-g enumerators length g.  Every enumerator is the table that
+the one column-tuple counting kernel in codes.py returns, over the word
 lists of its codes with the mask as a fixed word.
 The duality transforms are one slot-wise transform: in a chosen code
 slot, each variable x_(.., a, ..) becomes the character sum
@@ -51,8 +51,8 @@ __all__ = [
 
 
 def cwe(code: LinearCode) -> SparsePolynomial:
-    """Complete weight enumerator: one monomial per codeword."""
-    return comp_table(code, functools.partial(SparsePolynomial.from_rows, code.ring, 1))
+    """Complete weight enumerator: the code's cached composition table."""
+    return comp_table(code)
 
 
 def cwe_genus(code: LinearCode, genus: int) -> SparsePolynomial:
@@ -61,26 +61,23 @@ def cwe_genus(code: LinearCode, genus: int) -> SparsePolynomial:
         raise ValueError("genus must be at least 1")
     # |C|^g, charged before the g copies of the word list are made
     check_budget(len(code.words), "tuples of codewords", power=genus)
-    form = functools.partial(SparsePolynomial.from_rows, code.ring, genus)
-    return _tuple_counts(code.ring, [code.words] * genus, (), form)
+    return _tuple_counts(code.ring, [code.words] * genus)
 
 
 def jacobi(code: LinearCode, w) -> SparsePolynomial:
     """Jacobi polynomial of a code with respect to a fixed mask word."""
-    return jacobi_table(code, w, functools.partial(SparsePolynomial.from_rows, code.ring, 2))
+    return jacobi_table(code, w)
 
 
 def joint_cwe(code_c: LinearCode, code_d: LinearCode) -> SparsePolynomial:
     """Joint complete weight enumerator over pairs in C x D."""
     check_pair(code_c, code_d)
-    form = functools.partial(SparsePolynomial.from_rows, code_c.ring, 2)
-    return _tuple_counts(code_c.ring, [code_c.words, code_d.words], (), form)
+    return _tuple_counts(code_c.ring, [code_c.words, code_d.words])
 
 
 def joint_jacobi(code_c: LinearCode, code_d: LinearCode, w) -> SparsePolynomial:
     """Joint Jacobi polynomial of a pair of codes against a mask word."""
-    form = functools.partial(SparsePolynomial.from_rows, code_c.ring, 3)
-    return joint_jacobi_table(code_c, code_d, w, form)
+    return joint_jacobi_table(code_c, code_d, w)
 
 
 def collapse(poly: SparsePolynomial, keep_slots) -> SparsePolynomial:

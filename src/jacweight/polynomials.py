@@ -3,9 +3,10 @@
 Variables are x_a for a in R^arity (arity 1, 2, or 3 in practice) in
 omega-order.  A monomial is one int packed by `monomial_layout`, variable 0
 the most significant digit, so canonical term order (lexicographic on
-exponent vectors) is int order; the algebra runs on the dense view `terms`.
-Coefficients are Fraction or Cyclotomic; zero terms are never stored
-and rational-valued cyclotomics are collapsed to Fraction.
+exponent vectors) is int order.  Tables are polynomials, their counts the
+coefficients, read by their keys' digits; only the algebra decodes the
+dense view `terms`.  Coefficients are Fraction or Cyclotomic; zero terms
+are never stored and rational-valued cyclotomics are collapsed to Fraction.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ def monomial_layout(nvars: int, degree: int) -> tuple[struct.Struct, int]:
     return struct.Struct(f">{nvars}{formats[width]}"), 8 * width
 
 
-def dense_terms(pairs, layout) -> dict:
-    """{exponent tuple: value} of (a monomial's bytes in layout, value) pairs."""
-    unpack = layout[0].unpack
-    return {unpack(row): value for row, value in pairs}
+def dense_terms(packed, layout) -> dict:
+    """{exponent tuple: value} of {packed monomial in layout: value}."""
+    unpack, size = layout[0].unpack, layout[0].size
+    return {unpack(k.to_bytes(size, "big")): value for k, value in packed.items()}
 
 
 class SparsePolynomial:
@@ -72,24 +73,30 @@ class SparsePolynomial:
         return poly
 
     @classmethod
-    def from_rows(cls, ring: RingSpec, arity: int, pairs, layout) -> "SparsePolynomial":
-        """from_packed of (a key's bytes in layout, positive int count) pairs,
-        each distinct count made a Fraction once: a table has few."""
+    def from_counts(cls, ring: RingSpec, arity: int, pairs, layout) -> "SparsePolynomial":
+        """from_packed of (key, positive int count) pairs, each distinct count
+        made a Fraction once: a table has few."""
         fractions: dict[int, Fraction] = {}
         made = fractions.setdefault
         poly = cls.from_packed(ring, arity, (), layout)
-        poly.packed = {
-            int.from_bytes(row, "big"): fractions.get(c) or made(c, Fraction(c))
-            for row, c in pairs
-        }
+        poly.packed = {k: fractions.get(c) or made(c, Fraction(c)) for k, c in pairs}
         return poly
 
     @property
     def terms(self) -> dict:
         """The dense view {exponent tuple: coefficient}, decoded on each access."""
-        size = self.layout[0].size
-        pairs = ((k.to_bytes(size, "big"), c) for k, c in self.packed.items())
-        return dense_terms(pairs, self.layout)
+        return dense_terms(self.packed, self.layout)
+
+    def digits(self, key: int) -> list[tuple[int, int]]:
+        """(variable, exponent) of a key's nonzero digits, by variable, peeled
+        from the lowest set bit: no dense vector is made."""
+        bits, out = self.layout[1], []
+        while key:
+            d = ((key & -key).bit_length() - 1) // bits
+            e = key >> d * bits & (1 << bits) - 1
+            out.append((self.nvars - 1 - d, e))
+            key ^= e << d * bits
+        return out[::-1]
 
     # ---- variable indexing -------------------------------------------
 

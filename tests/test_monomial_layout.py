@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from jacweight.averages import avg_joint_jacobi_value, delta_closed
 from jacweight.codes import (
     LinearCode,
     _direct_counts,
@@ -19,9 +20,10 @@ from jacweight.codes import (
     _tuple_counts,
     comp_table,
     jacobi_table,
+    load_code,
 )
 from jacweight.enumerators import jacobi, macwilliams_single
-from jacweight.polynomials import dense_terms, monomial_layout
+from jacweight.polynomials import monomial_layout
 from jacweight.rings import field_ring, modular_ring
 from test_tuple_counts import literal_counts
 
@@ -35,7 +37,8 @@ F2 = field_ring(2)
 def test_the_layout_packs_little_endian_digits_of_the_fewest_bytes(degree, width):
     """The walk's keys hold digit r, of the layout's width, at 1 << bits * r
     for the r-th column index in use (little-endian); renumbered, they are
-    keys of the layout, variable 0 the most significant digit."""
+    keys of the layout, variable 0 the most significant digit, of a
+    polynomial over Z6 with 6 variables."""
     layout, bits = monomial_layout(3, degree)
     assert (layout.size, bits) == (3 * width, 8 * width)
     one = min(degree, 1)
@@ -48,10 +51,13 @@ def test_the_layout_packs_little_endian_digits_of_the_fewest_bytes(degree, width
     walked = [sum(e << bits * r for r, e in enumerate(vec)) for vec in vectors]
     power = {4: 1, 0: 1 << bits, 2: 1 << 2 * bits}
     sums = dict(zip(walked, range(4)))
-    pairs, layout6 = _renumber(sums, power, degree, 6, lambda *made: made)
-    assert layout6[1] == bits
+    table = _renumber(modular_ring(6), 1, sums, power, degree)
+    assert table.layout[1] == bits
     dense = {(b, 0, c, 0, a, 0): i for i, (a, b, c) in enumerate(vectors)}
-    assert dense_terms(pairs, layout6) == _renumber(sums, power, degree, 6) == dense
+    assert list(table.terms.items()) == list(dense.items())
+    assert list(table.packed) == [
+        int.from_bytes(table.layout[0].pack(*vec), "big") for vec in dense
+    ]
 
 
 def repetition(n):
@@ -65,8 +71,8 @@ def test_popcount_tables_with_two_byte_digits(n):
     masks = [(0,) * n, (1,) * 20 + (0,) * (n - 20), tuple(rng.randrange(2) for _ in range(n))]
     assert comp_table(code) == _direct_counts(F2, [code.words])
     for w in masks:
-        table = jacobi_table(code, w)
-        assert list(table.items()) == list(_direct_counts(F2, [code.words], (w,)).items())
+        table = jacobi_table(code, w).terms
+        assert list(table.items()) == list(_direct_counts(F2, [code.words], (w,)).terms.items())
         assert table == literal_counts(F2, [code.words], (w,))
 
 
@@ -91,8 +97,8 @@ def test_split_route_with_two_byte_digits(ring, n, mask_weight):
     fixed = () if mask_weight is None else ((1,) * mask_weight + (0,) * (n - mask_weight),)
     literal = literal_counts(ring, word_lists, fixed)
     cosets = [_glue_cosets(words, n // 2) for words in word_lists]
-    assert _split_counts(ring, cosets, fixed, n) == literal
-    assert _direct_counts(ring, word_lists, fixed) == literal
+    assert _split_counts(ring, cosets, fixed, n).terms == literal
+    assert _direct_counts(ring, word_lists, fixed).terms == literal
 
 
 def test_the_f8_table_of_512_column_indices():
@@ -107,11 +113,11 @@ def test_the_f8_table_of_512_column_indices():
     word_lists = [LinearCode(f8, 7, rows(k)).words for k in (1, 3)] + [[(0,) * 7]]
     assert list(map(len, word_lists)) == [8, 512, 1]
     table = _direct_counts(f8, word_lists)
-    assert table == literal_counts(f8, word_lists)
+    assert table.terms == literal_counts(f8, word_lists)
     assert _tuple_counts(f8, word_lists) == table
     stretched = [[u * 37 for u in words] for words in word_lists]
-    assert _direct_counts(f8, stretched) == {
-        tuple(37 * c for c in key): mult for key, mult in table.items()
+    assert _direct_counts(f8, stretched).terms == {
+        tuple(37 * c for c in key): mult for key, mult in table.terms.items()
     }
 
 
@@ -129,8 +135,8 @@ def test_transform_with_two_byte_digits():
 def test_a_masked_table_over_z128_spends_memory_on_columns_in_use():
     """2^14 column indices, of which a word and the mask use at most 6: the
     keys of the walk carry a digit for each column index in use only, so
-    memory goes to the table's 128 entries of 2^14 columns (17 MB), not to
-    a place value per column index (2^14 ints of up to 16 KB, 134 MB)."""
+    memory goes to the table's 128 packed keys of 2^14 digits, not to a
+    place value per column index (2^14 ints of up to 16 KB, 134 MB)."""
     z128 = modular_ring(128)
     code = LinearCode(z128, 6, ((1, 2, 64, 3, 0, 127),))
     mask = (1, 1, 0, 0, 1, 0)
@@ -141,4 +147,28 @@ def test_a_masked_table_over_z128_spends_memory_on_columns_in_use():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
-    assert table == literal_counts(z128, [code.words], (mask,))
+    assert table.terms == literal_counts(z128, [code.words], (mask,))
+
+
+def test_the_z128_table_is_its_packed_keys_alone():
+    """The masked Jacobi table of z128_row peaks under 5 MB (18.2 MB when
+    each entry was a dense tuple of 2^14 counts): its 128 keys of 16 KB,
+    the rows they are read from, and no dense vector.  The averages read
+    those keys: delta in closed form gives its pinned 43/15, and the
+    streamed value at the point that is 1 just where the two code symbols
+    agree, the mask ignored, gives 79/60, delta at the zero mask."""
+    code = load_code("z128_row")
+    mask = (1, 1, 0, 0, 1, 0)
+    tracemalloc.start()
+    try:
+        table = jacobi_table(code, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
+    assert len(table.packed) == 128
+    assert delta_closed(code, code, mask) == Fraction(43, 15)
+    q = code.ring.order
+    agree = [int(b == a2) for b in range(q) for a2 in range(q) for _ in range(q)]
+    assert avg_joint_jacobi_value(code, code, mask, agree) == Fraction(79, 60)
+    assert delta_closed(code, code, (0,) * 6) == Fraction(79, 60)

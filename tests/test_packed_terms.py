@@ -1,12 +1,12 @@
 """Packed monomials from the counting kernel to the text.
 
-The kernel's tables, keyed by the bytes of `monomial_layout`, decode to the
-direct walk's dense tables and to the literal counter; polynomials built
-from packed keys read, render and compare like those built from dense
-exponent vectors, against a literal renderer; the transforms of packed
-enumerators equal the enumerators of the duals; and the CLI's enumerator
-and transform commands never build a dense exponent tuple.  Rings F2, F3,
-F4, F8, F9, Z4 and Z6, and two-byte digits on codes of length 256 and more.
+The kernel's tables, polynomials keyed by ints of `monomial_layout`, decode
+to the literal counter; polynomials built from packed keys read, render
+and compare like those built from dense exponent vectors, against a
+literal renderer; the transforms of packed enumerators equal the
+enumerators of the duals; and the CLI's enumerator, transform and average
+commands never build a dense exponent tuple.  Rings F2, F3, F4, F8, F9, Z4
+and Z6, and two-byte digits on codes of length 256 and more.
 """
 
 import contextlib
@@ -30,14 +30,9 @@ from jacweight.enumerators import (
     macwilliams_single,
 )
 from jacweight.exactnum import Cyclotomic, scalar_text, scalar_to_json, simplify
-from jacweight.polynomials import SparsePolynomial, dense_terms, monomial_layout
+from jacweight.polynomials import SparsePolynomial, monomial_layout
 from jacweight.rings import field_ring, modular_ring
 from test_tuple_counts import RINGS, literal_counts
-
-
-def keep(pairs, layout):
-    """The form that keeps the kernel's packed table and its layout."""
-    return {bytes(row): count for row, count in pairs}, layout
 
 
 def pack_all(dense, layout):
@@ -68,19 +63,23 @@ def tables(draw):
     return ring, pair, tuple(fixed)
 
 
-def check_packed(table, layout, dense):
-    """The packed table holds the layout's bytes, decodes to dense in its
-    order, and sorts as the dense keys do."""
-    struct_, bits = layout
-    assert all(len(k) == struct_.size for k in table)
-    assert list(dense_terms(table.items(), layout).items()) == list(dense.items())
-    assert [struct_.unpack(k) for k in sorted(table)] == sorted(dense)
-    # as ints, variable 0 is the most significant digit
+def check_packed(table, dense):
+    """The table's packed keys fit the layout of its arity and degree n,
+    decode to dense in its order with int counts, and sort as the dense
+    keys do."""
+    struct_, bits = table.layout
     nvars = len(next(iter(dense)))
-    for key, vector in zip(table, dense):
-        assert int.from_bytes(key, "big") == sum(
-            e << bits * (nvars - 1 - v) for v, e in enumerate(vector)
-        )
+    assert table.nvars == nvars
+    struct_n, bits_n = monomial_layout(nvars, sum(next(iter(dense))))
+    assert (struct_.format, bits) == (struct_n.format, bits_n)
+    assert all(k >> 8 * struct_.size == 0 for k in table.packed)
+    assert list(table.terms.items()) == list(dense.items())
+    assert all(c.denominator == 1 for c in table.packed.values())
+    assert [struct_.unpack(k.to_bytes(struct_.size, "big")) for k in sorted(table.packed)] == sorted(dense)
+    # variable 0 is the most significant digit
+    for key, vector in zip(table.packed, dense):
+        assert key == sum(e << bits * (nvars - 1 - v) for v, e in enumerate(vector))
+        assert table.digits(key) == [(v, e) for v, e in enumerate(vector) if e]
 
 
 @given(tables())
@@ -90,13 +89,12 @@ def test_packed_tables_decode_to_the_direct_and_literal_counts(case):
     word_lists = [code.words for code in pair]
     literal = literal_counts(ring, word_lists, fixed)
     direct = _direct_counts(ring, word_lists, fixed)
-    assert direct == literal
-    check_packed(*_direct_counts(ring, word_lists, fixed, keep), direct)
-    table, layout = _tuple_counts(ring, word_lists, fixed, keep)
-    assert dense_terms(table.items(), layout) == literal
+    assert direct.terms == literal
+    check_packed(direct, literal)
+    assert _tuple_counts(ring, word_lists, fixed).terms == literal
     if len(pair) == 1:
         # the route of the single-code tables, by popcount over F2
-        check_packed(*_code_counts(pair[0], fixed, keep), direct)
+        check_packed(_code_counts(pair[0], fixed), literal)
 
 
 F2 = field_ring(2)
@@ -111,22 +109,18 @@ def test_two_byte_digits_on_long_codes(n):
     rows = tuple(tuple(rng.randrange(2) for _ in range(n)) for _ in range(3))
     code = LinearCode(F2, n, rows)
     mask = tuple(rng.randrange(2) for _ in range(n))
-    direct = _direct_counts(F2, [code.words], (mask,))
-    assert direct == literal_counts(F2, [code.words], (mask,))
-    for counts in (
-        _code_counts(code, (mask,), keep),
-        _direct_counts(F2, [code.words], (mask,), keep),
-    ):
-        assert counts[1][1] == 16
-        check_packed(*counts, direct)
+    literal = literal_counts(F2, [code.words], (mask,))
+    for counts in (_code_counts(code, (mask,)), _direct_counts(F2, [code.words], (mask,))):
+        assert counts.layout[1] == 16
+        check_packed(counts, literal)
     pair = [code.words, code.words[:3]]
     literal = literal_counts(F2, pair, (mask,))
-    check_packed(*_tuple_counts(F2, pair, (mask,), keep), literal)
+    check_packed(_tuple_counts(F2, pair, (mask,)), literal)
     z16 = modular_ring(16)
     row = LinearCode(z16, n, (tuple(rng.randrange(16) for _ in range(n)),))
     literal = literal_counts(z16, [row.words], (mask,))
-    table, layout = _tuple_counts(z16, [row.words], (mask,), keep)
-    assert layout[1] == 16 and dense_terms(table.items(), layout) == literal
+    table = _tuple_counts(z16, [row.words], (mask,))
+    assert table.layout[1] == 16 and table.terms == literal
 
 
 def test_transform_at_a_degree_filling_the_digits():
@@ -254,15 +248,22 @@ def test_transforms_equal_the_enumerators_of_the_duals(case):
         assert transformed.to_json_obj() == direct.to_json_obj()
 
 
+# each command line and the fewest characters it prints in text
 CLI_LINES = [
-    "macwilliams f4_small f4_small --side both --w-weight 2",
-    "joint-jacobi e8x2 d16plus --w-weight 3",
+    ("macwilliams f4_small f4_small --side both --w-weight 2", 1000),
+    ("joint-jacobi e8x2 d16plus --w-weight 3", 1000),
+    ("avg-jacobi g24 --w-weight 4", 500),
+    ("avg-joint-jacobi e8x2 e8x2 --w-weight 2", 1000),
+    ("avg-joint-jacobi e8x2 e8x2 --w-weight 2 --value-at intersection", 10),
+    ("delta g24 d24plus --w-weight 2", 10),
+    ("repro-paper --conjecture", 1000),
 ]
 
 
 def test_the_cli_builds_no_dense_exponent_tuple(monkeypatch):
-    """No dense table or dense view is decoded and no term goes through the
-    checking constructor while the CLI prints enumerators and transforms."""
+    """No dense view is decoded and no term goes through the checking
+    constructor while the CLI prints enumerators, transforms and averages:
+    the tables are polynomials, and the averages read their packed keys."""
     calls = []
     decode = polynomials.dense_terms
 
@@ -271,7 +272,6 @@ def test_the_cli_builds_no_dense_exponent_tuple(monkeypatch):
         return decode(*args)
 
     monkeypatch.setattr(polynomials, "dense_terms", spy)
-    monkeypatch.setattr(codes, "dense_terms", spy)
     construct = SparsePolynomial.__init__
 
     def checked(self, ring, arity, terms=None):
@@ -279,16 +279,19 @@ def test_the_cli_builds_no_dense_exponent_tuple(monkeypatch):
         construct(self, ring, arity, terms)
 
     monkeypatch.setattr(SparsePolynomial, "__init__", checked)
-    for line in CLI_LINES:
+    for line, shortest in CLI_LINES:
         for argv in (line.split(), [*line.split(), "--format", "json"]):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 assert cli.main(argv) == 0
-            assert len(out.getvalue()) > 1000
+            assert len(out.getvalue()) > shortest
     assert calls == []
-    # the spies see the dense view and the dense tables
+    # a table decodes nothing; the spies see the dense view, also through
+    # composition(), and the checking constructor
     f4_small = codes.load_code("f4_small")
-    assert jacobi(f4_small, (1, 1, 0, 0)).terms
     codes.jacobi_table(f4_small, (1, 1, 0, 0))
+    assert calls == []
+    assert jacobi(f4_small, (1, 1, 0, 0)).terms
+    assert codes.composition(f4_small.ring, (1, 1, 0, 0)) == (2, 2, 0, 0)
     SparsePolynomial(f4_small.ring, 1, {(1, 0, 0, 0): 1})
     assert calls == ["dense", "dense", "checked"]

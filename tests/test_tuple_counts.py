@@ -1,9 +1,10 @@
 """Every composition table, joint enumerator and brute average against a
-literal count, word tuple by word tuple; the split route of the counting
-kernel against its direct route, also on repeated lists whose tuples of
-cosets share left tables, and when its keys are counted in chunks of one
-to three; and the bit-sliced route of binary codes' single-list tables
-and their words read from packed bits against both."""
+literal count, word tuple by word tuple, through the dense view `terms`;
+the split route of the counting kernel against its direct route, as
+polynomials compared on their packed keys, also on repeated lists whose
+tuples of cosets share left tables, and when its keys are counted in
+chunks of one to three; and the bit-sliced route of binary codes'
+single-list tables and their words read from packed bits against both."""
 
 import itertools
 import math
@@ -86,13 +87,14 @@ def test_builders_match_literal_counts(name):
         code_c = random_code(ring, n, rows=rng.randint(1, 2), rng=rng)
         code_d = random_code(ring, n, rows=1, rng=rng)
         w = random_mask(ring, n, rng)
-        assert comp_table(code_c) == literal_counts(ring, [code_c.words])
+        assert comp_table(code_c).terms == literal_counts(ring, [code_c.words])
         assert list(code_c.weight_distribution().items()) == list(
             Counter(map(weight, code_c.words)).items()
         )
-        assert jacobi_table(code_c, w) == literal_counts(ring, [code_c.words], (w,))
+        assert jacobi_table(code_c, w).terms == literal_counts(ring, [code_c.words], (w,))
         pair = [code_c.words, code_d.words]
-        assert joint_jacobi_table(code_c, code_d, w) == literal_counts(ring, pair, (w,))
+        joint = joint_jacobi_table(code_c, code_d, w)
+        assert joint.terms == literal_counts(ring, pair, (w,))
         assert joint_cwe(code_c, code_d).terms == as_fractions(
             literal_counts(ring, pair)
         )
@@ -201,15 +203,15 @@ def glued_cases(draw, rings=tuple(RINGS)):
 def test_split_route_matches_the_direct_and_literal_counts(case):
     ring, word_lists, fixed = case
     n = len(word_lists[0][0])
-    literal = literal_counts(ring, word_lists, fixed)
-    assert _direct_counts(ring, word_lists, fixed) == literal
-    assert _tuple_counts(ring, word_lists, fixed) == literal
+    direct = _direct_counts(ring, word_lists, fixed)
+    assert direct.terms == literal_counts(ring, word_lists, fixed)
+    assert _tuple_counts(ring, word_lists, fixed) == direct
     cosets = [_glue_cosets(words, n // 2) for words in word_lists]
     for words, parts in zip(word_lists, cosets):
         glued = [a + b for lefts, rights in parts for a in lefts for b in rights]
         assert sorted(glued) == sorted(words)
     # the split route whether or not the rule would take it
-    assert _split_counts(ring, cosets, fixed, n) == literal
+    assert _split_counts(ring, cosets, fixed, n) == direct
 
 
 @given(glued_cases(("F2", "F3", "F4", "Z4", "Z6")), st.sampled_from([1, 2, 3]))
@@ -225,9 +227,10 @@ def test_keys_counted_in_small_chunks_match_the_literal_counts(case, chunk):
         patch.setattr(codes_module, "COUNT_CHUNK", chunk)
         for lists in (word_lists[:1], word_lists):
             literal = literal_counts(ring, lists, fixed)
-            assert list(_direct_counts(ring, lists, fixed).items()) == list(literal.items())
-            assert _tuple_counts(ring, lists, fixed) == literal
-        assert _split_counts(ring, cosets, fixed, n) == literal
+            direct = _direct_counts(ring, lists, fixed)
+            assert list(direct.terms.items()) == list(literal.items())
+            assert _tuple_counts(ring, lists, fixed) == direct
+        assert _split_counts(ring, cosets, fixed, n) == direct
 
 
 @pytest.fixture
@@ -253,11 +256,11 @@ def test_the_rule_takes_the_split_at_the_floor(splits):
     w = (1, 0, 0, 1)
     pair = [code.words] * 2
     assert len(code.words) ** 2 < SPLIT_FLOOR
-    assert _tuple_counts(f2, pair, (w,)) == literal_counts(f2, pair, (w,))
+    assert _tuple_counts(f2, pair, (w,)).terms == literal_counts(f2, pair, (w,))
     assert splits == []
     triple = [code.words] * 3
     assert len(code.words) ** 3 >= SPLIT_FLOOR
-    assert _tuple_counts(f2, triple, (w,)) == literal_counts(f2, triple, (w,))
+    assert _tuple_counts(f2, triple, (w,)).terms == literal_counts(f2, triple, (w,))
     assert len(splits) == 1
 
 
@@ -283,7 +286,7 @@ def test_the_rule_refuses_codes_with_too_little_glue_structure(splits, rows, siz
     pair = [code.words] * 2
     assert len(code.words) ** 2 >= SPLIT_FLOOR
     w = (1,) * 3 + (0,) * 7
-    assert _tuple_counts(f2, pair, (w,)) == literal_counts(f2, pair, (w,))
+    assert _tuple_counts(f2, pair, (w,)).terms == literal_counts(f2, pair, (w,))
     assert splits == []
 
 
@@ -292,13 +295,13 @@ def test_single_lists_and_repeated_words_stay_direct(splits):
     # F2^6, the product of its halves: one coset
     code = LinearCode(f2, 6, unit_rows(6, *[(i,) for i in range(6)]))
     w = (0, 1, 1, 0, 0, 1)
-    assert jacobi_table(code, w) == literal_counts(f2, [code.words], (w,))
+    assert jacobi_table(code, w).terms == literal_counts(f2, [code.words], (w,))
     cwe_genus(code, 1)
     # a list that repeats its words is no set of product cosets
     doubled = list(code.words) * 2
     assert _glue_cosets(doubled, 3) is None
     lists = [doubled, code.words]
-    assert _tuple_counts(f2, lists, (w,)) == literal_counts(f2, lists, (w,))
+    assert _tuple_counts(f2, lists, (w,)).terms == literal_counts(f2, lists, (w,))
     assert splits == []
 
 
@@ -332,7 +335,7 @@ def test_pair_tables_of_the_glued_fixtures_split(splits):
         )
     for first, second in ((e8x2, d16plus), (d16plus, e8x2)):
         direct = _direct_counts(first.ring, [first.words, second.words])
-        assert joint_cwe(first, second).terms == as_fractions(direct)
+        assert joint_cwe(first, second) == direct
     assert len(splits) == len(masks) + 2
 
 
@@ -340,8 +343,8 @@ def test_d24plus_pair_table_splits(splits):
     d24plus = get_code("d24plus")
     table = joint_jacobi_table(d24plus, d24plus, (1,) + (0,) * 23)
     assert len(splits) == 1
-    assert sum(table.values()) == 4096**2
-    assert len(table) == 364
+    assert sum(table.terms.values()) == 4096**2
+    assert len(table.terms) == 364
 
 
 def test_genus_4_of_e8_convolves_once_per_distinct_left_table(splits, monkeypatch):
@@ -361,7 +364,7 @@ def test_genus_4_of_e8_convolves_once_per_distinct_left_table(splits, monkeypatc
     genus = cwe_genus(e8, 4)
     assert len(splits) == 1
     assert len(groups) == 51
-    assert genus.terms == as_fractions(_direct_counts(e8.ring, [e8.words] * 4))
+    assert genus == _direct_counts(e8.ring, [e8.words] * 4)
 
 
 # ---- the bit-sliced route of binary codes ---------------------------------
@@ -380,8 +383,9 @@ def test_the_walk_reads_only_the_kept_generators():
         for j in range(16)
     ]
     for fixed in ((), ((1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0),)):
-        direct = _direct_counts(code.ring, [code.words], fixed)
-        assert list(_bit_counts(kept, code.n, fixed).items()) == list(direct.items())
+        direct = _direct_counts(code.ring, [code.words], fixed).terms
+        bit_counts = _bit_counts(code.ring, kept, code.n, fixed)
+        assert list(bit_counts.terms.items()) == list(direct.items())
 
 
 @st.composite
@@ -424,11 +428,12 @@ def test_popcount_tables_match_the_direct_and_literal_counts(case):
     for table, fixed in ((comp_table(code), ()), (jacobi_table(code, w), (w,))):
         direct = _direct_counts(ring, [code.words], fixed)
         literal = literal_counts(ring, [code.words], fixed)
-        assert table == direct == literal
-        assert list(table) == list(direct) == list(literal)
+        assert table == direct
+        assert table.terms == direct.terms == literal
+        assert list(table.terms) == list(direct.terms) == list(literal)
     fixed = (w, *more)
-    table = _bit_counts(code._kept, n, fixed)
-    assert list(table.items()) == list(_direct_counts(ring, [code.words], fixed).items())
+    table = _bit_counts(ring, code._kept, n, fixed).terms
+    assert list(table.items()) == list(_direct_counts(ring, [code.words], fixed).terms.items())
     # bit j of a position's column is word j's symbol there
     kept = code._kept
     assert len(code.words) == 1 << len(kept)
@@ -456,6 +461,6 @@ def test_binary_single_tables_take_the_popcount_route(monkeypatch):
     monkeypatch.undo()
     for name, (cwe_terms, jacobi_terms) in tables.items():
         code = get_code(name)
-        assert cwe_terms == as_fractions(_direct_counts(code.ring, [code.words]))
+        assert cwe_terms == _direct_counts(code.ring, [code.words]).terms
         direct = _direct_counts(code.ring, [code.words], (w,))
-        assert jacobi_terms == as_fractions(direct)
+        assert jacobi_terms == direct.terms
