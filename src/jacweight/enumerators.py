@@ -51,7 +51,8 @@ __all__ = [
 
 
 def cwe(code: LinearCode) -> SparsePolynomial:
-    """Complete weight enumerator: the code's cached composition table."""
+    """Complete weight enumerator: the code's cached composition table,
+    shared by every caller, so do not mutate it."""
     return comp_table(code)
 
 
