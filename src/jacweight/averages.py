@@ -345,9 +345,10 @@ def avg_joint_jacobi_value(code_c: LinearCode, code_d: LinearCode, w, point):
     Each nonzero cell (a1, a2) of D's Jacobi table is split over the
     symbols b where the point is nonzero at (b, a1, a2), a split weighing
     its multinomial times its point powers, and the cells are convolved one
-    by one into {partial composition, packed as C's table: weight}.  A finished composition counts C's words of it times
-    prod_a comp_a!, and n! divides once; the sums are ints when every entry
-    of the point is an integer.
+    by one into {partial composition, packed as C's table: weight}.  A
+    finished composition counts C's words of it times prod_a comp_a!, and
+    n! divides once; the sums are ints when every entry of the point is an
+    integer.
     """
     _check_pair(code_c, code_d, w)
     q, n = code_c.ring.order, code_c.n

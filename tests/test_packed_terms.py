@@ -75,7 +75,8 @@ def check_packed(table, dense):
     assert all(k >> 8 * struct_.size == 0 for k in table.packed)
     assert list(table.terms.items()) == list(dense.items())
     assert all(c.denominator == 1 for c in table.packed.values())
-    assert [struct_.unpack(k.to_bytes(struct_.size, "big")) for k in sorted(table.packed)] == sorted(dense)
+    rows = (k.to_bytes(struct_.size, "big") for k in sorted(table.packed))
+    assert list(map(struct_.unpack, rows)) == sorted(dense)
     # variable 0 is the most significant digit
     for key, vector in zip(table.packed, dense):
         assert key == sum(e << bits * (nvars - 1 - v) for v, e in enumerate(vector))
