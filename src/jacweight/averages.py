@@ -130,7 +130,7 @@ def _check_pair(code_c: LinearCode, code_d: LinearCode, w) -> None:
 def _split_cells(table: SparsePolynomial, bins):
     """([(cell r, count)], int multiplicity) of each term of a table, once
     the splits of every cell over its bins[r] bins are charged."""
-    entries = [(table.digits(key), mult.numerator) for key, mult in table.packed.items()]
+    entries = [(table.digits(key), mult) for key, mult in table.packed.items()]
     count = sum(math.prod(math.comb(c + bins[r] - 1, c) for r, c in cells)
                 for cells, _ in entries)
     check_budget(count, "composition splits")
@@ -196,8 +196,7 @@ def _brute_average(code: LinearCode, others, w) -> SparsePolynomial:
     for sigma in itertools.permutations(range(n)):
         permuted = [permute_word(u, sigma) for u in code.words]
         table = _direct_counts(code.ring, [permuted, *fixed_lists], (w,))
-        for key, mult in table.packed.items():
-            counts[key] += mult.numerator
+        counts.update(table.packed)
     total = math.factorial(n)
     terms = ((key, Fraction(mult, total)) for key, mult in counts.items())
     return SparsePolynomial.from_packed(code.ring, table.arity, terms, table.layout)
@@ -296,7 +295,7 @@ def _placements(code: LinearCode, fixed: SparsePolynomial) -> SparsePolynomial:
     entries = _split_cells(fixed, [q] * m)
     table = comp_table(code)
     weights = {
-        key: (mult.numerator, multinomial(n, [c for _, c in table.digits(key)]))
+        key: (mult, multinomial(n, [c for _, c in table.digits(key)]))
         for key, mult in table.packed.items()
     }
     symbol_bits = table.layout[1]
@@ -364,7 +363,7 @@ def avg_joint_jacobi_value(code_c: LinearCode, code_d: LinearCode, w, point):
     table_c = comp_table(code_c)
     bits = table_c.layout[1]
     arranged = {
-        key: mult.numerator * math.prod(fact[c] for _, c in table_c.digits(key))
+        key: mult * math.prod(fact[c] for _, c in table_c.digits(key))
         for key, mult in table_c.packed.items()
     }
     cell_splits = {}
@@ -411,14 +410,13 @@ def delta_closed(code_c: LinearCode, code_d: LinearCode, w) -> Fraction:
     col0 = sum(digit << bits * (q * q - 1 - a * q) for a in range(q))
     groups: Counter = Counter()
     for key, mult in table_b.packed.items():
-        groups[key & col0] += mult.numerator
+        groups[key & col0] += mult
     check_budget(len(groups) * len(table_a.packed), "composition pairs")
     fact = [math.factorial(i) for i in range(n + 1)]
-    comps = [(key, mult.numerator) for key, mult in table_a.packed.items()]
     total = 0
     for zeros, bcnt in groups.items():
         need = [(bits * (q - 1 - v // q), c) for v, c in table_b.digits(zeros)]
-        for comp, mult in comps:
+        for comp, mult in table_a.packed.items():
             term = bcnt * mult
             for shift, c in need:
                 have = comp >> shift & digit

@@ -232,7 +232,7 @@ class LinearCode:
         dist: dict[int, int] = {}
         for key, mult in table.packed.items():
             w = self.n - (key >> top)
-            dist[w] = dist.get(w, 0) + mult.numerator
+            dist[w] = dist.get(w, 0) + mult
         return dist
 
     def permute(self, sigma) -> "LinearCode":
@@ -486,7 +486,7 @@ def _renumber(ring: RingSpec, arity: int, sums, power, n: int) -> SparsePolynomi
         for j in range(width):
             rows[width * (v + 1) - 1 - j::out] = walked_rows[width * r + j::size]
     keys = (int.from_bytes(rows[i:i + out], "big") for i in range(0, len(rows), out))
-    return SparsePolynomial.from_counts(ring, arity, zip(keys, sums.values()), layout)
+    return SparsePolynomial.from_packed(ring, arity, zip(keys, sums.values()), layout)
 
 
 def _code_counts(code: LinearCode, fixed):
@@ -564,7 +564,7 @@ def _bit_counts(ring: RingSpec, kept, n: int, fixed):
             stack.append((mask ^ ones, key, i + 1))
     cells.sort()
     pairs = ((key, count) for _, key, count in cells)
-    return SparsePolynomial.from_counts(ring, 1 + len(fixed), pairs, layout)
+    return SparsePolynomial.from_packed(ring, 1 + len(fixed), pairs, layout)
 
 
 def _patterns(k: int) -> list[int]:

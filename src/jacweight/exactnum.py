@@ -215,10 +215,8 @@ def integer_coefficients(values):
     if len(orders) > 1:
         raise ValueError(f"mixed root orders {sorted(orders)} without explicit lift")
     m = orders.pop() if orders else 1
-    pad = (Fraction(0),) * (len(cyclotomic_poly(m)) - 2)
-    parts = [
-        v.coeffs if isinstance(v, Cyclotomic) else (Fraction(v), *pad) for v in values
-    ]
+    pad = (0,) * (len(cyclotomic_poly(m)) - 2)
+    parts = [v.coeffs if isinstance(v, Cyclotomic) else (v, *pad) for v in values]
     den = math.lcm(*(c.denominator for p in parts for c in p))
     return m, den, [[c.numerator * (den // c.denominator) for c in p] for p in parts]
 
@@ -269,11 +267,12 @@ class CyclotomicResidues:
         return coeffs
 
     def to_scalar(self, residue: int, scale: Fraction):
-        """The exact scalar (decoded residue) * scale."""
+        """The exact scalar (decoded residue) * scale, normalized: a
+        Cyclotomic only when it is not rational, a Fraction otherwise."""
         coeffs = self.decode(residue)
         if self.phi == 1:
             return coeffs[0] * scale
-        return Cyclotomic(self.m, [c * scale for c in coeffs])
+        return simplify(Cyclotomic(self.m, [c * scale for c in coeffs]))
 
 
 def cyclo_text(value: Cyclotomic) -> str:
@@ -318,23 +317,26 @@ def to_rational(value) -> Fraction:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def fraction_str(value: Fraction) -> str:
-    """Serialize a rational as num/den, denominator always present."""
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+def fraction_str(value: int | Fraction) -> str:
+    """Serialize a rational, an int or a Fraction, as num/den, denominator
+    always present: an int n and Fraction(n) both give "n/1"."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 def scalar_to_json(value):
     """JSON form of a scalar: "num/den" or {"m": m, "coeffs": [...]}"""
-    value = simplify(value)
-    if isinstance(value, Fraction):
-        return fraction_str(value)
-    return {"m": value.m, "coeffs": [fraction_str(c) for c in value.coeffs]}
+    if isinstance(value, Cyclotomic):
+        if not value.is_rational():
+            return {"m": value.m, "coeffs": [fraction_str(c) for c in value.coeffs]}
+        value = value.constant
+    return fraction_str(value)
 
 
 def scalar_text(value) -> str:
-    """Plain text form of a scalar for polynomial rendering."""
-    value = simplify(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    return f"({cyclo_text(value)})"
+    """Plain text form of a scalar for polynomial rendering; an int n and
+    Fraction(n) both give "n"."""
+    if isinstance(value, Cyclotomic):
+        if not value.is_rational():
+            return f"({cyclo_text(value)})"
+        value = value.constant
+    return str(value)

@@ -5,8 +5,9 @@ omega-order.  A monomial is one int packed by `monomial_layout`, variable 0
 the most significant digit, so canonical term order (lexicographic on
 exponent vectors) is int order.  Tables are polynomials, their counts the
 coefficients, read by their keys' digits; only the algebra decodes the
-dense view `terms`.  Coefficients are Fraction or Cyclotomic; zero terms
-are never stored and rational-valued cyclotomics are collapsed to Fraction.
+dense view `terms`.  Coefficients are int counts in tables and Fraction or
+Cyclotomic elsewhere, normalized where they are made: zero terms are never
+stored and rational-valued cyclotomics are collapsed to Fraction.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import struct
 from fractions import Fraction
 from itertools import compress
 
-from .exactnum import fraction_str, scalar_text, scalar_to_json, simplify
+from .exactnum import scalar_text, scalar_to_json, simplify
 from .rings import RingSpec
 
 __all__ = ["SparsePolynomial", "dense_terms", "monomial_layout"]
@@ -63,23 +64,15 @@ class SparsePolynomial:
 
     @classmethod
     def from_packed(cls, ring: RingSpec, arity: int, pairs, layout) -> "SparsePolynomial":
-        """(key, nonzero coefficient) pairs, keys taken unchecked in the layout
-        monomial_layout(ring.order**arity, d), d at least their degrees."""
+        """(key, nonzero coefficient) pairs, both taken as given: keys in the
+        layout monomial_layout(ring.order**arity, d), d at least their
+        degrees, and coefficients normalized, int counts or Fractions or
+        Cyclotomics that are not rational."""
         poly = cls.__new__(cls)
         poly.ring = ring
         poly.arity = arity
         poly.layout = layout
-        poly.packed = {k: simplify(c) for k, c in pairs}
-        return poly
-
-    @classmethod
-    def from_counts(cls, ring: RingSpec, arity: int, pairs, layout) -> "SparsePolynomial":
-        """from_packed of (key, positive int count) pairs, each distinct count
-        made a Fraction once: a table has few."""
-        fractions: dict[int, Fraction] = {}
-        made = fractions.setdefault
-        poly = cls.from_packed(ring, arity, (), layout)
-        poly.packed = {k: fractions.get(c) or made(c, Fraction(c)) for k, c in pairs}
+        poly.packed = dict(pairs)
         return poly
 
     @property

@@ -10,11 +10,13 @@ from hypothesis import Phase, settings
 from jacweight.codes import LinearCode, load_code
 from jacweight.rings import RingSpec
 
-# Hypothesis's explain phase reruns a failing example under a line tracer.
-# On the kernel's dense tables that held over 2 GB (a mutant of the split
-# convolution, shrunk to F8 pair tables of 512 columns), so the mutation
-# check, which only needs pass or fail, runs with this profile.
-settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.explain])
+# Hypothesis's explain phase reruns a failing example under a line tracer
+# to annotate it.  On a failing split-route test of the kernel that held
+# 1.4 to 1.7 GB, against at most a few hundred MB without it (a mutant of
+# the split convolution, shrunk to F8 pair tables), so every test runs
+# without it: which tests pass and fail is the same.
+settings.register_profile("jacweight", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("jacweight")
 
 _CODE_CACHE: dict[str, LinearCode] = {}
 

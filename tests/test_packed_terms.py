@@ -20,8 +20,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacweight import cli, codes, polynomials
-from jacweight.codes import LinearCode, _code_counts, _direct_counts, _tuple_counts
+from jacweight.codes import (
+    LinearCode,
+    _code_counts,
+    _direct_counts,
+    _glue_cosets,
+    _split_counts,
+    _tuple_counts,
+    comp_table,
+    jacobi_table,
+    joint_jacobi_table,
+)
 from jacweight.enumerators import (
+    cwe_genus,
     jacobi,
     joint_jacobi,
     macwilliams_both,
@@ -32,7 +43,7 @@ from jacweight.enumerators import (
 from jacweight.exactnum import Cyclotomic, scalar_text, scalar_to_json, simplify
 from jacweight.polynomials import SparsePolynomial, monomial_layout
 from jacweight.rings import field_ring, modular_ring
-from test_tuple_counts import RINGS, literal_counts
+from test_tuple_counts import RINGS, glued_cases, literal_counts
 
 
 def pack_all(dense, layout):
@@ -74,7 +85,7 @@ def check_packed(table, dense):
     assert (struct_.format, bits) == (struct_n.format, bits_n)
     assert all(k >> 8 * struct_.size == 0 for k in table.packed)
     assert list(table.terms.items()) == list(dense.items())
-    assert all(c.denominator == 1 for c in table.packed.values())
+    assert all(type(c) is int for c in table.packed.values())
     rows = (k.to_bytes(struct_.size, "big") for k in sorted(table.packed))
     assert list(map(struct_.unpack, rows)) == sorted(dense)
     # variable 0 is the most significant digit
@@ -96,6 +107,49 @@ def test_packed_tables_decode_to_the_direct_and_literal_counts(case):
     if len(pair) == 1:
         # the route of the single-code tables, by popcount over F2
         check_packed(_code_counts(pair[0], fixed), literal)
+
+
+INT_RINGS = ("F2", "F3", "F4", "Z4", "Z6")
+
+
+@st.composite
+def table_codes(draw):
+    """Two codes of one length n <= 5 over F2, F3, F4, Z4 or Z6, a mask,
+    and a genus whose tuples of the second code number at most 2048."""
+    ring = RINGS[draw(st.sampled_from(INT_RINGS))]
+    n = draw(st.integers(1, 5))
+    pair = [code_from(draw, ring, n, 2) for _ in range(2)]
+    mask = draw(st.tuples(*[st.integers(0, ring.order - 1)] * n))
+    genus = draw(st.integers(1, 3))
+    while pair[1].size**genus > 2048:
+        genus -= 1
+    return pair, mask, genus
+
+
+@given(table_codes(), glued_cases(INT_RINGS))
+@settings(max_examples=60, deadline=None)
+def test_table_counts_are_ints_that_render_as_their_fractions(case, glued):
+    """Every kernel table, by the bit-sliced route over F2, the walk and the
+    split route, holds int counts, and its text and JSON are those of the
+    same terms with Fraction counts through the checking constructor."""
+    (code_c, code_d), mask, genus = case
+    ring, word_lists, fixed = glued
+    n = len(word_lists[0][0])
+    cosets = [_glue_cosets(words, n // 2) for words in word_lists]
+    for table in (
+        comp_table(code_c),
+        jacobi_table(code_c, mask),
+        joint_jacobi_table(code_c, code_d, mask),
+        cwe_genus(code_d, genus),
+        _split_counts(ring, cosets, fixed, n),
+    ):
+        assert table.packed
+        assert all(type(c) is int for c in table.packed.values())
+        dense = {key: Fraction(c) for key, c in table.terms.items()}
+        built = SparsePolynomial(table.ring, table.arity, dense)
+        assert all(type(c) is Fraction for c in built.packed.values())
+        assert table.render_text() == built.render_text()
+        assert table.to_json_obj() == built.to_json_obj()
 
 
 F2 = field_ring(2)
