@@ -130,6 +130,44 @@ MUTANTS = {
         [("counts = {len(masks)}", "counts = {len(masks) + 1}")],
         ["tests/test_designs.py"],
     ),
+    "coverage scan's prefixes stopping one point short": (
+        "designs.py",
+        [("rest[: len(rest) - depth + 1]", "rest[: len(rest) - depth]")],
+        ["tests/test_designs.py"],
+    ),
+    "Krawtchouk recurrence with K_(j-1)'s factor n - j": (
+        "designs.py",
+        [("(q - 1) * (n - j + 1) * low", "(q - 1) * (n - j) * low")],
+        ["tests/test_designs.py"],
+    ),
+    "Assmus-Mattson count s without weight n - t": (
+        "designs.py",
+        [("dual[1 : n - t + 1]", "dual[1 : n - t]")],
+        ["tests/test_designs.py", "tests/test_transcript.py"],
+    ),
+    # Over the multiset of supports, one block per word, a class past the
+    # bound is a t-design too wherever the theorem applies (see
+    # `_assmus_mattson`), so reports do not change: the test that the scan
+    # runs for those classes kills it.
+    "Assmus-Mattson weight bound dropped for q > 2": (
+        "designs.py",
+        [("if u - -(-u // (q - 1)) < d:", "if True:")],
+        ["tests/test_designs.py"],
+    ),
+    "Assmus-Mattson lam with C(u, t) and C(n, t) swapped": (
+        "designs.py",
+        [("divmod(count * math.comb(u, t), math.comb(n, t))",
+          "divmod(count * math.comb(n, t), math.comb(u, t))")],
+        ["tests/test_designs.py", "tests/test_transcript.py"],
+    ),
+    # At t = d the hypothesis s <= 0 holds for MDS codes alone, every class
+    # of which is a design, so reports do not change: the test of the
+    # route's scope kills it.
+    "Assmus-Mattson without its t < d guard": (
+        "designs.py",
+        [("not 1 <= t < d", "not 1 <= t")],
+        ["tests/test_designs.py"],
+    ),
     "bit-sliced carry stopping after one plane": (
         "codes.py",
         [("while carry:", "if carry:")],

@@ -68,7 +68,7 @@ LAZY = {
         "delta_closed",
         "intersection_point",
     ),
-    ".designs": ("is_t_design", "is_t_homogeneous", "supports"),
+    ".designs": ("class_report", "is_t_homogeneous"),
     ".refvalues": (
         "CONJECTURE_TARGETS",
         "REFERENCE_ROWS",
@@ -307,7 +307,7 @@ def cmd_delta(args) -> int:
 
 def cmd_design_check(args) -> int:
     code = args.load(args.code)
-    report = is_t_design(supports(code, args.weight), args.t)
+    report = class_report(code, args.weight, args.t)
     print(json.dumps(report.to_json_obj()))
     return 0
 

@@ -811,8 +811,7 @@ TRACED_CALLS = [
     (("avg-joint-jacobi", "e8", "e8", "--w-weight", "1", "--value-at", "ones"),
      {"avg_joint_jacobi_value": 1}),
     (("delta", "e8", "e8", "--w-weight", "1"), {"delta": 1}),
-    (("design-check", "e8", "--weight", "4", "--t", "3"),
-     {"supports": 1, "is_t_design": 1}),
+    (("design-check", "e8", "--weight", "4", "--t", "3"), {"class_report": 1}),
     (("homogeneous", "e8", "--t", "3"), {"is_t_homogeneous": 1}),
     (("repro-paper", "--conjecture"), {"delta_closed": 23}),
 ]

@@ -6,14 +6,21 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import get_code, random_code
+from jacweight import designs
+from jacweight.cli import main
 from jacweight.codes import BudgetExceeded, LinearCode, weight
 from jacweight.designs import (
     BlockMultiset,
     DesignReport,
+    _assmus_mattson,
+    _coverage,
+    _dual_distribution,
+    _support_masks,
+    class_report,
     is_t_design,
     is_t_homogeneous,
     lambda_identity_holds,
@@ -378,3 +385,220 @@ def test_block_masks_pack_in_linear_time():
     report = is_t_design(bm, 1)
     assert time.perf_counter() - start < 2
     assert (report.lam, report.min_coverage, report.max_coverage) == (None, 1, 2)
+
+
+# ---- the theorem route ------------------------------------------------------
+
+F4 = field_ring(2, 2)
+# each field with the most generators that keep |C| at most 256
+THEOREM_RINGS = [
+    (F2, 8), (F3, 5), (F4, 4), (field_ring(2, 3), 2), (field_ring(3, 2), 2)
+]
+
+
+@st.composite
+def field_codes(draw, rings=THEOREM_RINGS):
+    """A code of length n <= 10 over one of the rings, zero rows and
+    repeated rows allowed."""
+    ring, most = draw(st.sampled_from(rings))
+    n = draw(st.integers(1, 10))
+    row = st.lists(st.integers(0, ring.order - 1), min_size=n, max_size=n).map(tuple)
+    return LinearCode(ring, n, tuple(draw(st.lists(row, min_size=1, max_size=most))))
+
+
+def class_masks(code, u):
+    return [x for x in _support_masks(code) if x.bit_count() == u]
+
+
+def theorem_reports(code, t):
+    """The route's reports of every nonzero class, or None."""
+    dist = code.weight_distribution()
+    return _assmus_mattson(code, dist, t, sorted(filter(None, dist)))
+
+
+def simplex_7():
+    """The [7, 3, 4] binary simplex code: column j is j + 1 in binary."""
+    return LinearCode(F2, 7, tuple(tuple((j + 1) >> b & 1 for j in range(7)) for b in range(3)))
+
+
+def hexacode():
+    """The [6, 3, 4] hexacode over F4, omega = 2 and omega^2 = 3."""
+    gens = ((1, 0, 0, 1, 2, 2), (0, 1, 0, 2, 1, 2), (0, 0, 1, 2, 2, 1))
+    return LinearCode(F4, 6, gens)
+
+
+def sum_zero(ring, n):
+    """The [n, n - 1, 2] code of the words whose symbols sum to 0."""
+    minus_one = ring.neg(1)
+    return LinearCode(
+        ring, n, tuple(tuple(1 if j == i else minus_one if j == n - 1 else 0
+                             for j in range(n)) for i in range(n - 1))
+    )
+
+
+# Codes that meet the theorem at some t, each with at most 256 words: random
+# codes over F2 seldom do
+THEOREM_BASES = [
+    simplex_7(),
+    simplex_7().dual(),
+    get_code("e8"),
+    hexacode(),
+    LinearCode(F3, 4, ((1, 0, 1, 1), (0, 1, 1, 2))),  # the tetracode
+    LinearCode(field_ring(2, 3), 8, ((1,) * 8, tuple(range(8)))),  # [8, 2, 7] MDS
+    *(LinearCode(ring, 5, ((1,) * 5,)) for ring in (F3, F4, field_ring(3, 2))),
+    sum_zero(F3, 5),
+    sum_zero(F4, 5),
+]
+
+
+@st.composite
+def monomial_images(draw):
+    """A code of THEOREM_BASES with its columns permuted and scaled by
+    nonzero symbols, which keeps its designs, and sometimes one more
+    random generator, which seldom does."""
+    base = draw(st.sampled_from(THEOREM_BASES))
+    ring, n = base.ring, base.n
+    sigma = draw(st.permutations(range(n)))
+    scale = draw(st.lists(st.integers(1, ring.order - 1), min_size=n, max_size=n))
+    gens = [tuple(ring.mul(c, g[i]) for c, i in zip(scale, sigma)) for g in base.generators]
+    if draw(st.booleans()):
+        gens.append(tuple(draw(st.lists(st.integers(0, ring.order - 1), min_size=n, max_size=n))))
+    return LinearCode(ring, n, tuple(gens))
+
+
+@given(field_codes() | monomial_images())
+@settings(max_examples=200, deadline=None)
+def test_theorem_reports_equal_the_scan(code):
+    """Wherever the theorem answers, its report of each class of weight t..n,
+    empty classes included, is the scan's; `class_report` gives the scan's
+    report of `supports` at every weight and t."""
+    n, dist = code.n, code.weight_distribution()
+    for t in range(n + 1):
+        weights = range(t, n + 1)
+        reports = _assmus_mattson(code, dist, t, weights)
+        if reports is not None:
+            event(f"the theorem answered over F{code.ring.order}")
+            assert reports == [_coverage(n, u, t, class_masks(code, u)) for u in weights]
+        for u in weights:
+            assert class_report(code, u, t) == is_t_design(supports(code, u), t)
+
+
+@given(field_codes(THEOREM_RINGS[:3]))
+@settings(max_examples=100, deadline=None)
+def test_krawtchouk_dual_distribution_equals_the_dual_code(code):
+    dual = _dual_distribution(code.n, code.ring.order, code.weight_distribution())
+    assert {j: b for j, b in enumerate(dual) if b} == code.dual().weight_distribution()
+
+
+def test_krawtchouk_dual_distribution_of_the_fixtures():
+    for name in ("e8", "e8x2", "d16plus", "g24", "d24plus", "f4_small", "f9_small"):
+        code = get_code(name)
+        dual = _dual_distribution(code.n, code.ring.order, code.weight_distribution())
+        assert {j: b for j, b in enumerate(dual) if b} == code.dual().weight_distribution()
+
+
+@pytest.mark.parametrize(
+    "make, t",
+    [(lambda: get_code("e8"), t) for t in (1, 2, 3)]
+    + [(simplex_7, 1), (simplex_7, 2)]
+    + [(hexacode, t) for t in (1, 2, 3)]
+    + [(lambda: get_code("e8x2"), 1), (lambda: get_code("f9_small"), 1)],
+    ids=["e8-1", "e8-2", "e8-3", "simplex-1", "simplex-2", "hexacode-1",
+         "hexacode-2", "hexacode-3", "e8x2-1", "f9_small-1"],
+)
+def test_the_theorem_answers_on_the_named_codes(make, t):
+    code = make()
+    reports = theorem_reports(code, t)
+    assert reports is not None
+    assert reports == [
+        _coverage(code.n, r.weight, t, class_masks(code, r.weight)) for r in reports
+    ]
+    assert all(r.is_design and lambda_identity_holds(r) for r in reports)
+    assert is_t_homogeneous(code, t) == (True, reports)
+
+
+def test_g24_octads_keep_their_scan():
+    """The scan still finds g24's t = 5 classes the theorem reports."""
+    g24 = get_code("g24")
+    reports = theorem_reports(g24, 5)
+    assert {r.weight: r.lam for r in reports} == {8: 1, 12: 48, 16: 78, 24: 1}
+    assert [r.block_count for r in reports] == [759, 2576, 759, 1]
+    assert reports == [_coverage(24, r.weight, 5, class_masks(g24, r.weight)) for r in reports]
+
+
+@pytest.mark.parametrize(
+    "make, t",
+    [
+        (lambda: get_code("z4_small"), 1),  # not over a field
+        (lambda: get_code("e8"), 0),  # t = 0
+        (lambda: get_code("e8"), 4),  # t = d, and s = 1 > d - t
+        (lambda: get_code("e8x2"), 2),  # s = 3 > d - t
+        (lambda: get_code("d24plus"), 1),  # a design the theorem does not reach
+        (lambda: get_code("f4_small"), 1),
+        # t = d with s = 0 <= d - t: only an MDS code has no dual weight in
+        # 1..n - d, and every class of one is a design, so the scan's
+        # reports are the same and only the route's scope shows t < d
+        (lambda: LinearCode(F2, 4, ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1))), 2),
+        (lambda: LinearCode(F3, 3, ((0, 0, 0),)), 1),  # no nonzero word
+    ],
+    ids=["Z4", "t=0", "e8-4", "e8x2-2", "d24plus-1", "f4_small-1", "t=d", "zero code"],
+)
+def test_the_theorem_route_stays_inside_its_hypotheses(make, t):
+    assert theorem_reports(make(), t) is None
+
+
+def test_classes_past_the_weight_bound_go_to_the_scan_one_at_a_time(monkeypatch):
+    """Over F4 the sum-zero [5, 4, 2] code meets the theorem at t = 1, and
+    u - ceil(u / 3) < 2 holds for u = 2 alone: classes 3, 4 and 5 are
+    scanned, each once.  Over F2 the bound holds for every class."""
+    scanned = []
+    scan = designs._coverage
+
+    def spy(n, k, t, masks):
+        scanned.append((k, len(masks)))
+        return scan(n, k, t, masks)
+
+    monkeypatch.setattr(designs, "_coverage", spy)
+    code = LinearCode(F4, 5, tuple(tuple(int(j in (i, 4)) for j in range(5)) for i in range(4)))
+    verdict, reports = is_t_homogeneous(code, 1)
+    assert scanned == [(3, 60), (4, 105), (5, 60)]
+    assert verdict and [(r.weight, r.lam) for r in reports] == [(2, 12), (3, 36), (4, 84), (5, 60)]
+    scanned.clear()
+    assert is_t_homogeneous(get_code("g24"), 5)[0]
+    assert class_report(get_code("g24"), 8, 5).lam == 1
+    assert scanned == []
+
+
+def run_cli(*argv):
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_refusals_keep_their_text_and_order(monkeypatch, capsys):
+    """The codeword symbols are charged first, then the weight and t are
+    checked, then the C(n, t) t-subsets are charged, on either route."""
+    monkeypatch.setenv("JF_BUDGET", "16")
+    for argv in (("homogeneous", "g24", "--t", "5"),
+                 ("design-check", "g24", "--weight", "8", "--t", "5"),
+                 ("design-check", "g24", "--weight", "25", "--t", "5")):
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", '{"error": "98304 codeword symbols exceed the budget 16"}\n')
+    monkeypatch.delenv("JF_BUDGET")
+    g24 = get_code("g24")
+    with pytest.raises(ValueError, match=r"^block size 25 is outside 0\.\.24$"):
+        class_report(g24, 25, 5)
+    with pytest.raises(ValueError, match=r"^block size -1 is outside 0\.\.24$"):
+        class_report(g24, -1, 5)
+    with pytest.raises(ValueError, match=r"^t=5 exceeds block size 3$"):
+        class_report(g24, 3, 5)
+    # the repetition code meets the theorem at t = 5, which still charges
+    # the C(10, 5) 5-subsets before it answers
+    rep = LinearCode(F2, 10, ((1,) * 10,))
+    assert theorem_reports(rep, 5) == [DesignReport(10, 10, 5, 1, 1, 1, 1)]
+    monkeypatch.setenv("JF_BUDGET", "100")
+    for call in (lambda: is_t_homogeneous(rep, 5), lambda: class_report(rep, 10, 5)):
+        with pytest.raises(BudgetExceeded, match="^252 5-subsets of 10 points exceed the budget 100$"):
+            call()
