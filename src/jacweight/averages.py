@@ -18,17 +18,18 @@ linear map (u, v) -> (u^sigma - v) restricted to K, whose image is
 P_sigma + Q, with P_sigma the restriction of C to sigma(K) and Q that of D
 to K; so the count is |C| |D| / |P_sigma + Q|.  `_span_counter` takes that
 span's size from the echelon form over any ring (Howell's property over
-Z_k), for `intersection_size` (sigma the identity) and the shuffles.
+Z_k), for `intersection_size` (sigma the identity) and every sample off the
+binary rank route.
 The exhaustive delta reads sigma on K alone, so it walks the injections of
 K into the positions, not S_n: each level of the walk is one packed mask
 per position over the pairs of C x D that agree there, and a pair counts
 for an injection when it is set in the AND of the masks along its path.
 The Monte Carlo path is one sampling loop that picks its stream by width
 (numpy's, or random.Random shuffles once |K| symbols pass 62 bits) and its
-counter by ring: over F2 while |K| <= 64 a GF(2) rank per sample of C's
-rows reduced modulo D's, taken over the columns of C gathered at sigma(K)
-with D's reduction as a fixed XOR of those columns, else span sizes on the
-shuffles and base-q keys of the words on numpy's stream.
+counter by ring and width: over F2 while |K| <= 64 a GF(2) rank per sample
+of C's rows reduced modulo D's, taken over the columns of C gathered at
+sigma(K) with D's reduction as a fixed XOR of those columns, else span
+sizes, on either stream.  Neither counter builds a word.
 
 The average joint Jacobi polynomial evaluated at the point that is
 zero exactly on variables with differing code symbols and zero mask
@@ -459,13 +460,12 @@ def monte_carlo_delta(
     |C| |D| / 2^(r_D + rank), r_D the rank of D's rows on K, taken once, and
     rank that of C's moved rows reduced modulo them, the column rank of C's
     packed columns at sigma(K) with D's pivots XORed in (`_rank_counter`);
-    otherwise |C| |D| / |P_sigma + Q| on the shuffles (`_span_counter`) and
-    base-q keys of the words on numpy's stream.  Only the keys enumerate
-    words.  The statistics are numpy float64 on numpy's stream and Python
-    int sums on the shuffles.  The samples are charged to the budget before
-    any is drawn, on the span counter so are the samples * (k_C + k_D) * |K|
-    symbols of its generator rows, and on the keys the q^|K| entries of
-    their count table.
+    otherwise |C| |D| / |P_sigma + Q| on either stream (`_span_counter`).
+    Neither builds a word.  The statistics are numpy float64 on numpy's
+    stream and Python int sums on the shuffles; counts, a mean or a stderr
+    past the largest float raise ValueError.  The samples are charged to the
+    budget before any is drawn, and on the span counter so are the samples *
+    (k_C + k_D) * |K| symbols of its generator rows.
     """
     _check_pair(code_c, code_d, w)
     if samples < 1:
@@ -476,10 +476,12 @@ def monte_carlo_delta(
     s = len(keep)
     shuffled = s * max(1, (q - 1).bit_length()) > 62 or q**max(s, 1) >= 2**62
     if shuffled:
+        import contextlib
         import random
 
         rng = random.Random(seed)
         order = list(range(code_c.n))
+        floats = contextlib.nullcontext()
 
         def draw(b):
             # each shuffle continues from the last one and is copied
@@ -489,45 +491,42 @@ def monte_carlo_delta(
         import numpy as np
 
         rng = np.random.default_rng(seed)
+        floats = np.errstate(over="raise")
 
         def draw(b):
             return rng.permuted(np.tile(np.arange(code_c.n), (b, 1)), axis=1)
 
     if q == 2 and s <= 64:
         count = _rank_counter(code_c, code_d, keep)
-    elif shuffled:
+    else:
         rows = len(code_c.generators) + len(code_d.generators)
         check_budget(samples * rows * s, "span symbols")
         count = _span_counter(code_c, code_d, keep)
-    else:
-        count = _key_counter(code_c, code_d, keep)
-    batches = [count(draw(min(1024, samples - i))) for i in range(0, samples, 1024)]
-    stderr = None
-    if shuffled:
-        counts = [int(c) for batch in batches for c in batch]
-        mean = sum(counts) / samples
-        if samples > 1:
-            var = sum((c - mean) ** 2 for c in counts) / (samples - 1)
-            stderr = math.sqrt(var / samples)
-    else:
-        counts = np.concatenate(batches).astype(np.float64)
-        mean = float(counts.mean())
-        if samples > 1:
-            stderr = float(counts.std(ddof=1) / math.sqrt(samples))
+    try:
+        with floats:
+            batches = [count(draw(min(1024, samples - i)))
+                       for i in range(0, samples, 1024)]
+            stderr = None
+            if shuffled:
+                counts = [int(c) for batch in batches for c in batch]
+                mean = sum(counts) / samples
+                if samples > 1:
+                    var = sum((c - mean) ** 2 for c in counts) / (samples - 1)
+                    stderr = math.sqrt(var / samples)
+            else:
+                # span sizes are Python ints, an object array past int64
+                counts = np.concatenate(batches).astype(np.float64)
+                mean = float(counts.mean())
+                if samples > 1:
+                    stderr = float(counts.std(ddof=1) / math.sqrt(samples))
+        if stderr == math.inf:
+            # a sum of finite Python floats reaches inf with no error
+            raise OverflowError
+    except ArithmeticError:
+        raise ValueError("the sampled statistics overflow a float") from None
     return AverageResult(
         value=mean, method="mc", samples=samples, seed=seed, stderr=stderr
     )
-
-
-def _weights(perms, keep, powers):
-    """weights[i, pos] = powers[j] when perms[i] sends kept slot keep[j] to
-    pos, so that a word's row times weights.T packs its symbols on
-    perms[i](K)."""
-    import numpy as np
-
-    weights = np.zeros(perms.shape, dtype=powers.dtype)
-    np.put_along_axis(weights, perms[:, keep], powers, axis=1)
-    return weights
 
 
 def _f2_basis(rows):
@@ -601,42 +600,6 @@ def _rank_counter(code_c: LinearCode, code_d: LinearCode, keep):
             rest = rows[r + 1 :]
             rest ^= ((rest & (x & -x)) != 0) * x
         return np.ldexp(1.0, bits - np.count_nonzero(rows, axis=0))
-
-    return count
-
-
-# past this many cells _key_counter counts by sorted keys, not a table
-KEY_TABLE_CELLS = 1 << 24
-
-
-def _key_counter(code_c: LinearCode, code_d: LinearCode, keep):
-    """Per-permutation counts for a (b, n) array of permutations: the keys
-    of C's words on perms[i](K) found among the keys of D's words on K."""
-    import numpy as np
-
-    q = code_c.ring.order
-    s = len(keep)
-    entries = q ** max(s, 1)
-    # keys are exact in float64 below 2**53, letting the matmul use BLAS
-    dtype = np.float64 if entries < 2**53 else np.int64
-    words_c = np.array(code_c.words, dtype=dtype)
-    powers = np.array([q**j for j in range(s)], dtype=dtype)
-    keep = np.array(keep, dtype=np.int64)
-    keys_d = np.sort(np.array(code_d.words, dtype=dtype)[:, keep] @ powers)
-    table = None
-    if entries <= KEY_TABLE_CELLS:
-        check_budget(entries, "key table entries")
-        cells, counts = np.unique(keys_d.astype(np.int64), return_counts=True)
-        table = np.zeros(entries, np.int32)
-        table[cells] = counts
-
-    def count(perms):
-        keys = words_c @ _weights(perms, keep, powers).T
-        if table is not None:
-            return table[keys.astype(np.int64)].sum(axis=0, dtype=np.int64)
-        right = np.searchsorted(keys_d, keys, side="right")
-        left = np.searchsorted(keys_d, keys, side="left")
-        return (right - left).sum(axis=0)
 
     return count
 

@@ -11,11 +11,9 @@ Two routes give the same reports.
   and Sloane, ch. 6).  C-perp's distribution comes from C's by the
   Krawtchouk form of the MacWilliams identity, in exact ints and with no
   dual word (`_dual_distribution`).  If C-perp has at most d - t nonzero
-  weights in 1..n - t, the class of every weight u with
-  u - ceil(u / (q - 1)) < d is a t-design, whose lam is A_u C(u, t) / C(n, t),
-  no t-subset visited; over F2 that is every class.  A class past that
-  bound goes to the scan.  `is_t_homogeneous` and `class_report` (the
-  `design-check` command) try this route first.
+  weights in 1..n - t, every class is a t-design, whose lam is
+  A_u C(u, t) / C(n, t), no t-subset visited.  `is_t_homogeneous` and
+  `class_report` (the `design-check` command) try this route first.
 * The coverage scan (`_coverage`) counts every t-subset.  It serves the
   codes over Z_k, t = 0, every code and t the theorem does not reach, and
   `is_t_design`, which is always the scan; it is also the theorem route's
@@ -111,8 +109,8 @@ def _check_block_size(n: int, k: int) -> None:
 
 def _support_masks(code: LinearCode):
     """Each word's support as an int, bit i for position i, in the order
-    of `words`; both routes charge the |C| * n codeword symbols before
-    they build a mask, and each mask is packed in linear time."""
+    of `words`, each packed in linear time; the |C| * n codeword symbols
+    are charged before the first mask is built."""
     if code.ring.order == 2:
         return code._bits
     return list(map(_pack, code.words))
@@ -230,12 +228,12 @@ def _assmus_mattson(code: LinearCode, dist, t: int, weights):
     """The reports at t of the classes of these weights by the Assmus-Mattson
     theorem, or None when it does not apply: the ring is not a field, t is
     outside 1..d - 1, or C-perp has more than d - t nonzero weights in
-    1..n - t.  Each class of weight u with u - ceil(u / (q - 1)) < d, the
-    theorem's bound, under which the words of one support are the q - 1
-    multiples of one word, is a t-design: its report is lam = min = max =
-    A_u C(u, t) / C(n, t) with A_u blocks.  Every other class is scanned
-    (`_coverage`).  Each class runs `_check_range` before its report is
-    made."""
+    1..n - t.  Every class of weight u is then a t-design with one block per
+    word: its report is lam = min = max = A_u C(u, t) / C(n, t) with A_u
+    blocks.  The theorem's bound u - ceil(u / (q - 1)) < d, under which the
+    words of one support are the q - 1 multiples of one word, is needed only
+    for the distinct supports to form a design.  Each class runs
+    `_check_range` before its report is made."""
     n, q = code.n, code.ring.order
     d = min(filter(None, dist), default=0)
     if code.ring.kind != "field" or not 1 <= t < d:
@@ -243,19 +241,13 @@ def _assmus_mattson(code: LinearCode, dist, t: int, weights):
     dual = _dual_distribution(n, q, dist)
     if sum(1 for b in dual[1 : n - t + 1] if b) > d - t:
         return None
-    masks = None
     reports = []
     for u in weights:
-        if u - -(-u // (q - 1)) < d:
-            _check_range(n, u, t)
-            count = dist.get(u, 0)
-            lam, rest = divmod(count * math.comb(u, t), math.comb(n, t))
-            assert not rest, "a t-design's lam must be an int"
-            reports.append(DesignReport(n, u, t, lam, lam, lam, count))
-        else:
-            if masks is None:
-                masks = _support_masks(code)
-            reports.append(_coverage(n, u, t, [x for x in masks if x.bit_count() == u]))
+        _check_range(n, u, t)
+        count = dist.get(u, 0)
+        lam, rest = divmod(count * math.comb(u, t), math.comb(n, t))
+        assert not rest, "a t-design's lam must be an int"
+        reports.append(DesignReport(n, u, t, lam, lam, lam, count))
     return reports
 
 

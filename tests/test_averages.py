@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jacweight.averages as averages
@@ -32,7 +33,6 @@ from jacweight.averages import (
     intersection_size,
     monte_carlo_delta,
     multinomial,
-    _key_counter,
     _rank_counter,
     _span_counter,
 )
@@ -621,13 +621,13 @@ def test_monte_carlo_python_fallback():
 
 
 # (ring, n, mask weight, counter, stream) of the sampling loop: F2 ranks on
-# either stream while |K| <= 64, keys on numpy's stream, span sizes on shuffles
+# either stream while |K| <= 64, span sizes on either stream otherwise
 ROUTE_CASES = [
     (F2, 64, 3, "_rank_counter", "numpy"),
     (F2, 64, 2, "_rank_counter", "shuffles"),
     (F2, 64, 0, "_rank_counter", "shuffles"),
     (F2, 70, 2, "_span_counter", "shuffles"),
-    (F4, 12, 10, "_key_counter", "numpy"),
+    (F4, 12, 10, "_span_counter", "numpy"),
     (F4, 40, 0, "_span_counter", "shuffles"),
 ]
 
@@ -656,7 +656,7 @@ def test_monte_carlo_routes(monkeypatch, ring, n, k, counter, stream):
 
         return counter_spy
 
-    for name in ("_rank_counter", "_key_counter", "_span_counter"):
+    for name in ("_rank_counter", "_span_counter"):
         monkeypatch.setattr(averages, name, spy(name))
     rng = random.Random(n + k)
     rows = [tuple(rng.randrange(ring.order) for _ in range(n)) for _ in range(2)]
@@ -707,6 +707,36 @@ def test_binary_counts_build_no_words():
     # distance 8 > 2: two words agreeing on 22 positions are equal
     assert intersection_size(g24, g24, w) == 4096
     assert "words" not in g24.__dict__
+
+
+def test_sampled_span_sizes_build_no_words():
+    """One batch of numpy's stream over F3 counts by span sizes: no word of
+    C and no |C| x 1024 table of keys."""
+    rng = random.Random(24)
+    rows = tuple(tuple(rng.randrange(3) for _ in range(24)) for _ in range(8))
+    code_c = LinearCode(F3, 24, rows)
+    code_d = LinearCode(F3, 24, rows[:3])
+    assert code_c.size == 3**8
+    tracemalloc.start()
+    try:
+        monte_carlo_delta(code_c, code_d, front_mask(24, 4), samples=1024, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20
+    assert "words" not in code_c.__dict__ and "words" not in code_d.__dict__
+
+
+def test_a_shuffled_variance_summed_past_a_float_is_refused():
+    """Counts of 2^512 and 2^513 on the shuffles: each squared deviation is a
+    float, and their sum is not."""
+    n = 582
+    units = [tuple(int(j == i) for j in range(n)) for i in range(512)]
+    code_c = LinearCode(F2, n, units[:1])
+    code_d = LinearCode(F2, n, tuple(units))
+    w = front_mask(n, 512)
+    with pytest.raises(ValueError, match="^the sampled statistics overflow"):
+        monte_carlo_delta(code_c, code_d, w, samples=100, seed=1)
 
 
 def test_binary_closed_forms_build_no_words():
@@ -872,11 +902,11 @@ def width_edge_cases(draw):
     C's rows are dim C independent rows, each the only one with a 1 at a
     position of its own, mixed with a sum of two of them, a repeated row
     and a zero row.  D has up to six random rows, and may be rank-deficient
-    by a sum of two rows, a repeated row and a zero row.  The bits come from
-    a seeded random.Random: 65 rows of 72 bits are past what hypothesis
-    draws one by one.
+    by a sum of two rows, a repeated row and a zero row.  The bits and the
+    permutations come from a seeded random.Random: 65 rows of 72 bits, and
+    four orders of 72 positions, are past what hypothesis draws one by one.
     """
-    rnd = draw(st.randoms(use_true_random=False))
+    rnd = draw(st.randoms(use_true_random=True))
     dim = draw(st.sampled_from(WIDTH_EDGES))
     n = draw(st.integers(max(1, dim), 72))
     s = draw(st.sampled_from([0, min(n, 64)]) | st.integers(0, min(n, 64)))
@@ -907,7 +937,7 @@ def width_edge_cases(draw):
     code_d = LinearCode(F2, n, dependents(rows_d))
     keep = set(rnd.sample(range(n), s))
     w = tuple(int(i not in keep) for i in range(n))
-    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    perms = [rnd.sample(range(n), n) for _ in range(draw(st.integers(1, 4)))]
     return code_c, code_d, w, perms
 
 
@@ -934,7 +964,8 @@ def span_cases(draw):
 
     The generators may be empty or hold zero rows, repeated rows and
     multiples of a row, zero divisors among the multipliers over Z_k (such
-    as 2 times a row over Z4)."""
+    as 2 times a row over Z4).  The permutations are lists, as the shuffles
+    pass them, or an ndarray, as numpy's stream does."""
     ring = draw(st.sampled_from(SPAN_RINGS))
     q = ring.order
     n = draw(st.integers(1, 70))
@@ -958,9 +989,61 @@ def span_cases(draw):
     zeros = set(draw(st.permutations(range(n)))[:s])
     w = tuple(0 if i in zeros else draw(st.integers(1, q - 1)) for i in range(n))
     perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        perms = np.array(perms, dtype=np.int64)
     return code_c, code_d, w, perms
 
 
+def _small_support_code(ring, n, rng, rows):
+    """rows, two rows of small support, a zero row and a repeated row, so
+    that words of two such codes often agree."""
+    rows = list(rows)
+    for _ in range(2):
+        row = [0] * n
+        for i in rng.sample(range(n), 3):
+            row[i] = rng.randrange(1, ring.order)
+        rows.append(tuple(row))
+    rows += [(0,) * n, rows[-1]]
+    rng.shuffle(rows)
+    return LinearCode(ring, n, tuple(rows))
+
+
+# (ring, n, mask weight) on numpy's stream off F2, with q^|K| up to 2^24,
+# below 2^53 and from there to the stream's limit of 2^62
+WIDE_CASES = [
+    (F3, 12, 2), (F4, 11, 1), (F9, 9, 2), (Z4, 10, 0), (Z6, 10, 1),
+    (F3, 24, 3), (F9, 15, 1), (Z6, 18, 2), (F8, 12, 2),
+    (F4, 30, 2), (Z4, 29, 1), (F8, 21, 1), (F8, 20, 2),
+]
+
+
+def _wide_case(ring, n, k):
+    """Two codes that share a row of small support, a mask of weight k and
+    13 permutations, the identity first, as numpy's stream passes them.
+    C holds the all-ones word and D that word with a 2 at the first
+    position of K."""
+    q = ring.order
+    assert (n - k) * (q - 1).bit_length() <= 62 and q ** (n - k) < 2**62
+    rng = random.Random(q * 1000 + n)
+    w = [0] * n
+    for i in rng.sample(range(n), k):
+        w[i] = rng.randrange(1, q)
+    tweaked = [1] * n
+    tweaked[w.index(0)] = 2
+    code_c = _small_support_code(ring, n, rng, [(1,) * n])
+    shared = next(g for g in code_c.generators if 0 < sum(map(bool, g)) < n)
+    code_d = _small_support_code(ring, n, rng, [shared, tuple(tweaked)])
+    perms = [list(range(n))] + [rng.sample(range(n), n) for _ in range(12)]
+    return code_c, code_d, tuple(w), np.array(perms, dtype=np.int64)
+
+
+def _with_wide_cases(test):
+    for case in WIDE_CASES:
+        test = example(_wide_case(*case))(test)
+    return test
+
+
+@_with_wide_cases
 @given(span_cases())
 @settings(max_examples=200, deadline=None)
 def test_span_counts_equal_the_agreement_counts(case):
@@ -974,44 +1057,14 @@ def test_span_counts_equal_the_agreement_counts(case):
     )
 
 
-KEY_RINGS = (F3, F4, F9, Z4, Z6)
-
-
-@st.composite
-def key_table_cases(draw):
-    """Two codes of one length n <= 8 over one of KEY_RINGS, a mask with
-    1 <= |K| < n, and permutations of range(n).
-
-    D holds a nonzero row that is zero on K, so its words agree on K in
-    groups and a cell of the key table counts more than one word."""
-    ring = draw(st.sampled_from(KEY_RINGS))
-    q = ring.order
-    n = draw(st.integers(2, 8))
-    s = draw(st.integers(1, n - 1))
-    keep = sorted(draw(st.permutations(range(n)))[:s])
-    w = tuple(0 if i in keep else draw(st.integers(1, q - 1)) for i in range(n))
-    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
-    outside = draw(row.filter(lambda r: any(r[i] for i in range(n) if i not in keep)))
-    flat = tuple(0 if i in keep else x for i, x in enumerate(outside))
-    rows_d = draw(st.lists(row, max_size=2)) + [flat]
-    code_c = LinearCode(ring, n, tuple(draw(st.lists(row, min_size=1, max_size=2))))
-    code_d = LinearCode(ring, n, tuple(draw(st.permutations(rows_d))))
-    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
-    return code_c, code_d, w, perms
-
-
-@given(key_table_cases())
-@settings(max_examples=200, deadline=None)
-def test_key_table_counts_equal_the_sorted_key_counts(case):
-    code_c, code_d, w, perms = case
-    keep = [i for i, m in enumerate(w) if m == 0]
-    assert max(Counter(map(_picker(keep), code_d.words)).values()) > 1
-    perms = np.array(perms, dtype=np.int64)
-    tabled = _key_counter(code_c, code_d, keep)(perms)
-    with mock.patch.object(averages, "KEY_TABLE_CELLS", 0):
-        sorted_keys = _key_counter(code_c, code_d, keep)(perms)
-    assert tabled.tolist() == sorted_keys.tolist()
-    assert tabled.tolist() == list(_agreements(code_c, code_d, w, perms))
+def test_wide_cases_agree_in_more_than_one_count():
+    """The shared row's multiples agree under the identity, so the span test
+    meets counts of q and more, and the counts differ between samples."""
+    for ring, n, k in WIDE_CASES:
+        code_c, code_d, w, perms = _wide_case(ring, n, k)
+        keep = [i for i, m in enumerate(w) if m == 0]
+        counts = _span_counter(code_c, code_d, keep)(perms)
+        assert counts[0] >= ring.order and len(set(counts)) > 1
 
 
 def _even_code(n, size, rng):
@@ -1058,73 +1111,6 @@ def test_wide_monte_carlo_over_f4_builds_no_words():
     order = list(range(40))
     perms = [shuffles.shuffle(order) or list(order) for _ in range(50)]
     assert res.value == sum(_agreements(code_c, code_d, w, perms)) / 50
-
-
-def _key_case_code(ring, n, rng, rows):
-    """rows, two rows of small support, a zero row and a repeated row, so
-    that words of two such codes often agree."""
-    rows = list(rows)
-    for _ in range(2):
-        row = [0] * n
-        for i in rng.sample(range(n), 3):
-            row[i] = rng.randrange(1, ring.order)
-        rows.append(tuple(row))
-    rows += [(0,) * n, rows[-1]]
-    rng.shuffle(rows)
-    return LinearCode(ring, n, tuple(rows))
-
-
-# (ring, n, mask weight) for every branch of _key_counter, by q^|K|: a
-# bincount table up to 2^24, searchsorted on float64 keys below 2^53, and
-# searchsorted on int64 keys from there to the numpy route's limit
-KEY_CASES = [
-    ("table", F3, 12, 2),
-    ("table", F4, 11, 1),
-    ("table", F9, 9, 2),
-    ("table", Z4, 10, 0),
-    ("table", Z6, 10, 1),
-    ("sorted", F3, 24, 3),
-    ("sorted", F9, 15, 1),
-    ("sorted", Z6, 18, 2),
-    ("sorted", F8, 12, 2),
-    ("int64", F4, 30, 2),
-    ("int64", Z4, 29, 1),
-    ("int64", F8, 21, 1),
-    ("int64", F8, 20, 2),
-]
-
-
-@pytest.mark.parametrize(
-    "branch,ring,n,k",
-    KEY_CASES,
-    ids=[f"{b}-{r.label()}-{n}-{k}" for b, r, n, k in KEY_CASES],
-)
-def test_key_counts_equal_the_agreement_counts(branch, ring, n, k):
-    q = ring.order
-    s = n - k
-    assert branch == (
-        "table" if q**s <= 2**24 else "sorted" if q**s < 2**53 else "int64"
-    )
-    # within the numpy route's limits, where monte_carlo_delta calls it
-    assert s * (q - 1).bit_length() <= 62 and q**s < 2**62
-    rng = random.Random(q * 1000 + n)
-    w = [0] * n
-    for i in rng.sample(range(n), k):
-        w[i] = rng.randrange(1, q)
-    keep = [i for i, m in enumerate(w) if m == 0]
-    # C holds the all-ones word and D that word with a 2 in the lowest key
-    # digit: keys rounded to float64 past 2^53 would take them as equal
-    tweaked = [1] * n
-    tweaked[keep[0]] = 2
-    code_c = _key_case_code(ring, n, rng, [(1,) * n])
-    shared = next(g for g in code_c.generators if 0 < sum(map(bool, g)) < n)
-    code_d = _key_case_code(ring, n, rng, [shared, tuple(tweaked)])
-    perms = [list(range(n))] + [rng.sample(range(n), n) for _ in range(12)]
-    counts = _key_counter(code_c, code_d, keep)(np.array(perms, dtype=np.int64))
-    agreeing = list(_agreements(code_c, code_d, w, perms))
-    assert counts.tolist() == agreeing
-    # the shared row's multiples agree under the identity
-    assert agreeing[0] >= q and len(set(agreeing)) > 1
 
 
 def test_delta_dispatcher():

@@ -597,21 +597,62 @@ def test_monte_carlo_samples_past_the_budget_exit_2(monkeypatch):
     )
 
 
-def test_monte_carlo_key_table_is_charged(tmp_path, monkeypatch):
-    # over F4 with |K| = 6 the key counter counts D's keys in 4^6 = 4096 cells
+def test_monte_carlo_span_symbols_are_charged_on_numpys_stream(tmp_path, monkeypatch):
+    # over F4 with |K| = 6 the samples count span sizes of 2 rows on K:
+    # 200 samples * 2 rows * 6 symbols
     path = tmp_path / "f4_row.json"
     ring = {"kind": "field", "p": 2, "f": 2}
     path.write_text(json.dumps({"name": "", "ring": ring, "n": 6, "generators": [[1] * 6]}))
     argv = ("delta", str(path), str(path), "--w-weight", "0",
             "--method", "mc", "--samples", "200")
-    monkeypatch.setenv("JF_BUDGET", "4095")
+    monkeypatch.setenv("JF_BUDGET", "2399")
     assert run(*argv) == (
-        2, "", '{"error": "4096 key table entries exceed the budget 4095"}\n'
+        2, "", '{"error": "2400 span symbols exceed the budget 2399"}\n'
     )
-    monkeypatch.setenv("JF_BUDGET", "4096")
+    monkeypatch.setenv("JF_BUDGET", "2400")
     assert run(*argv) == (
         0, "4.00000000000  stderr:0.00000  samples:200  seed:0\n", ""
     )
+
+
+def _unit_rows_code(tmp_path, n, k):
+    """A binary code of length n spanned by its first k unit rows."""
+    path = tmp_path / f"units_{n}_{k}.json"
+    ring = {"kind": "field", "p": 2, "f": 1}
+    rows = [[int(i == j) for i in range(n)] for j in range(k)]
+    path.write_text(json.dumps({"name": "", "ring": ring, "n": n, "generators": rows}))
+    return str(path)
+
+
+OVERFLOW = '{"error": "the sampled statistics overflow a float"}\n'
+
+
+def test_a_sampled_stderr_past_a_float_exits_2(tmp_path):
+    # ranked on numpy's stream: each count is near 2^720, its square is not
+    # a float
+    path = _unit_rows_code(tmp_path, 400, 390)
+    argv = ("delta", path, path, "--w-weight", "340", "--method", "mc",
+            "--samples", "50")
+    assert run(*argv) == (2, "", OVERFLOW)
+    assert run(*argv, "--format", "json") == (2, "", OVERFLOW)
+
+
+def test_a_ranked_count_past_a_float_exits_2(tmp_path):
+    # each count is 2^1190 on numpy's stream, past the float the rank gives
+    path = _unit_rows_code(tmp_path, 600, 600)
+    argv = ("delta", path, path, "--w-weight", "590", "--method", "mc",
+            "--samples", "10")
+    assert run(*argv) == (2, "", OVERFLOW)
+    assert run(*argv, "--format", "json") == (2, "", OVERFLOW)
+
+
+def test_a_shuffled_mean_past_a_float_exits_2(tmp_path):
+    # |K| = 70 on the shuffles: span sizes whose int mean is past a float
+    path = _unit_rows_code(tmp_path, 1200, 1130)
+    argv = ("delta", path, path, "--w-weight", "1130", "--method", "mc",
+            "--samples", "3")
+    assert run(*argv) == (2, "", OVERFLOW)
+    assert run(*argv, "--format", "json") == (2, "", OVERFLOW)
 
 
 def test_monte_carlo_with_one_sample_has_no_stderr():

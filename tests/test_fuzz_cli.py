@@ -25,9 +25,9 @@ draw grinds.  Drawn codes stay short because the cross-check builds
 `LinearCode.dual()`, whose n x n identity is built before any charge.
 
 Well-formed drawn code files over q > 2 (n <= 40, up to three rows) go
-through `delta --method mc`: at |K| <= 8, where the key counter counts
-in a table of q^|K| cells (or by sorted keys past 2^24 of them), and at
-|K| >= 32, past 62 bits, where the shuffles count by span size.
+through `delta --method mc`, which counts them by span size: at
+|K| <= 8 on numpy's stream, and at |K| >= 32, past 62 bits, on the
+shuffles.
 """
 
 import contextlib
