@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jacweight.averages as averages
@@ -1008,42 +1008,60 @@ def _small_support_code(ring, n, rng, rows):
     return LinearCode(ring, n, tuple(rows))
 
 
-# (ring, n, mask weight) on numpy's stream off F2, with q^|K| up to 2^24,
-# below 2^53 and from there to the stream's limit of 2^62
+# (band, ring, n, mask weight) on numpy's stream off F2, by q^|K|: up to
+# 2^24 ("table"), below 2^53 ("sorted") and from there to the stream's
+# limit of 2^62 ("int64")
 WIDE_CASES = [
-    (F3, 12, 2), (F4, 11, 1), (F9, 9, 2), (Z4, 10, 0), (Z6, 10, 1),
-    (F3, 24, 3), (F9, 15, 1), (Z6, 18, 2), (F8, 12, 2),
-    (F4, 30, 2), (Z4, 29, 1), (F8, 21, 1), (F8, 20, 2),
+    ("table", F3, 12, 2),
+    ("table", F4, 11, 1),
+    ("table", F9, 9, 2),
+    ("table", Z4, 10, 0),
+    ("table", Z6, 10, 1),
+    ("sorted", F3, 24, 3),
+    ("sorted", F9, 15, 1),
+    ("sorted", Z6, 18, 2),
+    ("sorted", F8, 12, 2),
+    ("int64", F4, 30, 2),
+    ("int64", Z4, 29, 1),
+    ("int64", F8, 21, 1),
+    ("int64", F8, 20, 2),
 ]
 
 
-def _wide_case(ring, n, k):
-    """Two codes that share a row of small support, a mask of weight k and
-    13 permutations, the identity first, as numpy's stream passes them.
-    C holds the all-ones word and D that word with a 2 at the first
-    position of K."""
+@pytest.mark.parametrize(
+    "band,ring,n,k",
+    WIDE_CASES,
+    ids=[f"{b}-{r.label()}-{n}-{k}" for b, r, n, k in WIDE_CASES],
+)
+def test_key_counts_equal_the_agreement_counts(band, ring, n, k):
+    """_span_counter on numpy's stream against the literal counter, with
+    q^|K| in each band.  Two codes share a row of small support and take
+    13 permutations, the identity first.  C holds the all-ones word and D
+    that word with a 2 at the first position of K."""
     q = ring.order
-    assert (n - k) * (q - 1).bit_length() <= 62 and q ** (n - k) < 2**62
+    s = n - k
+    assert band == (
+        "table" if q**s <= 2**24 else "sorted" if q**s < 2**53 else "int64"
+    )
+    assert s * (q - 1).bit_length() <= 62 and q**s < 2**62
     rng = random.Random(q * 1000 + n)
     w = [0] * n
     for i in rng.sample(range(n), k):
         w[i] = rng.randrange(1, q)
+    keep = [i for i, m in enumerate(w) if m == 0]
     tweaked = [1] * n
-    tweaked[w.index(0)] = 2
+    tweaked[keep[0]] = 2
     code_c = _small_support_code(ring, n, rng, [(1,) * n])
     shared = next(g for g in code_c.generators if 0 < sum(map(bool, g)) < n)
     code_d = _small_support_code(ring, n, rng, [shared, tuple(tweaked)])
     perms = [list(range(n))] + [rng.sample(range(n), n) for _ in range(12)]
-    return code_c, code_d, tuple(w), np.array(perms, dtype=np.int64)
+    counts = _span_counter(code_c, code_d, keep)(np.array(perms, dtype=np.int64))
+    agreeing = list(_agreements(code_c, code_d, w, perms))
+    assert counts == agreeing
+    # the shared row's multiples agree under the identity
+    assert agreeing[0] >= q and len(set(agreeing)) > 1
 
 
-def _with_wide_cases(test):
-    for case in WIDE_CASES:
-        test = example(_wide_case(*case))(test)
-    return test
-
-
-@_with_wide_cases
 @given(span_cases())
 @settings(max_examples=200, deadline=None)
 def test_span_counts_equal_the_agreement_counts(case):
@@ -1055,16 +1073,6 @@ def test_span_counts_equal_the_agreement_counts(case):
     assert intersection_size(code_c, code_d, w) == next(
         _agreements(code_c, code_d, w, identity)
     )
-
-
-def test_wide_cases_agree_in_more_than_one_count():
-    """The shared row's multiples agree under the identity, so the span test
-    meets counts of q and more, and the counts differ between samples."""
-    for ring, n, k in WIDE_CASES:
-        code_c, code_d, w, perms = _wide_case(ring, n, k)
-        keep = [i for i, m in enumerate(w) if m == 0]
-        counts = _span_counter(code_c, code_d, keep)(perms)
-        assert counts[0] >= ring.order and len(set(counts)) > 1
 
 
 def _even_code(n, size, rng):
