@@ -24,7 +24,10 @@ each side, the parent first on even rounds and the change first on odd
 ones.  It writes each side's median and quartiles in milliseconds, and
 the exit code both sides gave, into the BENCH file as its ``startup``
 object, keeping what the file already holds; a command whose exit codes
-differ stops it.
+differ stops it.  Each round also times ``import jacweight.cli`` alone on
+each side, from inside a fresh interpreter (``IMPORT_PROBE``), so that a
+change to start-up reads apart from the interpreter's and ``site``'s own;
+its median and quartiles go to the ``startup`` object as ``import_cli``.
 
     python3 scripts/bench_pairs.py run --parent P --change C \\
         --workload enumeration --seeds 501-510 --runs runs.jsonl
@@ -62,6 +65,8 @@ STARTUP_COMMANDS = [
 ]
 STARTUP_ROUNDS = 15
 ENTRY_POINT = "import sys; from jacweight.cli import main; sys.exit(main(sys.argv[1:]))"
+IMPORT_PROBE = ("import time; start = time.perf_counter(); import jacweight.cli; "
+                "print(time.perf_counter() - start)")
 
 
 def seed_range(text):
@@ -153,22 +158,44 @@ def summarize(args):
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
 
 
+def checkout_env(checkout):
+    return {**os.environ, "PYTHONPATH": str(Path(checkout, "src"))}
+
+
 def fresh_process(checkout, command):
     """(exit code, wall seconds) of one command in a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(Path(checkout, "src"))}
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", ENTRY_POINT, *shlex.split(command)],
-        cwd=checkout, env=env, capture_output=True,
+        cwd=checkout, env=checkout_env(checkout), capture_output=True,
     )
     return proc.returncode, time.perf_counter() - start
 
 
+def fresh_import(checkout):
+    """Seconds that ``import jacweight.cli`` takes in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], cwd=checkout,
+        env=checkout_env(checkout), capture_output=True, text=True, check=True,
+    )
+    return float(proc.stdout)
+
+
+def compared(times):
+    """Each side's median and quartiles of its times, and the medians' ratio."""
+    parent, change = quartiles(times["parent"]), quartiles(times["change"])
+    return {"parent": parent, "change": change,
+            "change_over_parent": change["median"] / parent["median"]}
+
+
 def startup(args):
     ms = {command: {"parent": [], "change": []} for command in STARTUP_COMMANDS}
+    import_ms = {"parent": [], "change": []}
     codes = {}
     for i in range(STARTUP_ROUNDS):
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in sides:
+            import_ms[side].append(fresh_import(getattr(args, side)) * 1000)
         for command in STARTUP_COMMANDS:
             for side in sides:
                 rc, seconds = fresh_process(getattr(args, side), command)
@@ -176,14 +203,12 @@ def startup(args):
                     raise SystemExit(f"{command!r} exited {rc} on the {side} side, "
                                      f"{codes[command]} before")
                 ms[command][side].append(seconds * 1000)
-    commands = {}
-    for command, times in ms.items():
-        parent, change = quartiles(times["parent"]), quartiles(times["change"])
-        commands[command] = {"exit": codes[command], "parent": parent, "change": change,
-                             "change_over_parent": change["median"] / parent["median"]}
+    commands = {command: {"exit": codes[command], **compared(times)}
+                for command, times in ms.items()}
     out_path = Path(args.out)
     out = json.loads(out_path.read_text()) if out_path.exists() else {}
-    out["startup"] = {"unit": "ms", "rounds": STARTUP_ROUNDS, "commands": commands}
+    out["startup"] = {"unit": "ms", "rounds": STARTUP_ROUNDS, "commands": commands,
+                      "import_cli": compared(import_ms)}
     out_path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
 
 

@@ -312,6 +312,22 @@ MUTANTS = {
           "    return str(value) if type(value) is int else fraction_str(value)\n")],
         ["tests/test_packed_terms.py"],
     ),
+    "LinearCode equality reading its name": (
+        "codes.py",
+        [('    _uncompared = ("name",)\n', "")],
+        ["tests/test_records.py"],
+    ),
+    "record assignment guard dropped": (
+        "rings.py",
+        [("    def __setattr__(self, name, value):\n"
+          "        raise AttributeError(f\"cannot assign to field {name!r}\")\n", "")],
+        ["tests/test_records.py"],
+    ),
+    "RingSpec repr showing its tables": (
+        "rings.py",
+        [("_uncompared = _unshown = (", "_uncompared = (")],
+        ["tests/test_records.py"],
+    ),
     # Scaling each pivot by u = 1 instead is an equivalent mutant: an
     # associate of the pivot entry has the same ideal and annihilators, so
     # the spans, and every dual and |C|, are the same.

@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import (
@@ -58,7 +57,7 @@ from .codes import (
     permute_word,
 )
 from .polynomials import SparsePolynomial, monomial_layout
-from .rings import RingSpec
+from .rings import Record, RingSpec
 
 __all__ = [
     "AverageResult",
@@ -433,15 +432,23 @@ def delta_closed(code_c: LinearCode, code_d: LinearCode, w) -> Fraction:
 # ---- sampling --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AverageResult:
-    """Outcome of an average computation, with sampling metadata."""
+class AverageResult(Record):
+    """Outcome of an average computation, with sampling metadata.
 
-    value: object
-    method: str
-    samples: int | None = None
-    seed: int | None = None
-    stderr: float | None = None
+    A frozen record (`rings.Record`): every field is compared and shown."""
+
+    _fields = ("value", "method", "samples", "seed", "stderr")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        value: object,
+        method: str,
+        samples: int | None = None,
+        seed: int | None = None,
+        stderr: float | None = None,
+    ):
+        super().__init__(value, method, samples, seed, stderr)
 
 
 def monte_carlo_delta(

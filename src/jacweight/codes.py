@@ -35,14 +35,13 @@ import json
 import math
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import getitem, xor
 from pathlib import Path
 
 from .budget import BudgetExceeded, check_budget, enumeration_budget
 from .polynomials import SparsePolynomial, monomial_layout
-from .rings import RingSpec, ring_from_json, ring_to_json
+from .rings import Record, RingSpec, ring_from_json, ring_to_json
 
 __all__ = [
     "BudgetExceeded",
@@ -116,24 +115,32 @@ def composition(ring: RingSpec, *words) -> tuple[int, ...]:
     return next(iter(_tuple_counts(ring, [words[:1]], words[1:]).terms))
 
 
-@dataclass(frozen=True)
-class LinearCode:
-    """Code spanned by generator rows over a RingSpec."""
+class LinearCode(Record):
+    """Code spanned by generator rows over a RingSpec.
 
-    ring: RingSpec
-    n: int
-    generators: tuple[tuple[int, ...], ...]
-    name: str = field(default="", compare=False)
+    A frozen record (`rings.Record`) whose name is shown but not compared.
+    Unlike the others it keeps an instance __dict__, where its cached
+    properties (`words`, `_bits`, ...) store what they compute."""
 
-    def __post_init__(self):
-        for row in self.generators:
-            if len(row) != self.n:
+    _fields = ("ring", "n", "generators", "name")
+    _uncompared = ("name",)
+
+    def __init__(
+        self,
+        ring: RingSpec,
+        n: int,
+        generators: tuple[tuple[int, ...], ...],
+        name: str = "",
+    ):
+        for row in generators:
+            if len(row) != n:
                 raise CodeFormatError("generator rows must all have length n")
             for s in row:
-                if not 0 <= s < self.ring.order:
+                if not 0 <= s < ring.order:
                     raise CodeFormatError(
-                        f"symbol {s} out of range for {self.ring.label()}"
+                        f"symbol {s} out of range for {ring.label()}"
                     )
+        super().__init__(ring, n, generators, name)
 
     @cached_property
     def words(self) -> tuple[tuple[int, ...], ...]:

@@ -36,11 +36,11 @@ work does not grow with the number of blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, compress, groupby, repeat, starmap
 from operator import and_
 
 from .codes import _DIGIT_BYTES, LinearCode, _pack, check_budget
+from .rings import Record
 
 __all__ = [
     "BlockMultiset",
@@ -53,39 +53,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BlockMultiset:
-    """Multiset of k-subsets of an n-point set, kept with repeats."""
+class BlockMultiset(Record):
+    """Multiset of k-subsets of an n-point set, kept with repeats.
 
-    n: int
-    k: int
-    blocks: tuple[tuple[int, ...], ...]
+    A frozen record (`rings.Record`): every field is compared and shown."""
 
-    def __post_init__(self):
-        _check_block_size(self.n, self.k)
-        for block in self.blocks:
-            if len(block) != self.k or len(set(block)) != self.k:
+    _fields = ("n", "k", "blocks")
+    __slots__ = _fields
+
+    def __init__(self, n: int, k: int, blocks: tuple[tuple[int, ...], ...]):
+        _check_block_size(n, k)
+        for block in blocks:
+            if len(block) != k or len(set(block)) != k:
                 raise ValueError("every block must have k distinct points")
-            if any(not 0 <= p < self.n for p in block):
+            if any(not 0 <= p < n for p in block):
                 raise ValueError("block point out of range")
+        super().__init__(n, k, blocks)
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(Record):
     """Coverage summary of a block multiset at one t.
 
     lam is the common coverage when every t-subset is met equally
     often, and None otherwise.  Undersized classes (block size below
-    t) never report a lam.
+    t) never report a lam.  A frozen record (`rings.Record`): every field
+    is compared and shown.
     """
 
-    n: int
-    weight: int
-    t: int
-    lam: int | None
-    min_coverage: int
-    max_coverage: int
-    block_count: int
+    _fields = ("n", "weight", "t", "lam", "min_coverage", "max_coverage",
+               "block_count")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        n: int,
+        weight: int,
+        t: int,
+        lam: int | None,
+        min_coverage: int,
+        max_coverage: int,
+        block_count: int,
+    ):
+        super().__init__(n, weight, t, lam, min_coverage, max_coverage, block_count)
 
     @property
     def is_design(self) -> bool:

@@ -5,16 +5,21 @@ the element a0 + a1*lam + ... + a_{f-1}*lam^(f-1) encodes as
 sum a_i p^i with digits a_i in [0, p); for Z_k the element is its
 residue.  0 is always the additive identity omega_0.  Arithmetic goes
 through tables precomputed at construction, so element operations
-never touch polynomial code after make_ring returns.  A construction
-charges its q^2 table entries to the enumeration budget before it
-builds a table.
+never touch polynomial code after make_ring returns; F_p and Z_p share
+the residue tables, and only F_{p^f} with f >= 2 builds its tables from
+polynomials.  A construction charges its q^2 table entries to the
+enumeration budget before it builds a table.
+
+`Record` is the base of the package's frozen records, here and in
+`codes`, `averages` and `designs`: plain classes in place of frozen
+dataclasses, so that no command imports `dataclasses` and `inspect`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .budget import check_budget
 from .exactnum import _reduce_mod, root_of_unity
@@ -67,24 +72,83 @@ def _is_irreducible(poly, p) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """Immutable description of the alphabet with precomputed op tables."""
+class Record:
+    """Base of the frozen records: RingSpec, LinearCode, AverageResult,
+    BlockMultiset and DesignReport.
 
-    kind: str
-    order: int
-    root_order: int
-    p: int | None = None
-    f: int | None = None
-    primitive_poly: tuple[int, ...] | None = None
-    k: int | None = None
-    add_table: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False, repr=False
-    )
-    mul_table: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False, repr=False
-    )
-    neg_table: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    A record lists its field names in order as `_fields`, and may name
+    fields that == and hash leave out (`_uncompared`) and fields that repr
+    leaves out (`_unshown`).  Its own __init__ checks the arguments and
+    passes the fields, in order, to Record.__init__.  Two records are equal
+    when they are of the same class and their compared fields are, the hash
+    is that of the tuple of compared fields, and repr is
+    `Name(field=value, ...)`, as for a frozen dataclass.  Setting or
+    deleting an attribute raises AttributeError; cached_property still
+    stores into a record that has an instance __dict__.  A copy or a pickle
+    is rebuilt through the constructor from the fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _uncompared: tuple[str, ...] = ()
+    _unshown: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*(f for f in cls._fields if f not in cls._uncompared))
+        cls._shown = tuple(f for f in cls._fields if f not in cls._unshown)
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RingSpec(Record):
+    """Immutable description of the alphabet with precomputed op tables.
+
+    A frozen record whose three tables are neither compared nor shown."""
+
+    _fields = ("kind", "order", "root_order", "p", "f", "primitive_poly", "k",
+               "add_table", "mul_table", "neg_table")
+    _uncompared = _unshown = ("add_table", "mul_table", "neg_table")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        kind: str,
+        order: int,
+        root_order: int,
+        p: int | None = None,
+        f: int | None = None,
+        primitive_poly: tuple[int, ...] | None = None,
+        k: int | None = None,
+        add_table: tuple[tuple[int, ...], ...] = (),
+        mul_table: tuple[tuple[int, ...], ...] = (),
+        neg_table: tuple[int, ...] = (),
+    ):
+        super().__init__(kind, order, root_order, p, f, primitive_poly, k,
+                         add_table, mul_table, neg_table)
 
     @property
     def elements(self) -> range:
@@ -148,6 +212,26 @@ def field_ring(p: int, f: int = 1, primitive_poly=None) -> RingSpec:
         raise ValueError("modulus must be monic of degree f")
     if f >= 2 and not _is_irreducible(poly, p):
         raise ValueError(f"modulus {poly} is reducible over F_{p}")
+    add_table, mul_table, neg_table = (
+        _residue_tables(p) if f == 1 else _extension_tables(p, f, poly)
+    )
+    return RingSpec(
+        kind="field",
+        order=q,
+        root_order=p,
+        p=p,
+        f=f,
+        primitive_poly=poly,
+        add_table=add_table,
+        mul_table=mul_table,
+        neg_table=neg_table,
+    )
+
+
+def _extension_tables(p: int, f: int, poly):
+    """The add, mul and neg tables of F_p[x] / (poly), poly of degree f,
+    each element encoded by its digits base p."""
+    q = p**f
 
     def decode(e: int):
         digits = []
@@ -177,18 +261,16 @@ def field_ring(p: int, f: int = 1, primitive_poly=None) -> RingSpec:
             prod = _reduce_mod(_poly_mul_mod_p(da, decode(b), p), poly)
             row.append(encode([c % p for c in prod]))
         mul_rows.append(tuple(row))
+    return tuple(add_rows), tuple(mul_rows), tuple(neg_row)
 
-    return RingSpec(
-        kind="field",
-        order=q,
-        root_order=p,
-        p=p,
-        f=f,
-        primitive_poly=poly,
-        add_table=tuple(add_rows),
-        mul_table=tuple(mul_rows),
-        neg_table=tuple(neg_row),
-    )
+
+def _residue_tables(k: int):
+    """The add, mul and neg tables of the residues mod k: those of Z_k,
+    and of F_p for k = p prime."""
+    add_rows = tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
+    mul_rows = tuple(tuple((a * b) % k for b in range(k)) for a in range(k))
+    neg_row = tuple((-a) % k for a in range(k))
+    return add_rows, mul_rows, neg_row
 
 
 def modular_ring(k: int) -> RingSpec:
@@ -196,9 +278,7 @@ def modular_ring(k: int) -> RingSpec:
     if k < 2:
         raise ValueError("modulus must be at least 2")
     check_budget(k * k, "ring table entries")
-    add_rows = tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
-    mul_rows = tuple(tuple((a * b) % k for b in range(k)) for a in range(k))
-    neg_row = tuple((-a) % k for a in range(k))
+    add_rows, mul_rows, neg_row = _residue_tables(k)
     return RingSpec(
         kind="modring",
         order=k,

@@ -52,6 +52,16 @@ def test_import_cli_leaves_the_averages_designs_references_and_numpy_out():
     assert loaded & lazy == set()
 
 
+# the modules that dataclasses imports, each a few ms to compile or load
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_no_command_imports_dataclasses_or_inspect():
+    assert loaded_after("pass") & INTROSPECTION == set()
+    assert loaded_after("import jacweight.cli") & INTROSPECTION == set()
+    assert loaded_after("import jacweight.averages, jacweight.designs") & INTROSPECTION == set()
+
+
 def test_every_public_name_and_submodule_resolves_to_its_module():
     for module, names in jacweight.EXPORTS.items():
         defining = importlib.import_module(f"jacweight.{module}")

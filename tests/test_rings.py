@@ -152,6 +152,32 @@ def test_ring_tables_charge_their_entries_first(monkeypatch, build, q):
         assert build().order == q
 
 
+PRIMES_BELOW_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_50)
+def test_prime_fields_have_the_tables_of_z_p(p):
+    field, residues = field_ring(p), modular_ring(p)
+    assert field.add_table == residues.add_table
+    assert field.mul_table == residues.mul_table
+    assert field.neg_table == residues.neg_table
+    assert (field.kind, field.order, field.root_order) == ("field", p, p)
+    assert (field.p, field.f, field.primitive_poly, field.k) == (p, 1, (0, 1), None)
+
+
+def test_prime_field_charge_keeps_its_text(monkeypatch):
+    monkeypatch.setenv("JF_BUDGET", "48")
+    with pytest.raises(BudgetExceeded, match=r"^49 ring table entries exceed the budget 48$"):
+        field_ring(7)
+    # the charge comes before the primality test, as for F_{p^f}
+    with pytest.raises(BudgetExceeded, match=r"^64 ring table entries exceed the budget 48$"):
+        field_ring(8)
+    monkeypatch.setenv("JF_BUDGET", "49")
+    assert field_ring(7).order == 7
+    with pytest.raises(ValueError, match=r"^p = 6 is not prime$"):
+        field_ring(6)
+
+
 def test_json_roundtrip(ring):
     obj = ring_to_json(ring)
     back = ring_from_json(obj)
