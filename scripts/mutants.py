@@ -74,8 +74,9 @@ MUTANTS = {
     ),
     "kept-generator scan run forwards": (
         "codes.py",
-        [("for gen in reversed(self.generators):", "for gen in self.generators:"),
-         ("return tuple(reversed(kept))", "return tuple(kept)")],
+        [("_f2_basis(map(_pack, reversed(self.generators)))",
+          "_f2_basis(map(_pack, self.generators))"),
+         ("self.generators[~i] for i in reversed(grew)", "self.generators[i] for i in grew")],
         ["tests/test_tuple_counts.py", "tests/test_packed_terms.py"],
     ),
     "binary words read with their bit order reversed": (
@@ -227,7 +228,8 @@ MUTANTS = {
     ),
     "rank columns one dtype too narrow at its edge": (
         "averages.py",
-        [("if width <= np.iinfo(t).bits)", "if width <= np.iinfo(t).bits + 1)")],
+        [("np.min_scalar_type((1 << len(basis)) - 1)",
+          "np.min_scalar_type((1 << len(basis)) - 1 >> 1)")],
         ["tests/test_averages.py"],
     ),
     "rank counter taking all of K as free rows": (
@@ -243,7 +245,7 @@ MUTANTS = {
     ),
     "span counter leaving out D's rows": (
         "averages.py",
-        [("LinearCode(ring, s, moved + fixed)", "LinearCode(ring, s, moved)")],
+        [("_span_size(ring, moved + fixed, s)", "_span_size(ring, moved, s)")],
         ["tests/test_averages.py"],
     ),
     "span symbols charged on the shuffles alone": (
@@ -327,6 +329,19 @@ MUTANTS = {
         "rings.py",
         [("_uncompared = _unshown = (", "_uncompared = (")],
         ["tests/test_records.py"],
+    ),
+    # The rank counter needs every pivot's low slot clear in the other pivots;
+    # `_kept` does not, as the rows that grow a basis stay the same.
+    "F2 basis left without back-substitution": (
+        "codes.py",
+        [("basis = [p ^ x if p & x & -x else p for p in basis] + [x]",
+          "basis = basis + [x]")],
+        ["tests/test_codes.py", "tests/test_averages.py"],
+    ),
+    "transposed columns read one position off": (
+        "codes.py",
+        [("digits[n - 1 - p :: n]", "digits[n - 2 - p :: n]")],
+        ["tests/test_codes.py", "tests/test_designs.py", "tests/test_averages.py"],
     ),
     # Scaling each pivot by u = 1 instead is an equivalent mutant: an
     # associate of the pivot entry has the same ideal and annihilators, so

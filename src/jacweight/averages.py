@@ -17,9 +17,8 @@ equal to v on the zeros K of the mask.  Those pairs are the kernel of the
 linear map (u, v) -> (u^sigma - v) restricted to K, whose image is
 P_sigma + Q, with P_sigma the restriction of C to sigma(K) and Q that of D
 to K; so the count is |C| |D| / |P_sigma + Q|.  `_span_counter` takes that
-span's size from the echelon form over any ring (Howell's property over
-Z_k), for `intersection_size` (sigma the identity) and every sample off the
-binary rank route.
+span's size from `codes._span_size` over any ring, for `intersection_size`
+(sigma the identity) and every sample off the binary rank route.
 The exhaustive delta reads sigma on K alone, so it walks the injections of
 K into the positions, not S_n: each level of the walk is one packed mask
 per position over the pairs of C x D that agree there, and a pair counts
@@ -29,7 +28,8 @@ The Monte Carlo path is one sampling loop that picks its stream by width
 counter by ring and width: over F2 while |K| <= 64 a GF(2) rank per sample
 of C's rows reduced modulo D's, taken over the columns of C gathered at
 sigma(K) with D's reduction as a fixed XOR of those columns, else span
-sizes, on either stream.  Neither counter builds a word.
+sizes, on either stream.  Neither counter builds a word.  A batch holds at
+most DRAW_ENTRIES permutation entries, so its memory does not grow with n.
 
 The average joint Jacobi polynomial evaluated at the point that is
 zero exactly on variables with differing code symbols and zero mask
@@ -44,12 +44,16 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+from .budget import check_budget
 from .codes import (
     LinearCode,
+    _columns,
     _direct_counts,
     _echelon,
+    _f2_basis,
+    _pack,
+    _span_size,
     _tuple_counts,
-    check_budget,
     check_mask,
     check_pair,
     comp_table,
@@ -81,6 +85,9 @@ BRUTE_MAX_N = 8
 
 # brute_delta's pair masks hold at most this many bits, or |D| if more.
 PAIR_MASK_BITS = 1 << 16
+
+# A Monte Carlo batch draws at most this many permutation entries.
+DRAW_ENTRIES = 1 << 20
 
 
 def multinomial(n: int, parts) -> int:
@@ -168,17 +175,16 @@ def intersection_size(code_c: LinearCode, code_d: LinearCode, w) -> int:
 
 def _span_counter(code_c: LinearCode, code_d: LinearCode, keep):
     """Per-permutation counts for a list of permutations: |C| |D| over the
-    size of the span of C's generators on sigma(K) and D's on K, with D's
-    rows on K put in echelon form once, whose pivot rows span them."""
+    `_span_size` of C's generators on sigma(K) and D's on K, with D's rows on
+    K put in echelon form once, whose pivot rows span them."""
     ring = code_c.ring
     s = len(keep)
     fixed, _ = _echelon(ring, [[g[i] for i in keep] for g in code_d.generators], s)
-    fixed = tuple(map(tuple, fixed))
     pairs = code_c.size * code_d.size
 
     def span_size(sigma):
-        moved = tuple(tuple(g[sigma[i]] for i in keep) for g in code_c.generators)
-        return LinearCode(ring, s, moved + fixed).size
+        moved = [tuple(g[sigma[i]] for i in keep) for g in code_c.generators]
+        return _span_size(ring, moved + fixed, s)
 
     return lambda perms: [pairs // span_size(sigma) for sigma in perms]
 
@@ -460,7 +466,8 @@ def monte_carlo_delta(
 ) -> AverageResult:
     """Estimate the average intersection number from random permutations.
 
-    One loop draws them in batches of 1024 and counts each exactly.  The
+    One loop draws them in batches of at most 1024 and of at most
+    DRAW_ENTRIES permutation entries, and counts each exactly.  The
     stream is chosen by width: numpy's, or random.Random(seed) shuffles
     once q^|K| reaches 2^62 or |K| symbols of the bit length of q - 1 pass
     62 bits.  The counter is chosen by ring: over F2 with |K| <= 64 it is
@@ -509,10 +516,11 @@ def monte_carlo_delta(
         rows = len(code_c.generators) + len(code_d.generators)
         check_budget(samples * rows * s, "span symbols")
         count = _span_counter(code_c, code_d, keep)
+    batch = min(1024, max(1, DRAW_ENTRIES // code_c.n))
     try:
         with floats:
-            batches = [count(draw(min(1024, samples - i)))
-                       for i in range(0, samples, 1024)]
+            batches = [count(draw(min(batch, samples - i)))
+                       for i in range(0, samples, batch)]
             stderr = None
             if shuffled:
                 counts = [int(c) for batch in batches for c in batch]
@@ -536,41 +544,25 @@ def monte_carlo_delta(
     )
 
 
-def _f2_basis(rows):
-    """A basis of the F2 span of rows, given as ints, in fully reduced echelon
-    form: no element's lowest set bit is set in another."""
-    basis = []
-    for x in rows:
-        for p in basis:
-            if x & p & -p:
-                x ^= p
-        if x:
-            basis = [p ^ x if p & x & -x else p for p in basis] + [x]
-    return basis
-
-
 def _rank_counter(code_c: LinearCode, code_d: LinearCode, keep):
     """Per-permutation counts over F2 for b permutations, as a (b, n) array
     or a list of lists: |C| |D| >> (r_D + rank), by the transposed matrix.
 
-    D's rows on K (bit j for kept slot j) are put once in fully reduced
-    echelon form, so r_D is their count; a pivot's lowest set bit is its low
-    slot, and the other slots of K are free.  Reducing C's moved rows modulo
-    their span XORs in the pivots whose low slots they have, so column f of
-    the reduced rows, for a free slot f, is the column of C on sigma(keep[f])
-    XOR those on sigma(keep[low(p)]) for every pivot p with bit f, and rank
-    is its column rank.  C's generators are reduced to an XOR basis once, and
-    cols[i] is an int with bit r set when basis row r is 1 at position i,
-    held in the narrowest unsigned dtype of dim C bits (object past 64).  A
-    batch gathers cols at sigma(K) once, XORs each pivot's low row into the
-    free rows it touches, and eliminates the free rows for all b
-    permutations at once: each row pivots on its lowest set bit, which is
-    cleared from the rows below, and the rows left nonzero are independent.
+    D's rows on K (bit j for kept slot j) are reduced once (`_f2_basis`), so
+    r_D is their count; a pivot's lowest set bit is its low slot, and the
+    other slots of K are free.  Reducing C's moved rows modulo their span
+    XORs in the pivots whose low slots they have, so column f of the reduced
+    rows, for a free slot f, is the column of C on sigma(keep[f]) XOR those
+    on sigma(keep[low(p)]) for every pivot p with bit f, and rank is its
+    column rank.  cols holds the `_columns` of C's `_f2_basis`.  A batch
+    gathers cols at sigma(K) once, XORs each pivot's low row into the free
+    rows it touches, and eliminates the free rows for all b permutations at
+    once: each row pivots on its lowest set bit, which is cleared from the
+    rows below, and the rows left nonzero are independent.
     """
     import numpy as np
 
-    pivots = _f2_basis(sum(1 << j for j, i in enumerate(keep) if g[i])
-                       for g in code_d.generators)
+    pivots, _ = _f2_basis(_pack([g[i] for i in keep]) for g in code_d.generators)
     lows = [(p & -p).bit_length() - 1 for p in pivots]
     free = [j for j in range(len(keep)) if j not in lows]
     slot = {j: f for f, j in enumerate(free)}
@@ -580,18 +572,10 @@ def _rank_counter(code_c: LinearCode, code_d: LinearCode, keep):
                        dtype=np.intp))
         for p, low in zip(pivots, lows)
     ]
-    basis = _f2_basis(sum(1 << i for i, a in enumerate(g) if a)
-                      for g in code_c.generators)
-    cols = [0] * code_c.n
-    for r, x in enumerate(basis):
-        while x:
-            low = x & -x
-            cols[low.bit_length() - 1] |= 1 << r
-            x ^= low
-    width = len(basis)
-    dtype = next((t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                  if width <= np.iinfo(t).bits), object)
-    cols = np.array(cols, dtype=dtype)
+    basis, _ = _f2_basis(map(_pack, code_c.generators))
+    # the narrowest unsigned dtype of dim C bits, object past 64
+    dtype = np.min_scalar_type((1 << len(basis)) - 1)
+    cols = np.array(_columns(basis, code_c.n), dtype=dtype)
     keep = np.array(keep, dtype=np.intp)
     free = np.array(free, dtype=np.intp)
     # |C| |D| is a power of two, so each count is exact as a float

@@ -42,7 +42,7 @@ from fractions import Fraction
 from importlib import import_module
 
 from .budget import check_budget
-from .codes import BudgetExceeded, CodeFormatError, LinearCode, load_code, weight
+from .codes import BudgetExceeded, LinearCode, load_code, weight
 from .enumerators import (
     cwe,
     cwe_genus,
@@ -54,7 +54,7 @@ from .enumerators import (
     macwilliams_second,
     macwilliams_single,
 )
-from .exactnum import NonRationalValue, fraction_str
+from .exactnum import fraction_str
 
 # modules imported when a command that needs them runs, and the names each
 # binds into this module
@@ -502,14 +502,7 @@ def main(argv=None) -> int:
         check_budget(args.digits, "decimal digits")
         _bind(args.needs)
         return args.func(args)
-    except (
-        CliError,
-        CodeFormatError,
-        BudgetExceeded,
-        NonRationalValue,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (CliError, BudgetExceeded, FileNotFoundError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

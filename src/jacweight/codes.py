@@ -26,6 +26,11 @@ bit-sliced counter sums those columns, so that every word's popcount in
 each class of positions with equal fixed-word symbols is counted at once
 (see `_bit_counts`).  Over such a ring `words` too is read from packed
 ints, the XOR walk over the kept generators (`_bits`).
+
+A packed word is an int with bit i for position i: a binary word, a
+support or a block.  One set of helpers serves every module: `_pack` and
+`_unpack` convert, `_columns` transposes, `_f2_basis` reduces packed rows
+over F2, and `_span_size` sizes a span over any ring from its echelon form.
 """
 
 from __future__ import annotations
@@ -157,11 +162,7 @@ class LinearCode(Record):
         the echelon form, or as the kept generators' n * 2^k.
         """
         if self.ring.order == 2:
-            digits = f"0{self.n}b"
-            return tuple(
-                tuple(format(x, digits)[::-1].encode().translate(_DIGIT_BYTES))
-                for x in self._bits
-            )
+            return tuple(map(tuple, _unpack(self._bits, self.n)))
         q = self.ring.order
         check_budget(self.size * self.n, "codeword symbols")
         add = self.ring.add_table
@@ -193,23 +194,12 @@ class LinearCode(Record):
     @cached_property
     def _kept(self) -> tuple[tuple[int, ...], ...]:
         """Over a ring of order 2, the generators not in the span of those
-        after them, in order, found by one backward scan over an XOR basis.
-        A word's lex-least coefficients are 0 on every other generator, so
-        `words` is the walk over these alone, with no repeat: word j is the
-        sum of those whose bits are set in j, the last one bit 0.  The
-        |C| * n codeword symbols they stand for are charged, once per code,
-        before a table is counted from them."""
-        basis: dict[int, int] = {}
-        kept = []
-        for gen in reversed(self.generators):
-            x = _pack(gen)
-            while x and (top := x.bit_length()) in basis:
-                x ^= basis[top]
-            if x:
-                basis[top] = x
-                kept.append(gen)
-        check_budget(self.n << len(kept), "codeword symbols")
-        return tuple(reversed(kept))
+        after them, in order: `words` is the walk over these alone, word j
+        the sum of those whose bits are set in j, the last one bit 0.  The
+        |C| * n codeword symbols are charged, once per code."""
+        _, grew = _f2_basis(map(_pack, reversed(self.generators)))
+        check_budget(self.n << len(grew), "codeword symbols")
+        return tuple(self.generators[~i] for i in reversed(grew))
 
     @cached_property
     def _comp_table(self) -> SparsePolynomial:
@@ -221,11 +211,8 @@ class LinearCode(Record):
 
     @cached_property
     def size(self) -> int:
-        """|C|: the product of |R p| over the pivot entries p of the
-        generators' echelon form, found without enumerating a word."""
-        pivots, _ = _echelon(self.ring, self.generators, self.n)
-        mul = self.ring.mul_table
-        return math.prod(len(set(mul[next(filter(None, row))])) for row in pivots)
+        """|C|, the `_span_size` of the generators."""
+        return _span_size(self.ring, self.generators, self.n)
 
     def __contains__(self, u) -> bool:
         return tuple(u) in self.word_set
@@ -301,6 +288,53 @@ def _echelon(ring: RingSpec, rows, ncols: int):
                 rest.append([mul[s][p] for p in pivot])
                 break
     return pivots, rest
+
+
+def _span_size(ring: RingSpec, rows, ncols: int) -> int:
+    """The size of the span of rows of ncols columns: the product of |R p|
+    over the pivot entries p of their echelon form, no word enumerated."""
+    pivots, _ = _echelon(ring, rows, ncols)
+    mul = ring.mul_table
+    return math.prod(len(set(mul[next(filter(None, row))])) for row in pivots)
+
+
+# ---- packed words ----------------------------------------------------------
+
+
+def _pack(flags) -> int:
+    """The int with bit i set just when flags[i] is true, read in one pass
+    from a string of binary digits (int() parses base 2 in linear time)."""
+    return int("0" + "".join(["1" if x else "0" for x in reversed(flags)]), 2)
+
+
+def _unpack(masks, n: int) -> list[bytes]:
+    """The n bits of each int of masks, bit i as byte i (0 or 1), read back
+    from one string of binary digits: `_pack`'s inverse."""
+    digits = f"0{n}b"
+    return [format(x, digits)[::-1].encode().translate(_DIGIT_BYTES) for x in masks]
+
+
+def _columns(masks, n: int) -> list[int]:
+    """The bit transpose of masks of n bits: column p has bit j set just
+    when masks[j] has bit p, each column read off one string of every
+    mask's binary digits, the last mask first, in linear time."""
+    digits = "".join([format(x, f"0{n}b") for x in reversed(masks)])
+    return [int(digits[n - 1 - p :: n] or "0", 2) for p in range(n)]
+
+
+def _f2_basis(rows):
+    """(basis, grew): a basis of the F2 span of the packed rows in fully
+    reduced echelon form, no element's lowest set bit set in another, and
+    the indices of the rows that grew it, in order."""
+    basis, grew = [], []
+    for i, x in enumerate(rows):
+        for p in basis:
+            if x & p & -p:
+                x ^= p
+        if x:
+            basis = [p ^ x if p & x & -x else p for p in basis] + [x]
+            grew.append(i)
+    return basis, grew
 
 
 # ---- distribution tables -------------------------------------------------
@@ -596,12 +630,6 @@ def _column(patterns, symbols) -> int:
     """Bit j set just when word j has a 1 where the kept generators read
     symbols: the XOR of the patterns of those that read 1."""
     return reduce(xor, itertools.compress(patterns, symbols), 0)
-
-
-def _pack(flags) -> int:
-    """The int with bit i set just when flags[i] is true, read in one pass
-    from a string of binary digits (int() parses base 2 in linear time)."""
-    return int("0" + "".join(["1" if x else "0" for x in reversed(flags)]), 2)
 
 
 def comp_table(code: LinearCode) -> SparsePolynomial:

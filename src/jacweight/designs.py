@@ -23,11 +23,11 @@ Both run the same checks first, in one order: the |C| * n codeword
 symbols charged, the range of t, then the C(n, t) t-subsets charged, so
 a refusal has the same text on either route.
 
-Each word's support is one int, bit i set when position i is nonzero:
-`LinearCode._bits` over a ring of order 2, one int per word of `words`
-otherwise.  A weight class is the masks of one popcount, and its n
-columns, each a bitset of the blocks holding one point, come from one
-transpose of the masks' binary digits.  A t-subset's coverage is the bit
+Each word's support is one packed int, bit i set when position i is
+nonzero: `LinearCode._bits` over a ring of order 2, `codes._pack` of each
+word of `words` otherwise.  A weight class is the masks of one popcount,
+and its n columns, each a bitset of the blocks holding one point, are
+their transpose (`codes._columns`).  A t-subset's coverage is the bit
 count of the AND of its points' columns; one scan walks the t-subsets
 depth first, so the AND of each shorter prefix is taken once, and the
 work does not grow with the number of blocks.
@@ -36,10 +36,11 @@ work does not grow with the number of blocks.
 from __future__ import annotations
 
 import math
-from itertools import combinations, compress, groupby, repeat, starmap
+from itertools import combinations, compress, groupby, starmap
 from operator import and_
 
-from .codes import _DIGIT_BYTES, LinearCode, _pack, check_budget
+from .budget import check_budget
+from .codes import LinearCode, _columns, _pack, _unpack
 from .rings import Record
 
 __all__ = [
@@ -117,9 +118,8 @@ def _check_block_size(n: int, k: int) -> None:
 
 
 def _support_masks(code: LinearCode):
-    """Each word's support as an int, bit i for position i, in the order
-    of `words`, each packed in linear time; the |C| * n codeword symbols
-    are charged before the first mask is built."""
+    """Each word's support as a packed int, in the order of `words`; the
+    |C| * n codeword symbols are charged before the first mask is built."""
     if code.ring.order == 2:
         return code._bits
     return list(map(_pack, code.words))
@@ -128,27 +128,16 @@ def _support_masks(code: LinearCode):
 def supports(code: LinearCode, target_weight: int) -> BlockMultiset:
     """Blocks of coordinate supports of the words of one weight."""
     points = range(code.n)
-    blocks = tuple(
-        # bin(x)[:1:-1] is x's binary digits from bit 0 up
-        tuple(compress(points, bin(x)[:1:-1].encode().translate(_DIGIT_BYTES)))
-        for x in _support_masks(code)
-        if x.bit_count() == target_weight
-    )
+    masks = [x for x in _support_masks(code) if x.bit_count() == target_weight]
+    blocks = tuple(tuple(compress(points, b)) for b in _unpack(masks, code.n))
     return BlockMultiset(code.n, target_weight, blocks)
 
 
 def is_t_design(bm: BlockMultiset, t: int) -> DesignReport:
     """Exhaustive coverage scan of all t-subsets of the point set, each
-    block read as its support mask: a string of n binary digits with a 1
-    set at each of its points, parsed once, in time linear in n (a sum of
-    one bit per point, or a table of the n bits, is quadratic)."""
-    zeros = bytearray(b"0") * bm.n
-    masks = []
-    for b in bm.blocks:
-        digits = zeros.copy()
-        for p in b:
-            digits[p] = 49  # ord("1")
-        masks.append(int(digits[::-1], 2))
+    block read as its support mask, packed in time linear in n."""
+    points = range(bm.n)
+    masks = [_pack([p in block for p in points]) for block in map(set, bm.blocks)]
     return _coverage(bm.n, bm.k, t, masks)
 
 
@@ -171,7 +160,7 @@ def _coverage(n: int, k: int, t: int, masks) -> DesignReport:
     budget first (`_check_range`).  At t = 0, and when every block is the
     whole point set (k = n), each t-subset is covered once per block, with
     no scan.  Otherwise column p, the bitset of the blocks holding point p,
-    is read off one string of every mask's n binary digits.  The scan ANDs
+    is a column of the masks' transpose (`_columns`).  The scan ANDs
     each prefix of at most t - 2 points with each later point's column
     once; past a prefix of t - 2 points, the AND of each pair of those
     is one t-subset's blocks.
@@ -182,8 +171,7 @@ def _coverage(n: int, k: int, t: int, masks) -> DesignReport:
         # points covers every t-subset once: no scan
         counts = {len(masks)}
     else:
-        digits = "".join(map(format, masks, repeat(f"0{n}b")))
-        columns = [int(digits[n - 1 - p :: n] or "0", 2) for p in range(n)]
+        columns = _columns(masks, n)
         counts = set(map(int.bit_count, columns)) if t == 1 else set()
         # (AND of a prefix's columns, its first later point, points to add)
         stack = [((1 << len(masks)) - 1, 0, t)] if t > 1 else []

@@ -24,10 +24,10 @@ import math
 import operator
 from fractions import Fraction
 
+from .budget import check_budget
 from .codes import (
     LinearCode,
     _tuple_counts,
-    check_budget,
     check_pair,
     comp_table,
     jacobi_table,

@@ -26,6 +26,10 @@ from jacweight.codes import (
     permute_word,
     resolve_code_path,
     weight,
+    _columns,
+    _f2_basis,
+    _pack,
+    _unpack,
 )
 from jacweight.rings import field_ring, modular_ring
 
@@ -444,3 +448,67 @@ def test_echelon_dual_and_size_match_an_ambient_scan(code):
     assert code.size == len(code.words)
     assert dual.size == len(dual.words)
     assert code.size * dual.size == ring.order**n
+
+
+# ---- the packed-word helpers -------------------------------------------------
+
+
+@pytest.mark.parametrize("rows,n", [(0, 5), (1, 5), (65, 70)])
+def test_columns_are_the_literal_bit_transpose(rows, n):
+    rng = random.Random(rows)
+    masks = [rng.getrandbits(n) for _ in range(rows)]
+    columns = _columns(masks, n)
+    assert columns == [
+        sum(1 << j for j, x in enumerate(masks) if x >> p & 1) for p in range(n)
+    ]
+    assert [_pack(b) for b in _unpack(masks, n)] == masks
+    assert all(len(b) == n for b in _unpack(masks, n))
+
+
+def kept_by_top_bits(rows):
+    """The rows not in the span of those after them, in order: one backward
+    scan over an XOR basis keyed by each element's top bit."""
+    basis, kept = {}, []
+    for row in reversed(rows):
+        x = sum(1 << i for i, a in enumerate(row) if a)
+        while x and (top := x.bit_length()) in basis:
+            x ^= basis[top]
+        if x:
+            basis[top] = x
+            kept.append(row)
+    return tuple(reversed(kept))
+
+
+def check_f2_basis(rows):
+    basis, grew = _f2_basis(map(_pack, reversed(rows)))
+    assert tuple(rows[~i] for i in reversed(grew)) == kept_by_top_bits(rows)
+    lows = [p & -p for p in basis]
+    assert [sum(1 for p in basis if p & low) for low in lows] == [1] * len(basis)
+    # the basis spans the rows: each reduces to 0 against it
+    for row in rows:
+        x = _pack(row)
+        for p in basis:
+            if x & p & -p:
+                x ^= p
+        assert x == 0
+
+
+def test_f2_basis_grows_at_the_kept_generators():
+    code = load_code("f2_dep")
+    check_f2_basis(code.generators)
+    assert code._kept == kept_by_top_bits(code.generators)
+
+
+@given(st.integers(1, 70).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple),
+                       max_size=8)))
+@settings(max_examples=150, deadline=None)
+def test_f2_basis_grows_at_the_rows_a_top_bit_scan_keeps(rows):
+    n = len(rows[0]) if rows else 1
+    if len(rows) > 1:
+        rows.append(tuple(a ^ b for a, b in zip(rows[0], rows[1])))
+    if rows:
+        rows.append(rows[-1])
+    rows.append((0,) * n)
+    check_f2_basis(tuple(rows))
+    assert LinearCode(F2, n, tuple(rows))._kept == kept_by_top_bits(rows)
