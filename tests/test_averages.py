@@ -738,7 +738,6 @@ def test_monte_carlo_batches_are_bounded_by_length(monkeypatch):
     rows = _unpack([rng.getrandbits(n) for _ in range(2)], n)
     code = LinearCode(F2, n, tuple(map(tuple, rows)))
     w = front_mask(n, n - 10)
-    code.size
     tracemalloc.start()
     try:
         monte_carlo_delta(code, code, w, samples=1024, seed=3)
