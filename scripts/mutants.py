@@ -51,8 +51,8 @@ MUTANTS = {
     ),
     "render dropping the last nonzero digit": (
         "polynomials.py",
-        [('for v in compress(variables, exps)])',
-          'for v in compress(variables, exps)][:-1])')],
+        [('pieces[v][exps[v]] for v in compress(variables, exps)])',
+          'pieces[v][exps[v]] for v in compress(variables, exps)][:-1])')],
         ["tests/test_polynomials.py", "tests/test_packed_terms.py"],
     ),
     "zero coefficients kept by the constructor": (
@@ -62,8 +62,9 @@ MUTANTS = {
     ),
     "zero coefficients kept by the transform": (
         "enumerators.py",
-        [("terms.update((k, r) for k, c in out.items() if (r := c % modulus))",
-          "terms.update((k, c % modulus) for k, c in out.items())")],
+        [("if r := c % modulus:", "if (r := c % modulus) is not None:"),
+         ("out.items() if (r := c % modulus))]",
+          "out.items() if (r := c % modulus) is not None)]")],
         ["tests/test_packed_terms.py", "tests/test_enumerators.py"],
     ),
     "popcounts written into swapped digits": (
@@ -210,6 +211,16 @@ MUTANTS = {
         [("degrees = [(k - 1) % digit_mask + 1 if k else 0 for k in poly.packed]",
           "degrees = [k % digit_mask for k in poly.packed]")],
         ["tests/test_packed_terms.py"],
+    ),
+    "both divided by one code's size": (
+        "enumerators.py",
+        [("_macwilliams(poly, (0, 1), size_c * size_d)", "_macwilliams(poly, (0, 1), size_c)")],
+        ["tests/test_enumerators.py"],
+    ),
+    "idle terms dropped from the next group's buckets": (
+        "enumerators.py",
+        [("for item in idle:", "for item in idle[:0]:")],
+        ["tests/test_packed_terms.py", "tests/test_enumerators.py"],
     ),
     "packed keys compared across digit widths": (
         "polynomials.py",

@@ -211,7 +211,10 @@ class LinearCode(Record):
 
     @cached_property
     def size(self) -> int:
-        """|C|, the `_span_size` of the generators."""
+        """|C|: over a ring of order 2, 2 to the rank of the packed generators
+        (uncharged, unlike `_kept`); else their `_span_size`."""
+        if self.ring.order == 2:
+            return 1 << len(_f2_basis(map(_pack, self.generators))[0])
         return _span_size(self.ring, self.generators, self.n)
 
     def __contains__(self, u) -> bool:

@@ -37,6 +37,17 @@ def dense_terms(packed, layout) -> dict:
     return {unpack(k.to_bytes(size, "big")): value for k, value in packed.items()}
 
 
+class _Memo(dict):
+    """{key: make(key)}, each value made on its key's first lookup."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
 class SparsePolynomial:
     """{packed monomial: exact coefficient}, digits holding the top degree."""
 
@@ -257,20 +268,21 @@ class SparsePolynomial:
         return sorted(self.terms.items())
 
     def _canonical_digits(self, template: str, sep: str):
-        """Each variable's name, template filled with its symbols joined by
-        sep, and each term's (coefficient, digits) in canonical order."""
-        variables = range(self.nvars)
-        names = [template.format(sep.join(map(str, self.var_tuple(v)))) for v in variables]
+        """Each variable's name (template filled with its symbols joined by sep,
+        made on first use) and each term's (coefficient, digits), in canonical order."""
+        names = _Memo(lambda v: template.format(sep.join(map(str, self.var_tuple(v)))))
         layout = self.layout[0]
         keys = sorted(self.packed)
         digits = (layout.unpack(k.to_bytes(layout.size, "big")) for k in keys)
-        return names, variables, zip(map(self.packed.get, keys), digits)
+        return names, range(self.nvars), zip(map(self.packed.get, keys), digits)
 
     def render_text(self) -> str:
         names, variables, terms = self._canonical_digits("x_({})", " ")
+        # pieces[v][e] is the text name^e, made on its first use
+        pieces = _Memo(lambda v: _Memo(f"{names[v]}^{{}}".format))
         parts = []
         for coeff, exps in terms:
-            text = " ".join([f"{names[v]}^{exps[v]}" for v in compress(variables, exps)])
+            text = " ".join([pieces[v][exps[v]] for v in compress(variables, exps)])
             parts.append(f"{scalar_text(coeff)} * {text}" if text else scalar_text(coeff))
         return " + ".join(parts) or "0"
 

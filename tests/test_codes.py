@@ -29,6 +29,7 @@ from jacweight.codes import (
     _columns,
     _f2_basis,
     _pack,
+    _span_size,
     _unpack,
 )
 from jacweight.rings import field_ring, modular_ring
@@ -512,3 +513,21 @@ def test_f2_basis_grows_at_the_rows_a_top_bit_scan_keeps(rows):
     rows.append((0,) * n)
     check_f2_basis(tuple(rows))
     assert LinearCode(F2, n, tuple(rows))._kept == kept_by_top_bits(rows)
+
+
+@given(
+    st.sampled_from((field_ring(2), modular_ring(2))),
+    st.integers(1, 70).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple), max_size=8)),
+)
+@settings(max_examples=100, deadline=None)
+def test_size_over_order_two_is_the_span_size(ring, rows):
+    # an XOR of two rows, a repeat and a zero row; the size charges nothing
+    n = len(rows[0]) if rows else 1
+    if len(rows) > 1:
+        rows.append(tuple(a ^ b for a, b in zip(rows[0], rows[1])))
+    rows += rows[-1:] + [(0,) * n]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setenv("JF_BUDGET", "1")
+        size = LinearCode(ring, n, tuple(rows)).size
+    assert size == _span_size(ring, rows, n)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import get_code, random_code, random_mask
+from jacweight import enumerators
 from jacweight.averages import all_ones_point
 from jacweight.codes import BudgetExceeded, LinearCode
 from jacweight.enumerators import (
@@ -340,3 +341,63 @@ def test_group_image_budget_gate(monkeypatch):
     p = jacobi(code, (0,) * 6)
     with pytest.raises(BudgetExceeded, match="^504 group image steps exceed"):
         _macwilliams(p, 0, code.size)
+
+
+def charge_log(monkeypatch):
+    """The (count, what) of every charge the transforms make, in order."""
+    log = []
+    original = enumerators.check_budget
+
+    def record(count, what, power=1):
+        log.append((count, what))
+        original(count, what, power)
+
+    monkeypatch.setattr(enumerators, "check_budget", record)
+    return log
+
+
+def test_transform_charges_each_group_in_its_term_order(monkeypatch):
+    # slot 0's groups meet images of degree 1, 3 and 4 (9, 90 and 180
+    # steps) in the order their terms first reach them; an order that
+    # visited the larger images first would name 180 below
+    code_c = LinearCode(F3, 5, ((1, 2, 0, 1, 0),))
+    code_d = LinearCode(F3, 5, ((2, 0, 2, 0, 0),))
+    p = joint_jacobi(code_c, code_d, (0, 1, 1, 1, 1))
+    log = charge_log(monkeypatch)
+    _macwilliams(p, 0, code_c.size)
+    image, terms = "group image steps", "transform terms"
+    assert log == (
+        [(9, image)] * 3 + [(15, terms)] + [(90, image)] * 2 + [(180, image)] * 2
+        + [(count, terms) for count in (117, 111, 126, 162, 177)]
+    )
+    monkeypatch.setenv("JF_BUDGET", "89")
+    with pytest.raises(BudgetExceeded, match="^90 group image steps exceed the budget 89$"):
+        _macwilliams(p, 0, code_c.size)
+
+
+@st.composite
+def joint_tables(draw):
+    """(poly, |C|, |D|): a joint Jacobi polynomial over F2, F3, F4, Z4 or
+    Z6 at n <= 3, one or two generator rows a code, which may repeat or
+    be zero, and any mask."""
+    ring = draw(st.sampled_from((F2, F3, F4, Z4, Z6)))
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, ring.order - 1), min_size=n, max_size=n)
+    rows = st.lists(row.map(tuple), min_size=1, max_size=2).map(tuple)
+    code_c, code_d = LinearCode(ring, n, draw(rows)), LinearCode(ring, n, draw(rows))
+    return joint_jacobi(code_c, code_d, tuple(draw(row))), code_c.size, code_d.size
+
+
+@given(joint_tables())
+@settings(max_examples=40, deadline=None)
+def test_both_is_first_then_second_in_value_order_and_charges(case):
+    poly, size_c, size_d = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        log = charge_log(monkeypatch)
+        both = macwilliams_both(poly, size_c, size_d)
+        charges = log[:]
+        del log[:]
+        composed = _macwilliams(_macwilliams(poly, 0, size_c), 1, size_d)
+    assert both == composed
+    assert list(both.packed) == list(composed.packed)
+    assert charges == log
